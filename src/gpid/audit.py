@@ -32,12 +32,80 @@ from .labeling import (
     weight,
 )
 
-_BASE_TENTHS = (0, 4, 5)  # charge a vertex keeps for itself, by label
+_BASE_TENTHS = np.array((0, 4, 5), dtype=np.int64)  # charge a vertex keeps, by label
 
 
 def _require_k(f: Labeling, k: int, what: str) -> None:
     if f.k != k:
         raise WrongFamily(f"{what} applies to P(n,{k}) only, got k={f.k}")
+
+
+def _rows(f: Labeling) -> np.ndarray:
+    """The labeling as a one-row block, the input shape of the kernels."""
+    return np.array([f.values], dtype=np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# Kernels: one row per labeling, one column per vertex (or per column pair)
+
+
+def _column_lemma(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over (row, column) of zero-weight columns and of the zero
+    columns whose two neighbor columns sum to less than 4."""
+    cw = labels[:, 0::2].astype(np.int64) + labels[:, 1::2]
+    zero = cw == 0
+    flank = np.roll(cw, 1, axis=1) + np.roll(cw, -1, axis=1)
+    return zero, zero & (flank < 4)
+
+
+def _charges(
+    labels: np.ndarray, adj: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (row, vertex): number of 1-neighbors, number of 2-neighbors, and
+    the charge in tenths (own base plus 0.2 per 1- and 0.5 per 2-neighbor)."""
+    nb = labels[:, adj]  # (rows, 2n, 3)
+    ones = (nb == 1).sum(axis=2)
+    twos = (nb == 2).sum(axis=2)
+    return ones, twos, _BASE_TENTHS[labels] + 2 * ones + 5 * twos
+
+
+# Residual floors in tenths: findings 2..8 bind the residual total;
+# finding 1 binds every per-vertex charge (at 0.4).
+_FINDING_FLOORS = {2: 0, 3: 2, 4: 4, 5: 4, 6: 6, 7: 8, 8: 10}
+_FINDING_DESCRIPTIONS = {
+    1: "every vertex keeps charge >= 0.4",
+    2: "a zero vertex with two 1-neighbors forces residual >= 0",
+    3: "a zero vertex with three 1-neighbors forces residual >= 0.2",
+    4: "a 2-labeled vertex forces residual >= 0.4",
+    5: "an edge inside V1 forces residual >= 0.4",
+    6: "a zero vertex with one 1- and one 2-neighbor forces residual >= 0.6",
+    7: "a zero vertex with two 1- and one 2-neighbor forces residual >= 0.8",
+    8: "an edge between V1 and V2 forces residual >= 1",
+}
+
+
+def _findings(
+    labels: np.ndarray, adj: np.ndarray, edges: np.ndarray
+) -> tuple[dict, dict]:
+    """Per-row hypothesis and conclusion masks of findings 1..8 on P(n,2)."""
+    ones, twos, charge = _charges(labels, adj)
+    r = 10 * labels.sum(axis=1, dtype=np.int64) - 4 * labels.shape[1]
+    isz = labels == 0
+    lu = labels[:, edges[:, 0]]
+    lv = labels[:, edges[:, 1]]
+    hyp = {
+        1: np.ones(labels.shape[0], dtype=bool),
+        2: (isz & (ones == 2)).any(axis=1),
+        3: (isz & (ones == 3)).any(axis=1),
+        4: (labels == 2).any(axis=1),
+        5: ((lu == 1) & (lv == 1)).any(axis=1),
+        6: (isz & (ones == 1) & (twos == 1)).any(axis=1),
+        7: (isz & (ones == 2) & (twos == 1)).any(axis=1),
+        8: (((lu == 1) & (lv == 2)) | ((lu == 2) & (lv == 1))).any(axis=1),
+    }
+    concl = {i: r >= _FINDING_FLOORS[i] for i in range(2, 9)}
+    concl[1] = charge.min(axis=1) >= 4
+    return hyp, concl
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +122,9 @@ class ColumnLemmaReport:
 def check_column_lemma(f: Labeling) -> ColumnLemmaReport:
     """For every column of weight 0, the two adjacent columns must sum to >= 4."""
     _require_k(f, 1, "the column lemma")
-    w = [cw.w for cw in column_weights(f)]
-    n = f.n
-    zeros = tuple(i for i in range(n) if w[i] == 0)
-    bad = tuple(i for i in zeros if w[(i - 1) % n] + w[(i + 1) % n] < 4)
+    zero, breach = _column_lemma(_rows(f))
+    zeros = tuple(np.flatnonzero(zero[0]).tolist())
+    bad = tuple(np.flatnonzero(breach[0]).tolist())
     return ColumnLemmaReport(holds=not bad, zero_columns=zeros, counterexamples=bad)
 
 
@@ -224,14 +291,8 @@ def discharge(f: Labeling) -> DischargeLedger:
     """Compute the charge ledger; validity of f is not required for the
     telescoping identity, only for the per-vertex floor."""
     _require_k(f, 2, "the discharge ledger")
-    adj = f.graph().adjacency
-    vals = f.values
-    charges = []
-    for v in range(2 * f.n):
-        a, b, c = adj[v]
-        ones = (vals[a] == 1) + (vals[b] == 1) + (vals[c] == 1)
-        twos = (vals[a] == 2) + (vals[b] == 2) + (vals[c] == 2)
-        charges.append(_BASE_TENTHS[vals[v]] + 2 * ones + 5 * twos)
+    adj = np.array(f.graph().adjacency, dtype=np.int64)
+    charges = _charges(_rows(f), adj)[2][0].tolist()
     residuals = [value - 4 for value in charges]
     return DischargeLedger(
         n=f.n,
@@ -283,58 +344,25 @@ class FindingsReport:
         return tuple(r.index for r in self.results if r.hypothesis)
 
 
-# (description, residual floor in tenths); floors of findings 2..8 bind the
-# residual total, finding 1 binds every per-vertex charge.
-_FINDING_FLOORS = {2: 0, 3: 2, 4: 4, 5: 4, 6: 6, 7: 8, 8: 10}
-
-
 def check_findings(f: Labeling) -> FindingsReport:
     """Evaluate findings 1..8 on a valid IDF of P(n,2)."""
     _require_k(f, 2, "the findings table")
     if not validate_idf(f).valid:
         raise InvalidParameters("findings are stated for valid IDFs only")
-    led = discharge(f)
-    r = led.total_residual_tenths
-    adj = f.graph().adjacency
-    vals = f.values
-    v0_counts = []  # (ones, twos) neighbor counts for zero-labeled vertices
-    for v in range(2 * f.n):
-        if vals[v] == 0:
-            a, b, c = adj[v]
-            ones = (vals[a] == 1) + (vals[b] == 1) + (vals[c] == 1)
-            twos = (vals[a] == 2) + (vals[b] == 2) + (vals[c] == 2)
-            v0_counts.append((ones, twos))
-    hyp = {
-        1: True,
-        2: any(o == 2 for o, _ in v0_counts),
-        3: any(o == 3 for o, _ in v0_counts),
-        4: any(v == 2 for v in vals),
-        5: bool(led.edge_classes.e11),
-        6: any(o == 1 and t == 1 for o, t in v0_counts),
-        7: any(o == 2 and t == 1 for o, t in v0_counts),
-        8: bool(led.edge_classes.e12),
-    }
-    descriptions = {
-        1: "every vertex keeps charge >= 0.4",
-        2: "a zero vertex with two 1-neighbors forces residual >= 0",
-        3: "a zero vertex with three 1-neighbors forces residual >= 0.2",
-        4: "a 2-labeled vertex forces residual >= 0.4",
-        5: "an edge inside V1 forces residual >= 0.4",
-        6: "a zero vertex with one 1- and one 2-neighbor forces residual >= 0.6",
-        7: "a zero vertex with two 1- and one 2-neighbor forces residual >= 0.8",
-        8: "an edge between V1 and V2 forces residual >= 1",
-    }
-    results = [
-        FindingResult(1, descriptions[1], True, led.min_charge_tenths >= 4)
-    ]
-    for idx in range(2, 9):
-        concl = (r >= _FINDING_FLOORS[idx]) if hyp[idx] else None
-        results.append(FindingResult(idx, descriptions[idx], hyp[idx], concl))
+    g = f.graph()
+    hyp, concl = _findings(
+        _rows(f),
+        np.array(g.adjacency, dtype=np.int64),
+        np.array(g.edges(), dtype=np.int64),
+    )
+    results = tuple(
+        FindingResult(i, _FINDING_DESCRIPTIONS[i], bool(hyp[i][0]),
+                      bool(concl[i][0]) if hyp[i][0] else None)
+        for i in range(1, 9)
+    )
+    w = weight(f)
     return FindingsReport(
-        n=f.n,
-        weight=led.weight,
-        residual_total_tenths=r,
-        results=tuple(results),
+        n=f.n, weight=w, residual_total_tenths=10 * w - 8 * f.n, results=results
     )
 
 
@@ -361,34 +389,12 @@ def sweep_findings(n: int, weight_cap: int | None = None) -> FindingsSweep:
     g = build_petersen(n, 2)
     adj = np.array(g.adjacency, dtype=np.int64)
     edges = np.array(g.edges(), dtype=np.int64)
-    base = np.array(_BASE_TENTHS, dtype=np.int64)
     hyp_counts = {i: 0 for i in range(1, 9)}
     bad_counts = {i: 0 for i in range(1, 9)}
     total = 0
     for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=1 << 19):
-        m = block.shape[0]
-        total += m
-        w = block.sum(axis=1, dtype=np.int64)
-        r = 10 * w - 8 * n
-        nb = block[:, adj]  # (m, 2n, 3)
-        ones = (nb == 1).sum(axis=2)
-        twos = (nb == 2).sum(axis=2)
-        charge = base[block] + 2 * ones + 5 * twos
-        isz = block == 0
-        lu = block[:, edges[:, 0]]
-        lv = block[:, edges[:, 1]]
-        hyp = {
-            1: np.ones(m, dtype=bool),
-            2: (isz & (ones == 2)).any(axis=1),
-            3: (isz & (ones == 3)).any(axis=1),
-            4: (block == 2).any(axis=1),
-            5: ((lu == 1) & (lv == 1)).any(axis=1),
-            6: (isz & (ones == 1) & (twos == 1)).any(axis=1),
-            7: (isz & (ones == 2) & (twos == 1)).any(axis=1),
-            8: (((lu == 1) & (lv == 2)) | ((lu == 2) & (lv == 1))).any(axis=1),
-        }
-        concl = {i: r >= _FINDING_FLOORS[i] for i in range(2, 9)}
-        concl[1] = charge.min(axis=1) >= 4
+        total += block.shape[0]
+        hyp, concl = _findings(block, adj, edges)
         for i in range(1, 9):
             hyp_counts[i] += int(hyp[i].sum())
             bad_counts[i] += int((hyp[i] & ~concl[i]).sum())
@@ -419,17 +425,13 @@ def sweep_discharge(n: int, weight_cap: int | None = None) -> DischargeSweep:
     every valid IDF of P(n,2) up to the weight cap."""
     g = build_petersen(n, 2)
     adj = np.array(g.adjacency, dtype=np.int64)
-    base = np.array(_BASE_TENTHS, dtype=np.int64)
     total = 0
     id_bad = 0
     floor_bad = 0
     for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=1 << 19):
         total += block.shape[0]
         w = block.sum(axis=1, dtype=np.int64)
-        nb = block[:, adj]
-        ones = (nb == 1).sum(axis=2)
-        twos = (nb == 2).sum(axis=2)
-        charge = base[block] + 2 * ones + 5 * twos
+        charge = _charges(block, adj)[2]
         id_bad += int((charge.sum(axis=1) != 10 * w).sum())
         floor_bad += int((charge.min(axis=1) < 4).sum())
     return DischargeSweep(
@@ -447,14 +449,10 @@ def random_identity_check(n: int, samples: int, seed: int = 0) -> int:
     expected count is zero."""
     g = build_petersen(n, 2)
     adj = np.array(g.adjacency, dtype=np.int64)
-    base = np.array(_BASE_TENTHS, dtype=np.int64)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 3, size=(samples, g.num_vertices), dtype=np.uint8)
     w = labels.sum(axis=1, dtype=np.int64)
-    nb = labels[:, adj]
-    ones = (nb == 1).sum(axis=2)
-    twos = (nb == 2).sum(axis=2)
-    charge = base[labels] + 2 * ones + 5 * twos
+    charge = _charges(labels, adj)[2]
     return int((charge.sum(axis=1) != 10 * w).sum())
 
 
@@ -477,10 +475,7 @@ def sweep_column_lemma(n: int, weight_cap: int | None = None) -> ColumnLemmaSwee
     bad = 0
     for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=1 << 19):
         total += block.shape[0]
-        cw = block[:, 0::2].astype(np.int64) + block[:, 1::2]
-        zero = cw == 0
-        flank = np.roll(cw, 1, axis=1) + np.roll(cw, -1, axis=1)
-        bad += int((zero & (flank < 4)).any(axis=1).sum())
+        bad += int(_column_lemma(block)[1].any(axis=1).sum())
     return ColumnLemmaSweep(
         n=n, weight_cap=weight_cap, labelings_checked=total, counterexamples=bad
     )

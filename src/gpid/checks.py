@@ -16,6 +16,7 @@ from typing import Callable
 from . import audit
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
 from .formulas import (
+    ceil_div,
     domination_value,
     italian_graph_predicate,
     italian_value,
@@ -43,10 +44,6 @@ class CheckResult:
     ok: bool
     instances: int
     detail: str
-
-
-def _ceil_fraction(fr) -> int:
-    return -((-fr.numerator) // fr.denominator)
 
 
 def check_thm_2_3(n_max: int = 16) -> CheckResult:
@@ -118,7 +115,8 @@ def check_thm_4_1(k_max: int = 12, n_max: int = 60, budget: int = 50_000) -> Che
         for n in range(2 * k + 1, n_max + 1):
             count += 1
             c = construct_pnk(n, k)
-            cap = _ceil_fraction(pnk_upper_bound_expression(n, k))
+            expr = pnk_upper_bound_expression(n, k)
+            cap = ceil_div(expr.numerator, expr.denominator)
             if c.valid:
                 if c.actual_weight > cap:
                     bad.append(("bound", n, k, c.actual_weight, cap))
@@ -264,7 +262,6 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
 
 # checks that accept range overrides
 _N_MAX_AWARE = {"thm-2.3", "thm-3.3", "thm-3.6", "cited-formulas", "classification"}
-_K_MAX_AWARE = {"thm-4.1"}
 
 
 def run_checks(

@@ -4,9 +4,8 @@ Commands: value | construct | solve | audit | render | verify-theorems.
 Exit codes: 0 ok, 1 violation or failed check, 2 usage error,
 3 construction unavailable for the requested residue.
 
-Sweeps honor GPID_THREADS as a parallelism cap; output rows are always
-emitted in (n, k) order so results are byte-identical at any level.
-Timing information goes to stderr, never stdout.
+Output rows are emitted in (n, k) order, and timing information goes to
+stderr, never stdout.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import audit, checks
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
@@ -49,22 +46,10 @@ _FORMULAS = {
     "rainbow2": rainbow2_value,
 }
 
+_VALUE_COLUMNS = ["n", "k", "invariant", "method", "kind", "value", "lo", "hi", "provenance"]
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GPID_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Map preserving input order; parallel when GPID_THREADS > 1."""
-    items = list(items)
-    workers = _threads()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+# P(n,k) family each audit target applies to
+_AUDIT_K = {"discharge": 2, "findings": 2, "bagging": 1, "column-lemma": 1}
 
 
 def _parse_range(text: str) -> list[int]:
@@ -102,48 +87,30 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # value
 
 
+def _solve(n: int, k: int, invariant: str, method: str, budget: int):
+    """Run one exact solver; only bnb can end in a BoundsOnly."""
+    if method == "dp":
+        return solve_dp(n, k, invariant)
+    if method == "exhaustive":
+        return solve_exhaustive(build_petersen(n, k), invariant)
+    return solve_branch_and_bound(build_petersen(n, k), invariant, budget=budget)
+
+
 def _value_row(n: int, k: int, invariant: str, method: str, budget: int) -> dict:
-    row = {
-        "n": n,
-        "k": k,
-        "invariant": invariant,
-        "method": method,
-        "kind": "",
-        "value": None,
-        "lo": None,
-        "hi": None,
-        "provenance": "",
-    }
+    """One `value` row.  `auto` takes the formula when it is exact or k >= 4,
+    and the DP otherwise."""
     if method in ("formula", "auto"):
         f = _FORMULAS[invariant](n, k)
-        if f.kind == "exact" or method == "formula":
-            row.update(kind=f.kind, value=f.value, lo=f.lo, hi=f.hi, provenance=f.theorem)
-            row["method"] = "formula"
-            return row
-    if method == "dp" or (method == "auto" and k <= 3):
-        r = solve_dp(n, k, invariant)
-        row.update(kind="exact", value=r.optimum, lo=r.optimum, hi=r.optimum,
-                   provenance="dp", method="dp")
-        return row
-    if method == "exhaustive":
-        r = solve_exhaustive(build_petersen(n, k), invariant)
-        row.update(kind="exact", value=r.optimum, lo=r.optimum, hi=r.optimum,
-                   provenance="exhaustive", method="exhaustive")
-        return row
-    if method == "bnb":
-        r = solve_branch_and_bound(build_petersen(n, k), invariant, budget=budget)
-        if isinstance(r, BoundsOnly):
-            row.update(kind="bounds", lo=r.lo, hi=r.hi, provenance="bnb-bounds",
-                       method="bnb")
-        else:
-            row.update(kind="exact", value=r.optimum, lo=r.optimum, hi=r.optimum,
-                       provenance="bnb", method="bnb")
-        return row
-    # auto fallback for k >= 4: formula bounds
-    f = _FORMULAS[invariant](n, k)
-    row.update(kind=f.kind, value=f.value, lo=f.lo, hi=f.hi, provenance=f.theorem,
-               method="formula")
-    return row
+        if method == "formula" or f.kind == "exact" or k > 3:
+            cells = ("formula", f.kind, f.value, f.lo, f.hi, f.theorem)
+            return dict(zip(_VALUE_COLUMNS, (n, k, invariant, *cells)))
+        method = "dp"
+    r = _solve(n, k, invariant, method, budget)
+    if isinstance(r, BoundsOnly):
+        cells = (method, "bounds", None, r.lo, r.hi, "bnb-bounds")
+    else:
+        cells = (method, "exact", r.optimum, r.optimum, r.optimum, method)
+    return dict(zip(_VALUE_COLUMNS, (n, k, invariant, *cells)))
 
 
 def cmd_value(args) -> int:
@@ -158,15 +125,13 @@ def cmd_value(args) -> int:
             f"no admissible (n, k) pairs in the requested ranges "
             f"(need n >= 3 and 2k < n)"
         )
-    rows = _pmap(
-        lambda nk: _value_row(nk[0], nk[1], args.invariant, args.method, args.budget),
-        sorted(pairs),
-    )
+    rows = [_value_row(n, k, args.invariant, args.method, args.budget)
+            for n, k in sorted(pairs)]
     if args.format == "json":
         _emit(args.out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
     elif args.format == "csv":
-        header = ["n", "k", "invariant", "method", "kind", "value", "lo", "hi", "provenance"]
-        _emit(args.out, _csv_text(header, [[row[h] for h in header] for row in rows]))
+        _emit(args.out, _csv_text(_VALUE_COLUMNS,
+                                  [[row[h] for h in _VALUE_COLUMNS] for row in rows]))
     else:
         lines = []
         for row in rows:
@@ -218,14 +183,7 @@ def cmd_construct(args) -> int:
 
 def cmd_solve(args) -> int:
     n, k = int(args.n), int(args.k)
-    if args.method == "dp":
-        result = solve_dp(n, k, args.invariant)
-    elif args.method == "exhaustive":
-        result = solve_exhaustive(build_petersen(n, k), args.invariant)
-    else:
-        result = solve_branch_and_bound(
-            build_petersen(n, k), args.invariant, budget=args.budget
-        )
+    result = _solve(n, k, args.invariant, args.method, args.budget)
     payload = result.to_json_dict()
     if args.format == "json":
         _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -256,6 +214,11 @@ def _load_labeling(path: str) -> Labeling:
 
 def cmd_audit(args) -> int:
     n = int(args.n)
+    if args.k is not None and int(args.k) != _AUDIT_K[args.target]:
+        raise GpidError(
+            f"audit {args.target} applies to P(n,{_AUDIT_K[args.target]}) only, "
+            f"got --k {args.k}"
+        )
     ok = True
     lines: list[str] = []
     rows: list[list] = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidParameters
+from .formulas import ceil_div
 from .labeling import Labeling, validate_idf, weight
 
 Column = tuple[int, int]
@@ -62,10 +63,6 @@ class Unavailable:
     n: int
     k: int
     reason: str
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # Five-column building blocks, written (outer, inner) per column.
@@ -217,7 +214,7 @@ def construct_pnk(n: int, k: int) -> ConstructionResult:
     prefix = [block[c % period] for c in range(n - k)]
     tail = tail_h(k)
     cols = prefix + list(tail.columns)
-    claimed = _ceil_div(block_weight * (n - k), period) + _ceil_div(4 * k, 3)
+    claimed = ceil_div(block_weight * (n - k), period) + ceil_div(4 * k, 3)
     return _result(n, k, case + ",tail", claimed, cols)
 
 

@@ -49,8 +49,9 @@ def _check_params(n: int, k: int) -> None:
         raise InvalidParameters(f"P(n,k) requires n >= 3, 2k < n; got n={n}, k={k}")
 
 
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) in exact integer arithmetic, for b > 0."""
+    return -(-a // b)
 
 
 def pnk_upper_bound_expression(n: int, k: int) -> Fraction:
@@ -78,7 +79,7 @@ def italian_value(n: int, k: int) -> FormulaResult:
         "bounds",
         None,
         -(-4 * n // 5),
-        _ceil(expr),
+        ceil_div(expr.numerator, expr.denominator),
         "italian-pnk-bound",
         exact_rational=expr,
     )

@@ -131,17 +131,18 @@ def degree_lower_bound(g: PetersenGraph) -> int:
     return -(-2 * g.num_vertices // 5)
 
 
-def kind_floor(g: PetersenGraph, kind: str) -> int:
-    """A cheap unconditional lower bound for the invariant on P(n, k).
+# Most coverage demand one unit of weight can meet on a cubic graph: a
+# chosen vertex covers at most 4 closed neighborhoods (domination), and a
+# weight unit serves at most 5 units of coverage demand (italian and
+# 2-rainbow, where every vertex demands 2).
+_UNIT_COVER = {"domination": 4, "italian": 5, "rainbow2": 5}
 
-    A chosen vertex covers at most 4 closed neighborhoods (domination),
-    and a weight unit serves at most 5 units of coverage demand (italian
-    and 2-rainbow), so the floors are ceil(|V|/4) and ceil(2|V|/5).
-    """
-    nv = g.num_vertices
-    if kind == "domination":
-        return -(-nv // 4)
-    return -(-2 * nv // 5)
+
+def kind_floor(g: PetersenGraph, kind: str) -> int:
+    """A cheap unconditional lower bound for the invariant on P(n, k):
+    ceil(|V|/4) for domination and ceil(2|V|/5) otherwise."""
+    demand = 1 if kind == "domination" else 2
+    return -(-demand * g.num_vertices // _UNIT_COVER[kind])
 
 
 def solve_exhaustive(g: PetersenGraph, kind: str) -> SolveResult:
@@ -228,9 +229,6 @@ def repair_idf(g: PetersenGraph, values) -> tuple[int, ...]:
             return tuple(vals)
 
 
-_BNB_DIVISOR = {"italian": 5, "rainbow2": 5, "domination": 4}
-
-
 def solve_branch_and_bound(
     g: PetersenGraph,
     kind: str,
@@ -253,7 +251,7 @@ def solve_branch_and_bound(
     wt = alg.weight
     need = alg.need
     rainbow = kind == "rainbow2"
-    divisor = _BNB_DIVISOR[kind]
+    divisor = _UNIT_COVER[kind]
 
     if initial is not None:
         seed = _witness_from_values(g.n, g.k, kind, initial)

@@ -1,6 +1,14 @@
 import pytest
 
-from gpid import Labeling, construct_pn1, construct_pn2, solve_dp, validate_idf, weight
+from gpid import (
+    Labeling,
+    build_petersen,
+    construct_pn1,
+    construct_pn2,
+    solve_dp,
+    validate_idf,
+    weight,
+)
 from gpid.audit import (
     bagging_certificate,
     check_column_lemma,
@@ -14,6 +22,7 @@ from gpid.audit import (
     threshold_check,
 )
 from gpid.errors import InvalidParameters, WrongFamily
+from gpid.exhaustive import iter_valid_labelings
 
 
 def columns_labeling(n, k, cols):
@@ -47,6 +56,17 @@ def test_column_lemma_exhaustive(n):
     sweep = sweep_column_lemma(n)
     assert sweep.ok
     assert sweep.labelings_checked > 0
+
+
+def test_column_lemma_sweep_pinned_and_matches_scalar():
+    sweep = sweep_column_lemma(7, weight_cap=8)
+    assert (sweep.labelings_checked, sweep.counterexamples) == (1127, 0)
+    rows = 0
+    for block in iter_valid_labelings(build_petersen(7, 1), "italian", 8):
+        for row in block:
+            rows += 1
+            assert check_column_lemma(Labeling(7, 1, tuple(int(x) for x in row))).holds
+    assert rows == 1127
 
 
 def test_column_lemma_wrong_family():
@@ -191,6 +211,30 @@ def test_findings_sweep_small():
     assert sweep.ok
     assert sweep.labelings_checked > 0
     assert sweep.hypothesis_counts[1] == sweep.labelings_checked
+
+
+P62_CAP7_HYPOTHESES = {1: 984, 2: 972, 3: 492, 4: 726, 5: 900, 6: 636, 7: 360, 8: 348}
+
+
+def test_findings_sweep_pinned_counts():
+    sweep = sweep_findings(6, weight_cap=7)
+    assert sweep.labelings_checked == 984
+    assert sweep.hypothesis_counts == P62_CAP7_HYPOTHESES
+    assert sweep.violation_counts == {i: 0 for i in range(1, 9)}
+
+
+def test_scalar_findings_and_discharge_match_the_sweep():
+    counts = {i: 0 for i in range(1, 9)}
+    rows = 0
+    for block in iter_valid_labelings(build_petersen(6, 2), "italian", 7):
+        for row in block:
+            f = Labeling(6, 2, tuple(int(x) for x in row))
+            rows += 1
+            for idx in check_findings(f).triggered():
+                counts[idx] += 1
+            assert discharge(f).min_charge_tenths >= 4
+    assert rows == 984
+    assert counts == P62_CAP7_HYPOTHESES
 
 
 def test_discharge_sweep_small():

@@ -146,6 +146,23 @@ def test_audit_column_lemma(capsys):
     assert "0 counterexamples" in out
 
 
+@pytest.mark.parametrize("target,k", [
+    ("discharge", "1"), ("findings", "3"), ("bagging", "2"), ("column-lemma", "2"),
+])
+def test_audit_rejects_a_conflicting_k(capsys, target, k):
+    code, out, err = run_cli(capsys, "audit", target, "--n", "6", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert "only, got --k" in err
+
+
+def test_audit_accepts_the_matching_k(capsys):
+    args = ["audit", "findings", "--n", "6", "--weight-cap", "7", "--format", "csv"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert run_cli(capsys, *args, "--k", "2") == (0, out, "")
+
+
 def test_render_both_directions(capsys, tmp_path):
     path = tmp_path / "lab.json"
     path.write_text('{"n": 4, "k": 1, "values": [1,0,0,1,1,0,0,1]}')
@@ -178,10 +195,9 @@ def test_verify_theorems_unknown_id(capsys):
     assert "unknown check" in err
 
 
-def test_deterministic_output(capsys, monkeypatch):
+def test_deterministic_output(capsys):
     args = ["value", "--n", "5..12", "--k", "2", "--format", "csv"]
     _, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("GPID_THREADS", "4")
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
 
