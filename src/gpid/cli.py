@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
 Commands: value | construct | solve | audit | render | verify-theorems.
-Exit codes: 0 ok, 1 violation or failed check, 2 usage error,
-3 construction unavailable for the requested residue.
+Exit codes: 0 ok, 1 violation or failed check, 2 usage error (bad
+arguments, unreadable input, unwritable output), 3 construction
+unavailable for the requested residue, 4 internal error (a solver
+contradicted itself).
 
 Output rows are emitted in (n, k) order, and timing information goes to
 stderr, never stdout.
@@ -18,7 +20,7 @@ import sys
 
 from . import audit, checks
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
-from .errors import GpidError
+from .errors import GpidError, InternalError, InvalidParameters
 from .formulas import domination_value, italian_value, rainbow2_value
 from .graph import build_petersen
 from .labeling import (
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_UNAVAILABLE = 3
+EXIT_INTERNAL = 4
 
 _FORMULAS = {
     "italian": italian_value,
@@ -63,8 +66,13 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_mod(text: str) -> tuple[int, int]:
-    m, r = text.split("=", 1)
-    return int(m), int(r)
+    try:
+        m, r = (int(part) for part in text.split("="))
+    except ValueError:
+        m, r = 0, 0  # reported below
+    if m < 1:
+        raise InvalidParameters(f"--mod takes m=r with integers m >= 1 and r, got {text!r}")
+    return m, r
 
 
 def _emit(out_path: str | None, text: str) -> None:
@@ -435,20 +443,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_bounds(args) -> None:
+    if getattr(args, "budget", 1) < 1:
+        raise InvalidParameters(f"--budget must be at least 1, got {args.budget}")
+    cap = getattr(args, "weight_cap", None)
+    if cap is not None and cap < 0:
+        raise InvalidParameters(f"--weight-cap must be >= 0, got {cap}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "value" and not (args.n or args.n_range):
         parser.error("value requires --n or --n-range")
     try:
+        _check_bounds(args)
         return args.fn(args)
-    except GpidError as exc:
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
+    except (GpidError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except KeyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except OSError as exc:  # unreadable input or unwritable output
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

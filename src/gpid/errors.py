@@ -27,3 +27,7 @@ class WrongFamily(GpidError, ValueError):
 
 class BudgetExceeded(GpidError, RuntimeError):
     """Instance too large for the requested solving method."""
+
+
+class InternalError(GpidError, RuntimeError):
+    """A solver contradicted itself (an unsound witness, a lost state)."""

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Union
 
 from . import dp, exhaustive
-from .errors import GpidError, InvalidParameters
+from .errors import InternalError, InvalidParameters
 from .graph import PetersenGraph, build_petersen
 from .labeling import (
     RAINBOW_MASK_TO_STR,
@@ -116,9 +116,7 @@ def _check_witness(g: PetersenGraph, kind: str, witness: Witness, optimum: int) 
     else:
         ok = validate_dominating(g, witness).valid
     if not ok or _witness_weight(kind, witness) != optimum:
-        raise GpidError(
-            f"internal error: unsound witness for {kind} on P({g.n},{g.k})"
-        )
+        raise InternalError(f"unsound witness for {kind} on P({g.n},{g.k})")
 
 
 def _check_kind(kind: str) -> None:

@@ -214,13 +214,54 @@ def test_out_file(capsys, tmp_path):
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gpid.cli", "value", "--n", "9", "--k", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "9 (exact" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--n", "7", "--k", "3", "--mod", "0=1"],
+    ["value", "--n", "7", "--k", "3", "--mod", "5"],
+    ["audit", "discharge", "--n", "6", "--labeling", "/nonexistent/labeling.json"],
+    ["solve", "--n", "7", "--k", "2", "--out", "/nonexistent/x.json"],
+    ["render", "--in", "/nonexistent/labeling.json"],
+    ["solve", "--n", "16", "--k", "6", "--method", "bnb", "--budget", "-5"],
+    ["value", "--n", "9", "--k", "4", "--method", "bnb", "--budget", "0"],
+    ["audit", "findings", "--n", "6", "--weight-cap", "-1"],
+    ["audit", "column-lemma", "--n", "5", "--weight-cap", "-3"],
+])
+def test_bad_input_is_a_one_line_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unsound_solver_output_is_an_internal_error(capsys, monkeypatch):
+    from gpid import dp, solver
+
+    def corrupted(n, k, kind, state_cap=dp.DP_STATE_CAP):
+        return n, bytes(2 * n), 0  # all zeros: not a valid labeling
+
+    monkeypatch.setattr(dp, "solve_cycle", corrupted)
+    solver.solve_dp.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "solve", "--n", "7", "--k", "2", "--method", "dp")
+    finally:
+        solver.solve_dp.cache_clear()
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: unsound witness for italian on P(7,2)\n"
