@@ -15,6 +15,7 @@ from typing import Callable
 
 from . import audit
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
+from .errors import InvalidParameters
 from .formulas import (
     ceil_div,
     domination_value,
@@ -273,7 +274,7 @@ def run_checks(
     ids = list(CHECKS) if not only else list(only)
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
-        raise KeyError(f"unknown check ids: {unknown}; known: {sorted(CHECKS)}")
+        raise InvalidParameters(f"unknown check ids: {unknown}; known: {sorted(CHECKS)}")
     out = []
     for check_id in ids:
         kwargs = {}

@@ -4,7 +4,7 @@ Commands: value | construct | solve | audit | render | verify-theorems.
 Exit codes: 0 ok, 1 violation or failed check, 2 usage error (bad
 arguments, unreadable input, unwritable output), 3 construction
 unavailable for the requested residue, 4 internal error (a solver
-contradicted itself).
+contradicted itself, or any other exception: a bug).
 
 Output rows are emitted in (n, k) order, and timing information goes to
 stderr, never stdout.
@@ -24,6 +24,7 @@ from .errors import GpidError, InternalError, InvalidParameters
 from .formulas import domination_value, italian_value, rainbow2_value
 from .graph import build_petersen
 from .labeling import (
+    KINDS,
     Labeling,
     labeling_from_json,
     labeling_to_json,
@@ -55,14 +56,21 @@ _VALUE_COLUMNS = ["n", "k", "invariant", "method", "kind", "value", "lo", "hi", 
 _AUDIT_K = {"discharge": 2, "findings": 2, "bagging": 1, "column-lemma": 1}
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameters(f"{flag} takes an integer, got {text!r}") from None
+
+
+def _parse_range(text: str, flag: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i, hi_i = _parse_int(lo, flag), _parse_int(hi, flag)
         if hi_i < lo_i:
-            raise ValueError(f"empty range {text!r}")
+            raise InvalidParameters(f"empty range {text!r}")
         return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    return [_parse_int(text, flag)]
 
 
 def _parse_mod(text: str) -> tuple[int, int]:
@@ -122,8 +130,8 @@ def _value_row(n: int, k: int, invariant: str, method: str, budget: int) -> dict
 
 
 def cmd_value(args) -> int:
-    ns = _parse_range(args.n_range or args.n)
-    ks = _parse_range(args.k_range or args.k)
+    ns = _parse_range(args.n_range or args.n, "--n")
+    ks = _parse_range(args.k_range or args.k, "--k")
     if args.mod:
         m, r = _parse_mod(args.mod)
         ns = [n for n in ns if n % m == r]
@@ -161,7 +169,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    n, k = int(args.n), int(args.k)
+    n, k = _parse_int(args.n, "--n"), _parse_int(args.k, "--k")
     if k == 1:
         result = construct_pn1(n)
     elif k == 2:
@@ -190,7 +198,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    n, k = int(args.n), int(args.k)
+    n, k = _parse_int(args.n, "--n"), _parse_int(args.k, "--k")
     result = _solve(n, k, args.invariant, args.method, args.budget)
     payload = result.to_json_dict()
     if args.format == "json":
@@ -221,8 +229,8 @@ def _load_labeling(path: str) -> Labeling:
 
 
 def cmd_audit(args) -> int:
-    n = int(args.n)
-    if args.k is not None and int(args.k) != _AUDIT_K[args.target]:
+    n = _parse_int(args.n, "--n")
+    if args.k is not None and _parse_int(args.k, "--k") != _AUDIT_K[args.target]:
         raise GpidError(
             f"audit {args.target} applies to P(n,{_AUDIT_K[args.target]}) only, "
             f"got --k {args.k}"
@@ -319,7 +327,7 @@ def cmd_render(args) -> int:
         if args.n is None or args.k is None:
             sys.stderr.write("--from-matrix requires --n and --k\n")
             return EXIT_USAGE
-        f = parse_matrix(text, int(args.n), int(args.k))
+        f = parse_matrix(text, _parse_int(args.n, "--n"), _parse_int(args.k, "--k"))
         _emit(args.out, labeling_to_json(f) + "\n")
     else:
         f = labeling_from_json(text)
@@ -383,8 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--n-range", dest="n_range", default=None)
     p_value.add_argument("--k", default="1", help="k or inclusive range a..b")
     p_value.add_argument("--k-range", dest="k_range", default=None)
-    p_value.add_argument("--invariant", default="italian",
-                         choices=["italian", "domination", "rainbow2"])
+    p_value.add_argument("--invariant", default="italian", choices=list(KINDS))
     p_value.add_argument("--method", default="auto",
                          choices=["auto", "formula", "dp", "exhaustive", "bnb"])
     p_value.add_argument("--mod", default=None, help="keep n with n %% m == r, as m=r")
@@ -403,8 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run one exact solver instance")
     p_solve.add_argument("--n", required=True)
     p_solve.add_argument("--k", required=True)
-    p_solve.add_argument("--invariant", default="italian",
-                         choices=["italian", "domination", "rainbow2"])
+    p_solve.add_argument("--invariant", default="italian", choices=list(KINDS))
     p_solve.add_argument("--method", default="dp",
                          choices=["dp", "exhaustive", "bnb"])
     p_solve.add_argument("--budget", type=int, default=200_000)
@@ -462,12 +468,12 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
-    except (GpidError, KeyError, ValueError) as exc:
+    except (GpidError, OSError) as exc:  # OSError: unreadable input, unwritable output
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except OSError as exc:  # unreadable input or unwritable output
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    except Exception as exc:  # a bug, never a usage error or a violation
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

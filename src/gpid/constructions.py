@@ -52,7 +52,7 @@ class ConstructionResult:
             "actual_weight": self.actual_weight,
             "valid": self.valid,
             "violations": [list(v) for v in self.violations],
-            "labeling": {"n": self.n, "k": self.k, "values": list(self.labeling.values)},
+            "labeling": self.labeling.to_json_dict(),
         }
 
 

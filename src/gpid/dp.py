@@ -16,10 +16,10 @@ reduced at the known steps where their wrap neighbors are decided and
 checked for zero after the last column.  Vertices in the closing window
 see only known labels, so their demands are checked at creation.
 
-Demand bookkeeping is shared by the three invariants through a label
-algebra: labels contribute their value (Italian, domination) or their
-color mask (2-rainbow), and a zero-labeled vertex starts with demand 2,
-1, or {1,2} respectively.
+Demand bookkeeping is shared by the three invariants through their kind
+records (`labeling.KINDS`): a zero-labeled vertex starts with the kind's
+`need` (2, 1, or the mask {1,2}), and each neighbor label c turns a
+demand d into `reduce[d][c]`.
 
 Engine.  A state is one integer, `window_id * R + residual_code`: the
 window's k+1 (label, demand) pairs are digits over the few pairs that can
@@ -58,67 +58,17 @@ would lose that bound and make the layers several times wider.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, InternalError, InvalidParameters
+from .labeling import KINDS, Kind, kind_of
 
 DP_STATE_CAP = 2_000_000
 
-
-class LabelAlgebra(NamedTuple):
-    name: str
-    labels: tuple[int, ...]
-    weight: tuple[int, ...]
-    reduce: tuple[tuple[int, ...], ...]
-    need: int
-
-
-def _saturating(need: int, nlabels: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(max(0, d - c) for c in range(nlabels)) for d in range(need + 1)
-    )
-
-
-ALGEBRAS = {
-    "italian": LabelAlgebra(
-        "italian", (0, 1, 2), (0, 1, 2), _saturating(2, 3), 2
-    ),
-    "domination": LabelAlgebra(
-        "domination", (0, 1), (0, 1), _saturating(1, 2), 1
-    ),
-    "rainbow2": LabelAlgebra(
-        "rainbow2",
-        (0, 1, 2, 3),
-        (0, 1, 1, 2),
-        tuple(tuple(d & ~c for c in range(4)) for d in range(4)),
-        3,
-    ),
-}
-
-
-@dataclass(frozen=True)
-class DpState:
-    """Decoded window state, for inspection and debugging."""
-
-    position: int
-    inner_window: tuple[tuple[int, int], ...]  # (label, demand) at depths 1..k
-    outer: tuple[int, int]
-    wrap_residuals: tuple[int, ...]  # demands of o_0, i_0, ..., i_{k-1}
-
-
-def decode_state(k: int, win: tuple[int, ...], residuals: tuple[int, ...], c: int) -> DpState:
-    inner = tuple((win[2 * j], win[2 * j + 1]) for j in range(k))
-    return DpState(
-        position=c,
-        inner_window=inner,
-        outer=(win[2 * k], win[2 * k + 1]),
-        wrap_residuals=residuals,
-    )
+ALGEBRAS = KINDS  # the kind records by name, under their earlier name
 
 
 def _transitions(win, c, n, k, alg, a0, bs):
@@ -252,7 +202,7 @@ class _Rows:
 class _Tables:
     """The transition tables of one (kind, k), shared by every n and seam."""
 
-    def __init__(self, alg: LabelAlgebra, k: int) -> None:
+    def __init__(self, alg: Kind, k: int) -> None:
         self.alg = alg
         self.k = k
         self.width = len(alg.labels) ** 2
@@ -346,7 +296,7 @@ class _Tables:
 @lru_cache(maxsize=None)
 def _tables(kind: str, k: int) -> _Tables:
     # bounded: one entry per (kind, k), each at most windows x signatures rows
-    return _Tables(ALGEBRAS[kind], k)
+    return _Tables(KINDS[kind], k)
 
 
 # Group-min sort keys are packed as ((key * span + weight) << shift) + index
@@ -398,11 +348,9 @@ def solve_cycle(
 
     Returns (optimum, witness label bytes in vertex order, states explored).
     """
-    if kind not in ALGEBRAS:
-        raise InvalidParameters(f"unknown invariant kind {kind!r}")
+    labels = kind_of(kind).labels  # 0..L-1, so lo * L + li encodes a pair
     if n < 3 or k < 1 or 2 * k >= n:
         raise InvalidParameters(f"P(n,k) requires n >= 3, 2k < n; got n={n}, k={k}")
-    labels = ALGEBRAS[kind].labels  # 0..L-1, so lo * L + li encodes a pair
     nl = len(labels)
     tables = _tables(kind, k)
     columns = [_column(c, n, k) for c in range(n)]

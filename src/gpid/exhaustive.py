@@ -15,15 +15,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidParameters
 from .graph import PetersenGraph
+from .labeling import kind_of
 
-BASES = {"domination": 2, "italian": 3, "rainbow2": 4}
 SIZE_GATES = {"domination": 16, "italian": 16, "rainbow2": 12}
-_POPCOUNT = np.array([0, 1, 1, 2], dtype=np.uint8)
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in BASES:
-        raise InvalidParameters(f"unknown invariant kind {kind!r}")
 
 
 def label_block(num_vertices: int, base: int, start: int, stop: int) -> np.ndarray:
@@ -38,29 +32,21 @@ def label_block(num_vertices: int, base: int, start: int, stop: int) -> np.ndarr
 
 def validity_mask(labels: np.ndarray, g: PetersenGraph, kind: str) -> np.ndarray:
     """Boolean mask of rows satisfying the kind's domination condition."""
-    _check_kind(kind)
+    kd = kind_of(kind)
+    combine = kd.combine
     ok = np.ones(labels.shape[0], dtype=bool)
     for v in range(g.num_vertices):
         a, b, c = g.adjacency[v]
-        if kind == "rainbow2":
-            got = labels[:, a] | labels[:, b] | labels[:, c]
-            ok &= (labels[:, v] != 0) | (got == 3)
-        else:
-            s = (
-                labels[:, a].astype(np.uint8)
-                + labels[:, b]
-                + labels[:, c]
-            )
-            threshold = 2 if kind == "italian" else 1
-            ok &= (labels[:, v] != 0) | (s >= threshold)
+        got = combine(combine(labels[:, a], labels[:, b]), labels[:, c])
+        ok &= (labels[:, v] != 0) | (got >= kd.need)
     return ok
 
 
 def weights_of(labels: np.ndarray, kind: str) -> np.ndarray:
-    _check_kind(kind)
-    if kind == "rainbow2":
-        return _POPCOUNT[labels].sum(axis=1, dtype=np.int64)
-    return labels.sum(axis=1, dtype=np.int64)
+    kd = kind_of(kind)
+    if kd.weight == kd.labels:  # each label weighs its value
+        return labels.sum(axis=1, dtype=np.int64)
+    return np.array(kd.weight, np.uint8)[labels].sum(axis=1, dtype=np.int64)
 
 
 def iter_valid_labelings(
@@ -71,8 +57,7 @@ def iter_valid_labelings(
 ) -> Iterator[np.ndarray]:
     """Yield arrays of valid labelings (optionally weight-capped), in
     ascending lexicographic order across yields."""
-    _check_kind(kind)
-    base = BASES[kind]
+    base = len(kind_of(kind).labels)
     total = base ** g.num_vertices
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
@@ -93,13 +78,12 @@ def exhaustive_minimum(
     witness is the lexicographically smallest optimal vector.  Raises
     BudgetExceeded when the instance is beyond the size gate for the kind.
     """
-    _check_kind(kind)
+    base = len(kind_of(kind).labels)
     if g.num_vertices > SIZE_GATES[kind]:
         raise BudgetExceeded(
             f"exhaustive {kind} search gated at 2n <= {SIZE_GATES[kind]}, "
             f"got 2n = {g.num_vertices}"
         )
-    base = BASES[kind]
     total = base ** g.num_vertices
     best_weight: int | None = None
     best_index: int | None = None

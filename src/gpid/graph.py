@@ -60,13 +60,20 @@ class ColumnView:
         return self.vertices[1]
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each result cache (graphs here; exhaustive and DP results
+# in the solver): enough for `verify-theorems` and each benchmark workload,
+# so that a long `value` sweep holds at most this many graphs and witnesses.
+CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def build_petersen(n: int, k: int) -> PetersenGraph:
     """Construct P(n, k).
 
     Requires n >= 3 and 1 <= k with 2k < n.  Identical arguments always
-    yield an identical (cached, shared, immutable) graph.  Neighbor lists
-    are stored in ascending id order so serialized output is canonical.
+    yield an identical (cached, shared, immutable) graph while it is among
+    the CACHE_SIZE most recently used.  Neighbor lists are stored in
+    ascending id order so serialized output is canonical.
     """
     if not isinstance(n, int) or not isinstance(k, int):
         raise InvalidParameters(f"n and k must be integers, got n={n!r}, k={k!r}")

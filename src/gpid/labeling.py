@@ -1,14 +1,25 @@
-"""Labelings on P(n, k) and their validators.
+"""Labelings on P(n, k), the kind table and the validators.
 
-Three kinds of assignment are handled:
+The kind table.  Each invariant gpid computes is one ``Kind`` record in
+``KINDS``, and every route (validators, exhaustive masks, column DP,
+branch and bound, witnesses) reads it instead of switching on the name:
 
-* ``Labeling``        -- vertex -> {0, 1, 2}; a candidate Italian
-  dominating function (IDF).  Valid iff every 0-vertex sees neighbor
-  labels summing to at least 2.
-* ``RainbowLabeling`` -- vertex -> subset of {1, 2}, encoded as a 2-bit
-  mask (bit 1 = color 1, bit 2 = color 2); a candidate 2-rainbow
-  dominating function.  Valid iff every empty-set vertex sees both colors.
-* plain vertex sets   -- candidate dominating sets.
+* ``italian``    -- labels 0, 1, 2 of weight 0, 1, 2; a 0-vertex needs
+  neighbor labels summing to at least 2 (an Italian dominating function,
+  IDF).
+* ``domination`` -- labels 0, 1; a 0-vertex needs a neighbor labeled 1.
+* ``rainbow2``   -- labels are subsets of {1, 2} as 2-bit masks 0..3
+  (bit 1 = color 1, bit 2 = color 2) weighing their size; a 0-vertex
+  needs both colors among its neighbors (a 2-rainbow dominating
+  function).
+
+A record holds the labels (always 0..L-1), their weights, the cover
+``need`` of a 0-vertex and the ``combine`` op of neighbor labels (``+``,
+or ``|`` for 2-rainbow), so that for every kind a 0-vertex is covered iff
+combine(neighbor labels) >= need.  The residual-demand table ``reduce``
+follows from these, as do the witness type (``Labeling``,
+``RainbowLabeling`` or a dominating vertex set) and the name of its
+validator.
 
 Validators return a report listing all violating vertices instead of
 raising; invalid input is data, not an error.
@@ -17,33 +28,49 @@ raising; invalid input is data, not an error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Union
 
 from .errors import FormatError, InvalidParameters, NotA2RDF
 from .graph import PetersenGraph, build_petersen
 
-RAINBOW_MASK_TO_STR = {0: "0", 1: "1", 2: "2", 3: "12"}
-RAINBOW_STR_TO_MASK = {v: k for k, v in RAINBOW_MASK_TO_STR.items()}
-
 
 @dataclass(frozen=True)
-class Labeling:
-    """A vertex -> {0,1,2} assignment on P(n, k)."""
+class _Assignment:
+    """A vertex -> label assignment on P(n, k) for one kind."""
 
     n: int
     k: int
     values: tuple[int, ...]
+
+    kind: ClassVar[str]
+    _bad_label: ClassVar[str]  # the error for a label outside the kind's
+    _tokens: ClassVar[tuple]  # the JSON form of each label
 
     def __post_init__(self):
         if len(self.values) != 2 * self.n:
             raise InvalidParameters(
                 f"expected {2 * self.n} values for n={self.n}, got {len(self.values)}"
             )
-        if any(v not in (0, 1, 2) for v in self.values):
-            raise InvalidParameters("labels must be 0, 1 or 2")
+        labels = KINDS[self.kind].labels
+        if any(v not in labels for v in self.values):
+            raise InvalidParameters(self._bad_label)
 
     def graph(self) -> PetersenGraph:
         return build_petersen(self.n, self.k)
+
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "k": self.k, "values": [self._tokens[v] for v in self.values]}
+
+
+@dataclass(frozen=True)
+class Labeling(_Assignment):
+    """A vertex -> {0,1,2} assignment on P(n, k): a candidate IDF."""
+
+    kind = "italian"
+    _bad_label = "labels must be 0, 1 or 2"
+    _tokens = (0, 1, 2)
 
     def level_sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         """(V_0, V_1, V_2): vertices labeled 0, 1, 2."""
@@ -54,23 +81,63 @@ class Labeling:
 
 
 @dataclass(frozen=True)
-class RainbowLabeling:
-    """A vertex -> subset-of-{1,2} assignment, stored as 2-bit masks."""
+class RainbowLabeling(_Assignment):
+    """A vertex -> subset-of-{1,2} assignment, stored as 2-bit masks: a
+    candidate 2-rainbow dominating function."""
 
-    n: int
-    k: int
-    values: tuple[int, ...]
+    kind = "rainbow2"
+    _bad_label = "rainbow labels must be masks 0..3"
+    _tokens = ("0", "1", "2", "12")
+
+
+def dominating_set(n: int, k: int, values) -> tuple[int, ...]:
+    """The vertices labeled 1: the witness of the domination kind."""
+    return tuple(v for v, val in enumerate(values) if val == 1)
+
+
+Witness = Union[Labeling, RainbowLabeling, tuple]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What an invariant is; see the module docstring."""
+
+    name: str
+    labels: tuple[int, ...]
+    weight: tuple[int, ...]
+    need: int
+    combine: Callable[[int, int], int]
+    witness: Callable[[int, int, tuple[int, ...]], Witness]
+    validator: str  # the name of the witness validator in this module
+    # reduce[d][c]: the demand left of d once a neighbor labeled c is seen
+    reduce: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.values) != 2 * self.n:
-            raise InvalidParameters(
-                f"expected {2 * self.n} values for n={self.n}, got {len(self.values)}"
-            )
-        if any(v not in (0, 1, 2, 3) for v in self.values):
-            raise InvalidParameters("rainbow labels must be masks 0..3")
+        # demand d left means cover need - d seen so far (for masks, the
+        # colors of need not in d)
+        need = self.need
+        object.__setattr__(self, "reduce", tuple(
+            tuple(need - min(need, self.combine(need - d, c)) for c in self.labels)
+            for d in range(need + 1)
+        ))
 
-    def graph(self) -> PetersenGraph:
-        return build_petersen(self.n, self.k)
+
+KINDS = {
+    "italian": Kind("italian", (0, 1, 2), (0, 1, 2), 2, operator.add,
+                    Labeling, "validate_idf"),
+    "domination": Kind("domination", (0, 1), (0, 1), 1, operator.add,
+                       dominating_set, "validate_dominating"),
+    "rainbow2": Kind("rainbow2", (0, 1, 2, 3), (0, 1, 1, 2), 3, operator.or_,
+                     RainbowLabeling, "validate_2rdf"),
+}
+
+
+def kind_of(name: str) -> Kind:
+    """The kind record named `name`."""
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise InvalidParameters(f"unknown invariant kind {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -96,47 +163,42 @@ class ValidationReport:
 
 
 def weight(f: Labeling | RainbowLabeling) -> int:
-    """Total weight: sum of labels, or sum of |f(v)| for rainbow labelings."""
-    if isinstance(f, RainbowLabeling):
-        return sum(bin(v).count("1") for v in f.values)
-    return sum(f.values)
+    """Total weight: the sum of the label weights (|f(v)| for 2-rainbow)."""
+    wt = KINDS[f.kind].weight
+    return sum(wt[v] for v in f.values)
+
+
+def _violations(kind: Kind, g: PetersenGraph, vals) -> ValidationReport:
+    """The 0-vertices whose combined neighbor labels fall short of the
+    kind's need, each with that combined value."""
+    adj = g.adjacency
+    combine = kind.combine
+    need = kind.need
+    bad = []
+    for v, val in enumerate(vals):
+        if val == 0:
+            a, b, c = adj[v]
+            got = combine(combine(vals[a], vals[b]), vals[c])
+            if got < need:
+                bad.append((v, got))
+    return ValidationReport(valid=not bad, violations=tuple(bad))
 
 
 def validate_idf(f: Labeling) -> ValidationReport:
     """Check the Italian domination condition at every 0-vertex."""
-    adj = f.graph().adjacency
-    vals = f.values
-    bad = []
-    for v, val in enumerate(vals):
-        if val == 0:
-            s = vals[adj[v][0]] + vals[adj[v][1]] + vals[adj[v][2]]
-            if s < 2:
-                bad.append((v, s))
-    return ValidationReport(valid=not bad, violations=tuple(bad))
+    return _violations(KINDS["italian"], f.graph(), f.values)
 
 
 def validate_2rdf(f: RainbowLabeling) -> ValidationReport:
     """Check that every empty-labeled vertex sees both colors among neighbors."""
-    adj = f.graph().adjacency
-    vals = f.values
-    bad = []
-    for v, val in enumerate(vals):
-        if val == 0:
-            u = vals[adj[v][0]] | vals[adj[v][1]] | vals[adj[v][2]]
-            if u != 3:
-                bad.append((v, u))
-    return ValidationReport(valid=not bad, violations=tuple(bad))
+    return _violations(KINDS["rainbow2"], f.graph(), f.values)
 
 
 def validate_dominating(g: PetersenGraph, s) -> ValidationReport:
     """Check that the closed neighborhood of s covers every vertex."""
     chosen = set(s)
-    bad = []
-    for v in range(g.num_vertices):
-        if v in chosen or any(u in chosen for u in g.adjacency[v]):
-            continue
-        bad.append((v, 0))
-    return ValidationReport(valid=not bad, violations=tuple(bad))
+    vals = [int(v in chosen) for v in range(g.num_vertices)]
+    return _violations(KINDS["domination"], g, vals)
 
 
 def rainbow_to_idf(f: RainbowLabeling) -> Labeling:
@@ -146,7 +208,8 @@ def rainbow_to_idf(f: RainbowLabeling) -> Labeling:
         raise NotA2RDF(
             f"labeling violates the 2RDF condition at {len(report.violations)} vertices"
         )
-    return Labeling(f.n, f.k, tuple(bin(v).count("1") for v in f.values))
+    wt = KINDS["rainbow2"].weight
+    return Labeling(f.n, f.k, tuple(wt[v] for v in f.values))
 
 
 def column_weights(f: Labeling) -> list[ColumnWeight]:
@@ -201,8 +264,16 @@ def parse_matrix(text: str, n: int, k: int) -> Labeling:
     return Labeling(n, k, tuple(values))
 
 
+def witness_json(n: int, k: int, witness: Witness) -> dict:
+    """The JSON form of a witness: a labeling's values (2-rainbow masks as
+    "0", "1", "2", "12"), or the members of a dominating set."""
+    if isinstance(witness, tuple):
+        return {"n": n, "k": k, "set": list(witness)}
+    return witness.to_json_dict()
+
+
 def labeling_to_json(f: Labeling) -> str:
-    return json.dumps({"n": f.n, "k": f.k, "values": list(f.values)}, sort_keys=True)
+    return json.dumps(f.to_json_dict(), sort_keys=True)
 
 
 def labeling_from_json(text: str) -> Labeling:
@@ -211,17 +282,3 @@ def labeling_from_json(text: str) -> Labeling:
         return Labeling(int(obj["n"]), int(obj["k"]), tuple(int(v) for v in obj["values"]))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad labeling JSON: {exc}") from exc
-
-
-def rainbow_to_json(f: RainbowLabeling) -> str:
-    vals = [RAINBOW_MASK_TO_STR[v] for v in f.values]
-    return json.dumps({"n": f.n, "k": f.k, "values": vals}, sort_keys=True)
-
-
-def rainbow_from_json(text: str) -> RainbowLabeling:
-    try:
-        obj = json.loads(text)
-        masks = tuple(RAINBOW_STR_TO_MASK[str(v)] for v in obj["values"])
-        return RainbowLabeling(int(obj["n"]), int(obj["k"]), masks)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad rainbow labeling JSON: {exc}") from exc

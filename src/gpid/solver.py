@@ -9,32 +9,30 @@ Three routes with overlapping domains keep each other honest:
 * ``solve_branch_and_bound`` -- depth-first search with a charge-counting
   cut; exact when it completes, otherwise certified bounds.
 
-Every returned witness is re-validated and its weight checked against the
-reported optimum before the result is handed back.
+All three read what a kind is (labels, weights, need, residual demand)
+from its record in ``labeling.KINDS``.  Every returned witness is built,
+re-validated and weighed by one helper, ``_witness``, before the result is
+handed back.  Results (exhaustive, DP) and graphs are cached, each cache
+bounded by ``CACHE_SIZE`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 from . import dp, exhaustive
 from .errors import InternalError, InvalidParameters
-from .graph import PetersenGraph, build_petersen
-from .labeling import (
-    RAINBOW_MASK_TO_STR,
-    Labeling,
-    RainbowLabeling,
-    validate_2rdf,
-    validate_dominating,
-    validate_idf,
-    weight,
+from .graph import CACHE_SIZE, PetersenGraph, build_petersen
+from .labeling import (  # the validators are called by name, see _witness
+    Kind,
+    Witness,
+    kind_of,
+    validate_2rdf,  # noqa: F401
+    validate_dominating,  # noqa: F401
+    validate_idf,  # noqa: F401
+    witness_json,
 )
-
-KINDS = ("domination", "italian", "rainbow2")
-
-Witness = Union[Labeling, RainbowLabeling, tuple]
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class SolveResult:
             "optimum": self.optimum,
             "method": self.method,
             "explored": self.explored,
-            "witness": _witness_json(self.n, self.k, self.witness),
+            "witness": witness_json(self.n, self.k, self.witness),
         }
 
 
@@ -77,51 +75,23 @@ class BoundsOnly:
             "lo": self.lo,
             "hi": self.hi,
             "explored": self.explored,
-            "incumbent": _witness_json(self.n, self.k, self.incumbent),
+            "incumbent": witness_json(self.n, self.k, self.incumbent),
         }
 
 
-def _witness_json(n: int, k: int, witness: Witness) -> dict:
-    if isinstance(witness, tuple):
-        return {"n": n, "k": k, "set": list(witness)}
-    if isinstance(witness, RainbowLabeling):
-        return {
-            "n": n,
-            "k": k,
-            "values": [RAINBOW_MASK_TO_STR[v] for v in witness.values],
-        }
-    return {"n": n, "k": k, "values": list(witness.values)}
-
-
-def _witness_from_values(n: int, k: int, kind: str, values) -> Witness:
+def _witness(g: PetersenGraph, kd: Kind, values, optimum: int | None = None) -> Witness:
+    """The kind's witness built from label values, after validating it and
+    checking that it weighs `optimum` (when given)."""
     values = tuple(int(v) for v in values)
-    if kind == "italian":
-        return Labeling(n, k, values)
-    if kind == "rainbow2":
-        return RainbowLabeling(n, k, values)
-    return tuple(v for v, val in enumerate(values) if val == 1)
-
-
-def _witness_weight(kind: str, witness: Witness) -> int:
-    if isinstance(witness, tuple):
-        return len(witness)
-    return weight(witness)
-
-
-def _check_witness(g: PetersenGraph, kind: str, witness: Witness, optimum: int) -> None:
-    if kind == "italian":
-        ok = validate_idf(witness).valid
-    elif kind == "rainbow2":
-        ok = validate_2rdf(witness).valid
-    else:
-        ok = validate_dominating(g, witness).valid
-    if not ok or _witness_weight(kind, witness) != optimum:
-        raise InternalError(f"unsound witness for {kind} on P({g.n},{g.k})")
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise InvalidParameters(f"unknown invariant kind {kind!r}")
+    witness = kd.witness(g.n, g.k, values)
+    # By name at call time: wrappers installed on this module see the call.
+    validate = globals()[kd.validator]
+    # a vertex set carries no graph; a labeling does
+    report = validate(g, witness) if isinstance(witness, tuple) else validate(witness)
+    w = sum(kd.weight[v] for v in values)
+    if not report.valid or (optimum is not None and w != optimum):
+        raise InternalError(f"unsound witness for {kd.name} on P({g.n},{g.k})")
+    return witness
 
 
 def degree_lower_bound(g: PetersenGraph) -> int:
@@ -129,81 +99,81 @@ def degree_lower_bound(g: PetersenGraph) -> int:
     return -(-2 * g.num_vertices // 5)
 
 
-# Most coverage demand one unit of weight can meet on a cubic graph: a
-# chosen vertex covers at most 4 closed neighborhoods (domination), and a
-# weight unit serves at most 5 units of coverage demand (italian and
-# 2-rainbow, where every vertex demands 2).
-_UNIT_COVER = {"domination": 4, "italian": 5, "rainbow2": 5}
+def _unit_cover(kd: Kind) -> int:
+    """Most coverage demand one unit of weight meets on a cubic graph.
+
+    Every vertex demands weight[need] (1 for domination, 2 otherwise); a
+    label of weight w >= 1 meets its own vertex's demand and at most w at
+    each of 3 neighbors, so per unit of weight at most weight[need] + 3.
+    """
+    return kd.weight[kd.need] + 3
 
 
 def kind_floor(g: PetersenGraph, kind: str) -> int:
     """A cheap unconditional lower bound for the invariant on P(n, k):
     ceil(|V|/4) for domination and ceil(2|V|/5) otherwise."""
-    demand = 1 if kind == "domination" else 2
-    return -(-demand * g.num_vertices // _UNIT_COVER[kind])
+    kd = kind_of(kind)
+    return -(-kd.weight[kd.need] * g.num_vertices // _unit_cover(kd))
 
 
 def solve_exhaustive(g: PetersenGraph, kind: str) -> SolveResult:
     """Global optimum by full enumeration (tiny instances only)."""
-    _check_kind(kind)
+    kind_of(kind)  # an unknown kind is rejected before it reaches the cache
     return _solve_exhaustive_cached(g.n, g.k, kind)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _solve_exhaustive_cached(n: int, k: int, kind: str) -> SolveResult:
     g = build_petersen(n, k)
     opt, values, examined = exhaustive.exhaustive_minimum(g, kind)
-    witness = _witness_from_values(n, k, kind, values)
-    _check_witness(g, kind, witness, opt)
+    witness = _witness(g, kind_of(kind), values, opt)
     return SolveResult(kind, n, k, opt, witness, "exhaustive", examined)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def solve_dp(n: int, k: int, kind: str) -> SolveResult:
     """Exact optimum via the cyclic profile DP; supported for k <= 3."""
-    _check_kind(kind)
+    kd = kind_of(kind)
     if k > 3:
         raise InvalidParameters(f"dp solver supports k <= 3, got k={k}")
     g = build_petersen(n, k)
     opt, seq, explored = dp.solve_cycle(n, k, kind)
-    witness = _witness_from_values(n, k, kind, seq)
-    _check_witness(g, kind, witness, opt)
+    witness = _witness(g, kd, seq, opt)
     return SolveResult(kind, n, k, opt, witness, "dp", explored)
 
 
 def greedy_labeling(g: PetersenGraph, kind: str) -> tuple[int, ...]:
-    """A valid labeling found by start-full-then-drop; used for incumbents."""
-    _check_kind(kind)
+    """A valid labeling found by start-full-then-drop; used for incumbents.
+
+    Every vertex starts at the smallest label of which two neighbors cover
+    a 0-vertex; then, in id order, each vertex drops to 0 where its closed
+    neighborhood stays covered, and finally to the first lighter nonzero
+    label that keeps it covered.
+    """
+    kd = kind_of(kind)
     adj = g.adjacency
-    nv = g.num_vertices
-    start = {"italian": 1, "domination": 1, "rainbow2": 3}[kind]
-    need = {"italian": 2, "domination": 1, "rainbow2": 3}[kind]
-    vals = [start] * nv
+    combine = kd.combine
+    need = kd.need
+    wt = kd.weight
+    start = min(c for c in kd.labels if combine(c, c) >= need)
+    vals = [start] * g.num_vertices
 
     def covered(v: int) -> bool:
-        if vals[v] != 0:
-            return True
         a, b, c = adj[v]
-        if kind == "rainbow2":
-            return (vals[a] | vals[b] | vals[c]) == need
-        return vals[a] + vals[b] + vals[c] >= need
+        return vals[v] != 0 or combine(combine(vals[a], vals[b]), vals[c]) >= need
 
-    def local_ok(v: int) -> bool:
-        return covered(v) and all(covered(u) for u in adj[v])
-
-    for v in range(nv):
+    def lower(v: int, trials) -> None:
         old = vals[v]
-        vals[v] = 0
-        if not local_ok(v):
-            vals[v] = old
-    if kind == "rainbow2":
-        for v in range(nv):
-            if vals[v] == 3:
-                for trial in (1, 2):
-                    vals[v] = trial
-                    if local_ok(v):
-                        break
-                    vals[v] = 3
+        for trial in trials:
+            vals[v] = trial
+            if covered(v) and all(covered(u) for u in adj[v]):
+                return
+        vals[v] = old
+
+    for v in range(g.num_vertices):
+        lower(v, (0,))
+    for v in range(g.num_vertices):
+        lower(v, [c for c in kd.labels[1:] if wt[c] < wt[vals[v]]])
     return tuple(vals)
 
 
@@ -235,36 +205,34 @@ def solve_branch_and_bound(
 ) -> SolveResult | BoundsOnly:
     """DFS over vertices in id order, labels tried ascending.
 
-    A node is cut when its partial weight plus ceil(total unmet demand /
-    (deg+2)) cannot beat the incumbent.  `budget` counts label
-    assignments; on exhaustion the result degrades to BoundsOnly with
-    lo = the unconditional kind floor and hi = the incumbent's weight.
-    An `initial` labeling, when given, seeds the incumbent and must be
-    valid for the kind.
+    Each vertex carries its residual demand, reduced by the kind's table
+    as its neighbors are labeled.  A node is cut when its partial weight
+    plus ceil(total unmet demand / unit cover) cannot beat the incumbent,
+    the unmet demand of an open or 0-labeled vertex being the weight of
+    its residual.  `budget` counts label assignments; on exhaustion the
+    result degrades to BoundsOnly with lo = the unconditional kind floor
+    and hi = the incumbent's weight.  An `initial` labeling, when given,
+    seeds the incumbent and must be valid for the kind.
     """
-    _check_kind(kind)
+    kd = kind_of(kind)
     adj = g.adjacency
     nv = g.num_vertices
-    alg = dp.ALGEBRAS[kind]
-    wt = alg.weight
-    need = alg.need
-    rainbow = kind == "rainbow2"
-    divisor = _UNIT_COVER[kind]
+    wt = kd.weight
+    red = kd.reduce
+    divisor = _unit_cover(kd)
 
     if initial is not None:
-        seed = _witness_from_values(g.n, g.k, kind, initial)
-        seed_w = sum(wt[v] for v in initial)
-        _check_witness(g, kind, seed, seed_w)
+        _witness(g, kd, initial)
         best_vals = tuple(initial)
     else:
         best_vals = greedy_labeling(g, kind)
     best_w = sum(wt[v] for v in best_vals)
 
     vals = [-1] * nv
-    got = [0] * nv
+    res = [kd.need] * nv  # residual demand
     pending = [3] * nv
     # deficit of an open vertex: coverage still required if it stays 0
-    defv = [2 if kind != "domination" else 1] * nv
+    defv = [wt[kd.need]] * nv
     total = sum(defv)
 
     st = {
@@ -275,16 +243,10 @@ def solve_branch_and_bound(
         "total": total,
     }
 
-    def unmet(v: int) -> int:
-        if rainbow:
-            missing = need & ~got[v]
-            return (missing & 1) + (missing >> 1)
-        return need - got[v] if got[v] < need else 0
-
     def current_deficit(v: int) -> int:
         if vals[v] > 0:
             return 0
-        return unmet(v)
+        return wt[res[v]]
 
     def set_def(v: int, value: int) -> None:
         st["total"] += value - defv[v]
@@ -296,7 +258,7 @@ def solve_branch_and_bound(
                 st["best_w"] = w
                 st["best_vals"] = tuple(vals)
             return
-        for lab in alg.labels:
+        for lab in kd.labels:
             if st["truncated"]:
                 return
             st["nodes"] += 1
@@ -307,32 +269,27 @@ def solve_branch_and_bound(
             vals[v] = lab
             saved = [(v, defv[v])]
             set_def(v, current_deficit(v))
-            feasible = not (lab == 0 and pending[v] == 0 and unmet(v) > 0)
+            feasible = not (lab == 0 and pending[v] == 0 and res[v])
             touched = []
             for u in adj[v]:
-                old_got = got[u]
-                if rainbow:
-                    got[u] |= lab
-                else:
-                    got[u] += lab
-                touched.append((u, old_got))
+                touched.append((u, res[u]))
+                res[u] = red[res[u]][lab]
                 pending[u] -= 1
                 saved.append((u, defv[u]))
                 set_def(u, current_deficit(u))
-                if vals[u] == 0 and pending[u] == 0 and unmet(u) > 0:
+                if vals[u] == 0 and pending[u] == 0 and res[u]:
                     feasible = False
             if feasible and w2 + -(-st["total"] // divisor) < st["best_w"]:
                 dfs(v + 1, w2)
-            for u, old_got in touched:
-                got[u] = old_got
+            for u, old_res in touched:
+                res[u] = old_res
                 pending[u] += 1
             for x, old_def in reversed(saved):
                 set_def(x, old_def)
             vals[v] = -1
 
     dfs(0, 0)
-    witness = _witness_from_values(g.n, g.k, kind, st["best_vals"])
-    _check_witness(g, kind, witness, st["best_w"])
+    witness = _witness(g, kd, st["best_vals"], st["best_w"])
     if not st["truncated"]:
         return SolveResult(
             kind, g.n, g.k, st["best_w"], witness, "branch_and_bound", st["nodes"]

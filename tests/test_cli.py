@@ -265,3 +265,31 @@ def test_unsound_solver_output_is_an_internal_error(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "internal error: unsound witness for italian on P(7,2)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "abc", "--k", "2"],
+    ["value", "--n", "5..x", "--k", "2"],
+    ["value", "--n", "9..5", "--k", "2"],
+    ["audit", "bagging", "--n", "six"],
+    ["verify-theorems", "--only", "thm-9.9"],
+])
+def test_unparsable_arguments_are_a_one_line_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [KeyError("stray"), RecursionError("too deep")])
+def test_unexpected_exceptions_are_internal_errors(capsys, monkeypatch, error):
+    from gpid import cli
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve_branch_and_bound", broken)
+    code, out, err = run_cli(capsys, "solve", "--n", "9", "--k", "4", "--method", "bnb")
+    assert code == 4
+    assert out == ""
+    assert err == f"internal error: {type(error).__name__}: {error}\n"

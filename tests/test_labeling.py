@@ -237,3 +237,64 @@ def test_labeling_validation():
         Labeling(4, 1, (3,) * 8)
     with pytest.raises(InvalidParameters):
         RainbowLabeling(4, 1, (4,) * 8)
+
+
+def _scalar_route(kind, g, row):
+    """(valid, weight) of one labeling row by the kind's scalar validator."""
+    if kind == "italian":
+        f = Labeling(g.n, g.k, row)
+        return validate_idf(f).valid, weight(f)
+    if kind == "rainbow2":
+        f = RainbowLabeling(g.n, g.k, row)
+        return validate_2rdf(f).valid, weight(f)
+    chosen = {v for v, x in enumerate(row) if x}
+    return validate_dominating(g, chosen).valid, len(chosen)
+
+
+def _oracle_route(kind, adj, row):
+    """(valid, weight) of one labeling row by the conftest oracles."""
+    if kind == "italian":
+        return oracle_is_idf(adj, row), sum(row)
+    if kind == "rainbow2":
+        return oracle_is_2rdf(adj, row), sum(bin(x).count("1") for x in row)
+    chosen = {v for v, x in enumerate(row) if x}
+    return oracle_is_dominating(adj, chosen), len(chosen)
+
+
+@pytest.mark.parametrize("kind", ["italian", "domination", "rainbow2"])
+@pytest.mark.parametrize("n,k", [(7, 2), (6, 1)])
+def test_validity_routes_agree_row_for_row(kind, n, k):
+    """Scalar validator, exhaustive.validity_mask and the conftest oracle
+    agree on validity, and weight / len(set) / weights_of on weight, for
+    3000 random labelings (label 0 drawn with probability 0.35, so that
+    valid and invalid rows both occur)."""
+    import numpy as np
+
+    from gpid.exhaustive import validity_mask, weights_of
+
+    g = build_petersen(n, k)
+    adj = oracle_adjacency(n, k)
+    nlabels = {"italian": 3, "domination": 2, "rainbow2": 4}[kind]
+    rng = np.random.default_rng(20260418)
+    p = [0.35] + [0.65 / (nlabels - 1)] * (nlabels - 1)
+    rows = rng.choice(nlabels, size=(3000, 2 * n), p=p).astype(np.uint8)
+    mask = validity_mask(rows, g, kind)
+    weights = weights_of(rows, kind)
+    for row, ok, w in zip(rows.tolist(), mask.tolist(), weights.tolist()):
+        row = tuple(row)
+        assert _scalar_route(kind, g, row) == (ok, w), row
+        assert _oracle_route(kind, adj, row) == (ok, w), row
+    assert 0 < mask.sum() < len(rows)
+
+
+@pytest.mark.parametrize("kind", ["italian", "domination", "rainbow2"])
+def test_kind_reduce_table_matches_the_cover_rule(kind):
+    """Reducing the need by three neighbor labels leaves no demand iff
+    the labels, combined, reach the need."""
+    from gpid.labeling import KINDS
+
+    kd = KINDS[kind]
+    for a, b, c in itertools.product(kd.labels, repeat=3):
+        left = kd.reduce[kd.reduce[kd.reduce[kd.need][a]][b]][c]
+        assert (left == 0) == (kd.combine(kd.combine(a, b), c) >= kd.need)
+        assert kd.weight[left] <= kd.weight[kd.need]

@@ -18,7 +18,7 @@ from gpid import (
 from gpid.errors import BudgetExceeded, InvalidParameters
 from gpid.solver import greedy_labeling, repair_idf
 
-from conftest import oracle_adjacency, oracle_is_idf
+from conftest import oracle_adjacency, oracle_is_2rdf, oracle_is_idf
 
 
 def test_exhaustive_examples():
@@ -85,16 +85,6 @@ def test_dp_determinism():
     a = solve_cycle(9, 2, "italian")
     b = solve_cycle(9, 2, "italian")
     assert a[:2] == b[:2]
-
-
-def test_dp_state_decode():
-    from gpid.dp import decode_state
-
-    st = decode_state(2, (1, 0, 0, 2, 1, 0), (0, 2, 0), 5)
-    assert st.position == 5
-    assert st.inner_window == ((1, 0), (0, 2))
-    assert st.outer == (1, 0)
-    assert st.wrap_residuals == (0, 2, 0)
 
 
 def test_degree_lower_bound_examples():
@@ -166,6 +156,8 @@ def test_greedy_labelings_are_valid():
         elif kind == "domination":
             chosen = {v for v, x in enumerate(vals) if x}
             assert all(v in chosen or chosen & adj[v] for v in range(18))
+        else:
+            assert oracle_is_2rdf(adj, vals)
 
 
 def test_repair_fixes_arbitrary_labelings():
@@ -190,3 +182,11 @@ def test_result_json_shapes():
     assert isinstance(b, BoundsOnly)
     d = b.to_json_dict()
     assert d["lo"] <= d["hi"]
+
+
+def test_result_caches_are_bounded():
+    from gpid.graph import CACHE_SIZE
+    from gpid.solver import _solve_exhaustive_cached
+
+    for cached in (solve_dp, _solve_exhaustive_cached, build_petersen):
+        assert cached.cache_info().maxsize == CACHE_SIZE
