@@ -1,10 +1,14 @@
-"""Chunked full enumeration of labeling spaces on P(n, k).
+"""Weight-bounded exhaustive enumeration of labelings on P(n, k).
 
 Labelings are identified with base-b integers whose most significant
 digit is vertex 0, so ascending index order is lexicographic order on
-label vectors.  Enumeration is vectorized with numpy and processed in
-chunks to bound memory; the largest gated instance (3^16 labelings)
-scans in a few seconds.
+label vectors.  Only the rows of the weights asked for are generated:
+the prefix and the suffix halves of the vertex list are enumerated once
+each and joined where their weights add up to the range, in
+lexicographic order and in blocks that bound memory.  The oracle
+(``exhaustive_minimum``) walks weight classes upwards and stops at the
+first class holding a valid labeling, so it examines the classes below
+the optimum and part of the optimum's class, not all b^(2n) vectors.
 """
 
 from __future__ import annotations
@@ -49,6 +53,42 @@ def weights_of(labels: np.ndarray, kind: str) -> np.ndarray:
     return np.array(kd.weight, np.uint8)[labels].sum(axis=1, dtype=np.int64)
 
 
+def _rows_by_weight(
+    num_vertices: int, kind: str, lo: int, hi: int, chunk: int
+) -> Iterator[np.ndarray]:
+    """Label rows of weight lo..hi in ascending lexicographic order, in
+    blocks of at most `chunk` rows.
+
+    Meet in the middle: the first half of the vertices (prefix) and the
+    rest (suffix) are enumerated once each.  Each prefix, in index order,
+    is followed by the suffixes of fitting weight, in index order, which
+    is lexicographic order on the whole vector.
+    """
+    base = len(kind_of(kind).labels)
+    head = num_vertices // 2
+    prefixes = label_block(head, base, 0, base**head)
+    suffixes = label_block(num_vertices - head, base, 0, base ** (num_vertices - head))
+    sw = weights_of(suffixes, kind)
+    classes, cls = np.unique(weights_of(prefixes, kind), return_inverse=True)
+    # fits[c]: the suffixes completing a prefix of weight classes[c]
+    fits = [np.flatnonzero((lo - w <= sw) & (sw <= hi - w)) for w in classes.tolist()]
+    sizes = np.array([len(f) for f in fits], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    flat = np.concatenate(fits)
+    counts = sizes[cls]  # rows emitted after each prefix
+    ends = np.cumsum(counts)
+    shift = offsets[cls] - (ends - counts)  # row r of prefix p: suffix flat[r + shift[p]]
+    total = int(ends[-1])
+    for first in range(0, total, chunk):
+        rows = np.arange(first, min(first + chunk, total), dtype=np.int64)
+        p = np.searchsorted(ends, rows, side="right")
+        block = np.empty((len(rows), num_vertices), np.uint8)
+        block[:, :head] = prefixes[p]
+        block[:, head:] = suffixes[flat[rows + shift[p]]]
+        del rows, p  # not held while the consumer works on the block
+        yield block
+
+
 def iter_valid_labelings(
     g: PetersenGraph,
     kind: str,
@@ -57,14 +97,10 @@ def iter_valid_labelings(
 ) -> Iterator[np.ndarray]:
     """Yield arrays of valid labelings (optionally weight-capped), in
     ascending lexicographic order across yields."""
-    base = len(kind_of(kind).labels)
-    total = base ** g.num_vertices
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        labels = label_block(g.num_vertices, base, start, stop)
+    kd = kind_of(kind)
+    hi = g.num_vertices * max(kd.weight) if weight_cap is None else weight_cap
+    for labels in _rows_by_weight(g.num_vertices, kind, 0, hi, chunk):
         mask = validity_mask(labels, g, kind)
-        if weight_cap is not None:
-            mask &= weights_of(labels, kind) <= weight_cap
         if mask.any():
             yield labels[mask]
 
@@ -72,34 +108,26 @@ def iter_valid_labelings(
 def exhaustive_minimum(
     g: PetersenGraph, kind: str, chunk: int = 1 << 20
 ) -> tuple[int, tuple[int, ...], int]:
-    """Globally optimal weight by full enumeration.
+    """Globally optimal weight by exhaustive search over weight classes.
 
-    Returns (optimum, witness label vector, labelings examined).  The
-    witness is the lexicographically smallest optimal vector.  Raises
-    BudgetExceeded when the instance is beyond the size gate for the kind.
+    Returns (optimum, witness label vector, labelings examined).  Weight
+    classes are searched in ascending order, each in lexicographic order,
+    so the first valid row is the lexicographically smallest optimal
+    vector; labelings examined counts the rows generated and checked.
+    Raises BudgetExceeded when the instance is beyond the size gate for
+    the kind.
     """
-    base = len(kind_of(kind).labels)
+    kd = kind_of(kind)
     if g.num_vertices > SIZE_GATES[kind]:
         raise BudgetExceeded(
             f"exhaustive {kind} search gated at 2n <= {SIZE_GATES[kind]}, "
             f"got 2n = {g.num_vertices}"
         )
-    total = base ** g.num_vertices
-    best_weight: int | None = None
-    best_index: int | None = None
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        labels = label_block(g.num_vertices, base, start, stop)
-        mask = validity_mask(labels, g, kind)
-        if not mask.any():
-            continue
-        w = weights_of(labels, kind)
-        w = np.where(mask, w, np.iinfo(np.int64).max)
-        pos = int(np.argmin(w))
-        if best_weight is None or int(w[pos]) < best_weight:
-            best_weight = int(w[pos])
-            best_index = start + pos
-    if best_weight is None:
-        raise InvalidParameters("no valid labeling exists (impossible for P(n,k))")
-    witness = label_block(g.num_vertices, base, best_index, best_index + 1)[0]
-    return best_weight, tuple(int(x) for x in witness), total
+    examined = 0
+    for w in range(g.num_vertices * max(kd.weight) + 1):
+        for labels in _rows_by_weight(g.num_vertices, kind, w, w, chunk):
+            examined += labels.shape[0]
+            mask = validity_mask(labels, g, kind)
+            if mask.any():
+                return w, tuple(int(x) for x in labels[int(np.argmax(mask))]), examined
+    raise InvalidParameters("no valid labeling exists (impossible for P(n,k))")

@@ -3,8 +3,8 @@ domination numbers on P(n, k).
 
 Three routes with overlapping domains keep each other honest:
 
-* ``solve_exhaustive`` -- full enumeration, gated to tiny instances; the
-  oracle everything else is compared against.
+* ``solve_exhaustive`` -- exhaustive search by ascending weight class,
+  gated to tiny instances; the oracle everything else is compared against.
 * ``solve_dp``         -- cyclic profile dynamic program, exact for k <= 3.
 * ``solve_branch_and_bound`` -- depth-first search with a charge-counting
   cut; exact when it completes, otherwise certified bounds.
@@ -117,7 +117,7 @@ def kind_floor(g: PetersenGraph, kind: str) -> int:
 
 
 def solve_exhaustive(g: PetersenGraph, kind: str) -> SolveResult:
-    """Global optimum by full enumeration (tiny instances only)."""
+    """Global optimum by exhaustive search (tiny instances only)."""
     kind_of(kind)  # an unknown kind is rejected before it reaches the cache
     return _solve_exhaustive_cached(g.n, g.k, kind)
 
@@ -180,21 +180,18 @@ def greedy_labeling(g: PetersenGraph, kind: str) -> tuple[int, ...]:
 def repair_idf(g: PetersenGraph, values) -> tuple[int, ...]:
     """Raise labels until the Italian condition holds everywhere.
 
-    Deterministic: repeatedly bump the lowest-id violating vertex to 1.
+    Deterministic: one pass in id order labels 1 each uncovered 0-vertex.
+    Labels only rise, so a bump never uncovers a vertex already passed;
+    the result is the one of bumping the lowest-id violating vertex
+    until none is left.
     """
-    adj = g.adjacency
+    kd = kind_of("italian")
+    combine = kd.combine
     vals = list(values)
-    while True:
-        bumped = False
-        for v in range(g.num_vertices):
-            if vals[v] == 0:
-                a, b, c = adj[v]
-                if vals[a] + vals[b] + vals[c] < 2:
-                    vals[v] = 1
-                    bumped = True
-                    break
-        if not bumped:
-            return tuple(vals)
+    for v, (a, b, c) in enumerate(g.adjacency):
+        if vals[v] == 0 and combine(combine(vals[a], vals[b]), vals[c]) < kd.need:
+            vals[v] = 1
+    return tuple(vals)
 
 
 def solve_branch_and_bound(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gpid import (
@@ -167,6 +169,34 @@ def test_repair_fixes_arbitrary_labelings():
     assert oracle_is_idf(adj, repaired)
     already = construct_pnk(20, 8).labeling.values
     assert repair_idf(build_petersen(20, 8), already) == already
+
+
+def _repair_idf_by_rescan(g, values):
+    """repair_idf as first written: bump the lowest-id violating vertex to
+    1 and rescan from vertex 0, until no vertex violates."""
+    adj = g.adjacency
+    vals = list(values)
+    while True:
+        bumped = False
+        for v in range(g.num_vertices):
+            if vals[v] == 0:
+                a, b, c = adj[v]
+                if vals[a] + vals[b] + vals[c] < 2:
+                    vals[v] = 1
+                    bumped = True
+                    break
+        if not bumped:
+            return tuple(vals)
+
+
+def test_repair_matches_the_rescanning_reference():
+    rng = random.Random(5)
+    graphs = [build_petersen(n, k) for n in range(3, 13) for k in range(1, (n - 1) // 2 + 1)]
+    for _ in range(400):
+        g = rng.choice(graphs)
+        weights = rng.choice(((1, 1, 1), (6, 2, 1), (12, 1, 1)))  # sparse rows need repair
+        values = tuple(rng.choices((0, 1, 2), weights, k=g.num_vertices))
+        assert repair_idf(g, values) == _repair_idf_by_rescan(g, values)
 
 
 def test_result_json_shapes():
