@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from . import audit, checks
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
@@ -379,6 +380,7 @@ def cmd_verify(args) -> int:
 # parser
 
 
+@cache  # built on the first `main` call, not at import; reused by later calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpid",

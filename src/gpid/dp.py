@@ -27,19 +27,31 @@ occur, and the k+1 wrap residuals are base-(need+1) digits (R of them).
 A layer is a set of such integers with their weights, held in numpy
 arrays in the order of their label prefixes.
 
-Transitions come from tables keyed by the column signature
+Tables.  Transitions come from tables keyed by the column signature
 `(min(c, 2k), c - (n - k) if that is >= 0, c == n - 1)`, which fixes
-everything `_transitions` reads of c and n; the tables are therefore
-shared by every n and every seam, and filled lazily, one row per window
-met.  A row holds, for each label pair (lo, li), the new window id, the
-id of its residual update (an op, stored as a lookup map over residual
-codes) and, where the column reads seam labels (columns 0..k-1 and the
-closing window), a bitmask of the seam labelings under which the pair is
-legal.  Advancing a layer gathers the rows of its m states into an
-(m, L * L) grid of candidates, marks the illegal ones (by the seam mask
-or the running weight bound), and takes a group-min over the new state
-integers with one sort of packed int64 keys.  Layer arrays are padded to
-a multiple of 16 states whose weight is over the bound.
+everything a transition reads of c and n; the tables are therefore shared
+by every n and every seam, and filled lazily.  A row holds, for one window
+and each label pair (lo, li), the new window id and, where the column
+reads seam labels (columns 0..k-1 and the closing window), a bitmask of
+the seam labelings under which the pair is legal.  A residual update
+depends only on the signature and the pair, so each signature holds one
+map from (residual code, pair) to the next residual code.
+
+Before the seams run, two passes over the columns prepare them.  The
+forward pass follows the frontier: the windows that some seam can reach
+from the empty window.  It builds each column's missing rows for the
+whole frontier in one numpy pass over (window, lo, li, seam labeling).
+The backward pass computes the cost-to-go bound `bound[c][w]`, the least
+weight of columns c..n-1 from window w under any seam, residuals ignored.
+
+Advancing a layer gathers the rows of its m states into an (m, L * L)
+grid of candidates, marks the illegal ones (by the seam mask, or when
+weight plus the bound of the new window exceeds the best weight found so
+far), and takes a group-min over the new state integers with one sort of
+packed int64 keys.  Layer arrays are padded to a multiple of 16 states
+whose weight is over the bound.  The candidates of one state share a
+window and so a bound: pruning removes whole groups and never changes a
+group's winner.
 
 Ties.  States keep backpointers (parent position, lo * L + li) instead of
 label prefixes.  All prefixes in a layer have the same length and the
@@ -48,12 +60,14 @@ comparing (parent position, lo * L + li), which is the candidate's index;
 the group-min takes the smallest weight and then the smallest index.
 Each seam therefore ends with the lexicographically smallest optimal
 labeling, and across seams full prefixes are compared, so the witness is
-the lexicographically smallest one of minimum weight.
+the lexicographically smallest one of minimum weight.  Pruning drops a
+candidate only when its weight must end strictly above the best weight
+so far: a later seam can still give a smaller witness of equal weight.
 
 Seams stay sequential: each seam is pruned by the best weight of the seams
-before it, which keeps layers small and defines the `explored` count
-(states summed over layers and seams).  Advancing all seams as one layer
-would lose that bound and make the layers several times wider.
+before it.  `explored` counts the states kept, summed over layers and
+seams.  Advancing all seams as one layer would lose that bound and make
+the layers several times wider.
 """
 
 from __future__ import annotations
@@ -70,91 +84,7 @@ DP_STATE_CAP = 2_000_000
 
 ALGEBRAS = KINDS  # the kind records by name, under their earlier name
 
-
-def _transitions(win, c, n, k, alg, a0, bs):
-    """Legal transitions from window `win` when deciding column c.
-
-    Returns (lo, li, new_window, residual_ops) tuples where
-    residual_ops is a tuple of (slot, op, operand) with op 'r' (reduce by
-    a label contribution) or 'a' (assign a freshly created demand).
-    """
-    labels = alg.labels
-    red = alg.reduce
-    need = alg.need
-    k2 = 2 * k
-    ilk = win[k2 - 2]  # inner label of column c-k
-    idk = win[k2 - 1]  # its pending demand
-    ol = win[k2]
-    od = win[k2 + 1]
-    lo_choices = (a0,) if c == 0 else labels
-    li_choices = (bs[c],) if c < k else labels
-    in_wrap_phase = k <= c < k2
-    check_inner = c >= k2
-    check_outer = c >= 2
-    outer_wrap = c == 1
-    late_t = c - (n - k)
-    last = c == n - 1
-    left_ready = c >= k
-    out = []
-    for lo in lo_choices:
-        for li in li_choices:
-            r_ops = []
-            # column c-k's inner vertex: last in-window neighbor decided now
-            if check_inner:
-                if red[idk][li] != 0:
-                    continue
-            elif in_wrap_phase:
-                r_ops.append((1 + c - k, "r", li))
-            # column c-1's outer vertex
-            if check_outer:
-                if red[od][lo] != 0:
-                    continue
-            elif outer_wrap:
-                r_ops.append((0, "r", lo))
-            # closing window: this column's labels feed the wrap vertices
-            if late_t >= 0:
-                r_ops.append((1 + late_t, "r", li))
-                if last:
-                    r_ops.append((0, "r", lo))
-            # demand of the new inner vertex
-            if li == 0:
-                d = need
-                if left_ready:
-                    d = red[d][ilk]
-                d = red[d][lo]
-                if late_t >= 0:
-                    d = red[d][bs[c + k - n]]
-                    if d != 0:
-                        continue
-                    ie = (li, 0)
-                elif c < k:
-                    r_ops.append((1 + c, "a", d))
-                    ie = (li, 0)
-                else:
-                    ie = (li, d)
-            else:
-                ie = (li, 0)
-            # demand of the new outer vertex
-            if lo == 0:
-                d = need
-                d = red[d][li]
-                if c >= 1:
-                    d = red[d][ol]
-                if last:
-                    d = red[d][a0]
-                    if d != 0:
-                        continue
-                    oe = (lo, 0)
-                elif c == 0:
-                    r_ops.append((0, "a", d))
-                    oe = (lo, 0)
-                else:
-                    oe = (lo, d)
-            else:
-                oe = (lo, 0)
-            new_win = ie + win[: k2 - 2] + oe
-            out.append((lo, li, new_win, tuple(r_ops)))
-    return out
+_INF = 1 << 30  # cost-to-go of a window with no way to the last column
 
 
 def _column(c: int, n: int, k: int) -> tuple[tuple[int, int, bool], tuple[int, ...]]:
@@ -173,30 +103,55 @@ def _column(c: int, n: int, k: int) -> tuple[tuple[int, int, bool], tuple[int, .
     return (min(c, 2 * k), max(late, -1), last), reads
 
 
+def _residual_ops(sig: tuple[int, int, bool], k: int, alg: Kind, lo: int, li: int):
+    """The residual update of pair (lo, li) under signature `sig`, as
+    (slot, new demand indexed by old demand) steps on distinct slots."""
+    cc, late, last = sig
+    red = alg.reduce
+    by_lo = tuple(row[lo] for row in red)
+    by_li = tuple(row[li] for row in red)
+    ops = []
+    if k <= cc < 2 * k:  # column c-k's inner vertex wraps to bs[c-k]
+        ops.append((1 + cc - k, by_li))
+    if cc == 1:  # column 0's outer vertex
+        ops.append((0, by_lo))
+    if late >= 0:  # the closing window feeds the wrap vertices
+        ops.append((1 + late, by_li))
+        if last:
+            ops.append((0, by_lo))
+    if li == 0 and cc < k:  # a wrap inner vertex's demand is created
+        ops.append((1 + cc, (red[alg.need][lo],) * len(red)))
+    if lo == 0 and cc == 0:  # so is a0's
+        ops.append((0, (red[alg.need][li],) * len(red)))
+    return ops
+
+
 class _Rows:
-    """Transition rows of one signature, one row per window met there.
+    """Transition rows of one signature, one row per window reached there.
 
     Entry `[row, lo * L + li]` of `nw` is the id of the new window, or -1
-    when the pair is illegal under every seam; the same entry of `op` is
-    the id of its residual update (None: the signature updates none), and
-    bit v of `mask` is set when the pair is legal under the v-th labeling
-    of the seam positions the signature reads (None: it reads none).
+    when the pair is illegal under every seam, and bit v of the same entry
+    of `mask` is set when the pair is legal under the v-th labeling of the
+    seam positions the signature reads (None: it reads none).
+    `op[code, lo * L + li]` is the residual code that follows `code` (None:
+    the signature updates no residual).
     """
 
-    def __init__(self, tables: _Tables, with_ops: bool, with_mask: bool) -> None:
+    def __init__(self, tables: _Tables, sig: tuple, reads: tuple[int, ...]) -> None:
         width = tables.width
         self.row_of = np.full(tables.windows, -1, tables.ids)  # -1: not built
         self.nw = np.empty((0, width), tables.ids)
-        self.op = np.empty((0, width), np.int16) if with_ops else None
-        self.mask = np.empty((0, width), np.uint16) if with_mask else None
+        self.mask = np.empty((0, width), np.uint16) if reads else None
+        self.op = None
+        if sig[0] < 2 * tables.k or sig[1] >= 0:
+            labels = tables.alg.labels
+            self.op = np.stack([tables.op_map(sig, lo, li) for lo in labels for li in labels], 1)
 
-    def extend(self, wids: list[int], nw: list, op: list, mask: list) -> None:
+    def extend(self, wids: np.ndarray, nw: np.ndarray, mask: np.ndarray | None) -> None:
         self.row_of[wids] = np.arange(len(self.nw), len(self.nw) + len(wids))
-        self.nw = np.concatenate((self.nw, np.array(nw, self.nw.dtype)))
-        if self.op is not None:
-            self.op = np.concatenate((self.op, np.array(op, np.int16)))
+        self.nw = np.concatenate((self.nw, nw))
         if self.mask is not None:
-            self.mask = np.concatenate((self.mask, np.array(mask, np.uint16)))
+            self.mask = np.concatenate((self.mask, mask))
 
 
 class _Tables:
@@ -209,14 +164,16 @@ class _Tables:
         self.base = alg.need + 1
         self.R = self.base ** (k + 1)  # residual codes
         # the (label, demand) pairs a window can hold: the empty pair, a
-        # nonzero label (demand 0) or label 0 with any demand
-        self.pairs = (
+        # nonzero label (demand 0) or label 0 with any demand; pair (0, d)
+        # is number L + d
+        pairs = (
             ((-1, 0),)
             + tuple((label, 0) for label in alg.labels[1:])
             + tuple((0, d) for d in range(self.base))
         )
-        self.pair_index = {pair: i for i, pair in enumerate(self.pairs)}
-        self.windows = len(self.pairs) ** (k + 1)
+        self.pair_label = np.array([p[0] for p in pairs])
+        self.pair_demand = np.array([p[1] for p in pairs])
+        self.windows = len(pairs) ** (k + 1)
         self.ids = np.int16 if self.windows < 2**15 else np.int32
         # state keys; `_winners` moves illegal candidates' keys up to 3x
         self.keys = np.int32 if 3 * self.windows * self.R < 2**31 else np.int64
@@ -224,79 +181,122 @@ class _Tables:
             [alg.weight[lo] + alg.weight[li] for lo in alg.labels for li in alg.labels],
             np.int32,
         )
-        self.op_ids: dict[tuple, int] = {(): 0}
-        self.op_maps = np.arange(self.R, dtype=np.int32)[None, :]  # op 0: identity
+        self.reduce = np.array(alg.reduce)
         self.rows: dict[tuple, _Rows] = {}
 
-    def _win_id(self, win: tuple[int, ...]) -> int:
-        """The window's pairs as digits; the empty window is 0."""
-        wid = 0
-        for j in range(0, len(win), 2):
-            wid = wid * len(self.pairs) + self.pair_index[win[j], win[j + 1]]
-        return wid
+    def op_map(self, sig: tuple, lo: int, li: int) -> np.ndarray:
+        """The residual code that follows each code under pair (lo, li)."""
+        codes = np.arange(self.R, dtype=np.int32)
+        out = codes.copy()
+        for slot, demand in _residual_ops(sig, self.k, self.alg, lo, li):
+            unit = self.base**slot
+            d = (codes // unit) % self.base
+            out += (np.array(demand, np.int32)[d] - d) * unit
+        return out
 
-    def _window(self, wid: int) -> tuple[int, ...]:
-        win: tuple[int, ...] = ()
-        for _ in range(self.k + 1):
-            wid, digit = divmod(wid, len(self.pairs))
-            win = self.pairs[digit] + win
-        return win
-
-    def _op_id(self, r_ops: tuple) -> int:
-        """Id of a residual update; its map sends residual codes to codes."""
-        oid = self.op_ids.get(r_ops)
-        if oid is None:
-            red = self.alg.reduce
-            base = self.base
-            row = []
-            for code in range(self.R):
-                res = [(code // base**j) % base for j in range(self.k + 1)]
-                for slot, op, operand in r_ops:
-                    res[slot] = red[res[slot]][operand] if op == "r" else operand
-                row.append(sum(d * base**j for j, d in enumerate(res)))
-            oid = self.op_ids[r_ops] = len(self.op_maps)
-            self.op_maps = np.concatenate((self.op_maps, np.array([row], np.int32)))
-        return oid
-
-    def lookup(self, sig: tuple, reads: tuple[int, ...], c: int, n: int,
-               wid: np.ndarray) -> tuple[_Rows, np.ndarray]:
-        """The rows of column c (`_column`: sig, reads) for the window ids
-        `wid`, building the missing ones."""
+    def rows_for(self, sig: tuple, reads: tuple[int, ...], wids: np.ndarray) -> _Rows:
+        """The rows of signature `sig` (reading seam positions `reads`),
+        first built for the windows of `wids` that have none."""
         tab = self.rows.get(sig)
         if tab is None:
-            with_ops = sig[0] < 2 * self.k or sig[1] >= 0
-            tab = self.rows[sig] = _Rows(self, with_ops, bool(reads))
-        rows = tab.row_of[wid]
-        if rows.min() < 0:
-            missing = sorted(set(wid[rows < 0].tolist()))
-            tab.extend(missing, *zip(*(self._row(w, c, n, reads) for w in missing)))
-            rows = tab.row_of[wid]
-        return tab, rows
+            tab = self.rows[sig] = _Rows(self, sig, reads)
+        missing = wids[tab.row_of[wids] < 0]
+        if len(missing):
+            tab.extend(missing, *self._build(sig, reads, missing))
+        return tab
 
-    def _row(self, wid: int, c: int, n: int, reads: tuple[int, ...]):
-        labels = self.alg.labels
-        nw = [-1] * self.width
-        op = [0] * self.width
-        mask = [0] * self.width
-        seam = [0] * (self.k + 1)
-        for v, combo in enumerate(product(labels, repeat=len(reads))):
-            for pos, label in zip(reads, combo):
-                seam[pos] = label
-            for lo, li, win, r_ops in _transitions(
-                self._window(wid), c, n, self.k, self.alg, seam[0], seam[1:]
-            ):
-                j = lo * len(labels) + li
-                if nw[j] < 0:  # the same under every seam that allows the pair
-                    nw[j] = self._win_id(win)
-                    op[j] = self._op_id(r_ops)
-                mask[j] |= 1 << v
-        return nw, op, mask
+    def _build(self, sig: tuple, reads: tuple[int, ...], wids: np.ndarray):
+        """The nw and mask rows of `sig` for windows `wids`, over the axes
+        (window, lo, li, seam labeling of `reads`).  Exact for windows
+        some seam reaches at a column of this signature."""
+        cc, late, last = sig
+        k = self.k
+        red = self.reduce
+        need = self.alg.need
+        L = len(self.alg.labels)
+        P = len(self.pair_label)
+        lo = np.arange(L)[None, :, None, None]
+        li = np.arange(L)[None, None, :, None]
+        combos = np.array(list(product(range(L), repeat=len(reads))), int)  # (V, reads)
+
+        def seam(pos):  # the label at seam position pos, per seam labeling
+            return combos[:, reads.index(pos)][None, None, None, :]
+
+        def per_window(a):
+            return a[:, None, None, None]
+
+        inner = (wids // P) % P  # column c-k's inner pair
+        outer = wids % P  # column c-1's outer pair
+        legal = np.ones((len(wids), L, L, len(combos)), bool)
+        if cc == 0:
+            legal &= lo == seam(0)
+        if cc < k:
+            legal &= li == seam(1 + cc)
+        if cc == 2 * k:  # column c-k's inner vertex sees its last neighbor
+            legal &= red[per_window(self.pair_demand[inner]), li] == 0
+        if cc >= 2:  # column c-1's outer vertex sees its last neighbor
+            legal &= red[per_window(self.pair_demand[outer]), lo] == 0
+        # demand of a new 0-labeled vertex: checked at once where its last
+        # neighbor is known (closing window, last column), kept in the wrap
+        # residuals where a wrap neighbor is still open (columns 0..k-1 and
+        # column 0), and carried in the window otherwise
+        d = red[need, self.pair_label[inner]] if cc >= k else np.full(len(wids), need)
+        d = red[per_window(d), lo]
+        if late >= 0:
+            legal &= (li != 0) | (red[d, seam(1 + late)] == 0)
+        inner_pair = np.where(li != 0, li, L if late >= 0 or cc < k else L + d)
+        d = red[need, li]
+        if cc >= 1:
+            d = red[d, per_window(self.pair_label[outer])]
+        if last:
+            legal &= (lo != 0) | (red[d, seam(0)] == 0)
+        outer_pair = np.where(lo != 0, lo, L if last or cc == 0 else L + d)
+        nw = inner_pair * P**k + per_window(wids // (P * P) * P) + outer_pair
+        nw = np.broadcast_to(nw[..., 0], legal.shape[:3])
+        nw = np.where(legal.any(axis=3), nw, -1).reshape(len(wids), -1).astype(self.ids)
+        if not reads:
+            return nw, None
+        bits = legal * (1 << np.arange(len(combos)))
+        return nw, bits.sum(axis=3).reshape(len(wids), -1).astype(np.uint16)
 
 
 @lru_cache(maxsize=None)
 def _tables(kind: str, k: int) -> _Tables:
     # bounded: one entry per (kind, k), each at most windows x signatures rows
     return _Tables(KINDS[kind], k)
+
+
+def _plan(tables: _Tables, columns: list) -> tuple[list[_Rows], list[np.ndarray]]:
+    """The rows of each column, built for its whole frontier, and the
+    cost-to-go bound of each column (`_cost_to_go`)."""
+    frontier = np.zeros(1, np.int64)  # the empty window
+    tabs = []
+    fronts = []
+    reached = np.empty(tables.windows + 1, bool)  # the last slot takes nw = -1
+    for sig, reads in columns:
+        tab = tables.rows_for(sig, reads, frontier)
+        tabs.append(tab)
+        fronts.append(frontier)
+        reached[:] = False
+        reached[tab.nw[tab.row_of[frontier]]] = True
+        frontier = np.flatnonzero(reached[:-1])
+    return tabs, _cost_to_go(tables, tabs, fronts)
+
+
+def _cost_to_go(tables: _Tables, tabs: list[_Rows], fronts: list[np.ndarray]) -> list[np.ndarray]:
+    """bound[c][w]: the least weight of columns c..n-1 from window w under
+    any seam, residuals ignored (a lower bound on every completion); _INF
+    off the frontier and in the last slot, which an illegal pair (nw = -1)
+    reads.  bound[n] is zero on every window."""
+    h = np.zeros(tables.windows + 1, np.int32)
+    h[-1] = _INF
+    bound = [h]
+    for tab, front in zip(reversed(tabs), reversed(fronts)):
+        cost = (h[tab.nw[tab.row_of[front]]] + tables.dw).min(axis=1)
+        h = np.full(tables.windows + 1, _INF, np.int32)
+        h[front] = np.minimum(cost, _INF)
+        bound.append(h)
+    return bound[::-1]
 
 
 # Group-min sort keys are packed as ((key * span + weight) << shift) + index
@@ -354,6 +354,7 @@ def solve_cycle(
     nl = len(labels)
     tables = _tables(kind, k)
     columns = [_column(c, n, k) for c in range(n)]
+    tabs, bound = _plan(tables, columns)
     R = tables.R
     width = tables.width
     prune = 2 * n  # the all-ones labeling is always valid at this weight
@@ -367,9 +368,12 @@ def solve_cycle(
         w = np.full(_PAD, prune + 1, np.int32)  # padding: over the bound, no moves
         w[0] = 0
         back: list[np.ndarray] = []  # per layer: parent position * width + lo * nl + li
-        for c, (sig, reads) in enumerate(columns):
+        for c, (tab, (_, reads)) in enumerate(zip(tabs, columns)):
             wid, res = np.divmod(key, R)
-            tab, rows = tables.lookup(sig, reads, c, n, wid)
+            rows = tab.row_of[wid]
+            if rows.min() < 0:
+                bad = int(wid[rows.argmin()])
+                raise InternalError(f"dp met window {bad} off the frontier of column {c}")
             nw = tab.nw[rows]
             if tab.mask is None:
                 illegal = nw < 0
@@ -379,10 +383,10 @@ def solve_cycle(
                     v = v * nl + seam[pos]
                 illegal = (tab.mask[rows] & (1 << v)) == 0
             w2 = w[:, None] + tables.dw
-            illegal |= w2 > prune
+            illegal |= w2 + bound[c + 1][nw] > prune  # > : ties may still win
             ck = nw.astype(tables.keys)
             ck *= R
-            ck += res[:, None] if tab.op is None else tables.op_maps[tab.op[rows], res[:, None]]
+            ck += res[:, None] if tab.op is None else tab.op[res]
             del nw, res
             win = _winners(ck, w2, illegal, prune + 1, tables.windows * R)
             del illegal

@@ -32,6 +32,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Union
 
+import numpy as np
+
 from .errors import FormatError, InvalidParameters, NotA2RDF
 from .graph import PetersenGraph, build_petersen
 
@@ -201,15 +203,26 @@ def validate_dominating(g: PetersenGraph, s) -> ValidationReport:
     return _violations(KINDS["domination"], g, vals)
 
 
+def rainbow_rows_to_idf(g: PetersenGraph, rows: np.ndarray) -> np.ndarray:
+    """Convert valid 2RDFs on g, one row of masks in vertex order each, into
+    the IDF rows g(v) = |f(v)| of equal weight."""
+    from .exhaustive import validity_mask  # exhaustive imports this module
+
+    valid = validity_mask(rows, g, "rainbow2")
+    if not valid.all():
+        row = int(np.argmin(valid))
+        report = _violations(KINDS["rainbow2"], g, rows[row].tolist())
+        where = f" (row {row})" if len(rows) > 1 else ""
+        raise NotA2RDF(
+            f"labeling{where} violates the 2RDF condition at {len(report.violations)} vertices"
+        )
+    return np.array(KINDS["rainbow2"].weight, np.uint8)[rows]
+
+
 def rainbow_to_idf(f: RainbowLabeling) -> Labeling:
     """Convert a valid 2RDF into the IDF g(v) = |f(v)| of equal weight."""
-    report = validate_2rdf(f)
-    if not report.valid:
-        raise NotA2RDF(
-            f"labeling violates the 2RDF condition at {len(report.violations)} vertices"
-        )
-    wt = KINDS["rainbow2"].weight
-    return Labeling(f.n, f.k, tuple(wt[v] for v in f.values))
+    row = rainbow_rows_to_idf(f.graph(), np.array([f.values], np.uint8))[0]
+    return Labeling(f.n, f.k, tuple(row.tolist()))
 
 
 def column_weights(f: Labeling) -> list[ColumnWeight]:

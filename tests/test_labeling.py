@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +22,7 @@ from gpid import (
 )
 from gpid.errors import FormatError, InvalidParameters, NotA2RDF
 from gpid.exhaustive import iter_valid_labelings
-from gpid.labeling import labeling_from_json, labeling_to_json
+from gpid.labeling import labeling_from_json, labeling_to_json, rainbow_rows_to_idf
 
 from conftest import oracle_adjacency, oracle_is_2rdf, oracle_is_dominating, oracle_is_idf
 
@@ -90,6 +91,9 @@ def test_rainbow_to_idf_examples():
     assert weight(g) == 16
     with pytest.raises(NotA2RDF):
         rainbow_to_idf(RainbowLabeling(4, 1, (0,) * 8))
+    rows = np.array([(3,) * 8, (0,) * 8, (3,) * 8], np.uint8)
+    with pytest.raises(NotA2RDF, match=r"\(row 1\) violates .* at 8 vertices"):
+        rainbow_rows_to_idf(build_petersen(4, 1), rows)
 
 
 def test_rainbow_to_idf_alternating_columns_weight_n():
@@ -115,13 +119,14 @@ def test_rainbow_to_idf_exhaustive_small(n, k):
     adj = oracle_adjacency(n, k)
     total = 0
     for block in iter_valid_labelings(g, "rainbow2", chunk=1 << 18):
-        for row in block:
-            masks = tuple(int(x) for x in row)
-            f = RainbowLabeling(n, k, masks)
-            out = rainbow_to_idf(f)
-            assert oracle_is_idf(adj, out.values)
-            assert weight(out) == weight(f)
-            total += 1
+        out = rainbow_rows_to_idf(g, block)
+        rainbow_weight = (block & 1).sum(axis=1) + ((block >> 1) & 1).sum(axis=1)
+        assert (out.sum(axis=1) == rainbow_weight).all()
+        for values in out.tolist():
+            assert oracle_is_idf(adj, values)
+        one = rainbow_to_idf(RainbowLabeling(n, k, tuple(block[-1].tolist())))
+        assert one.values == tuple(out[-1].tolist())
+        total += len(block)
     assert total > 0
 
 
