@@ -7,7 +7,9 @@ Three routes with overlapping domains keep each other honest:
   gated to tiny instances; the oracle everything else is compared against.
 * ``solve_dp``         -- cyclic profile dynamic program, exact for k <= 3.
 * ``solve_branch_and_bound`` -- depth-first search with a charge-counting
-  cut; exact when it completes, otherwise certified bounds.
+  cut; each label is tested against the cut and the neighbors' demands
+  before anything is written, and only surviving labels are applied.
+  Exact when it completes, otherwise certified bounds.
 
 All three read what a kind is (labels, weights, need, residual demand)
 from its record in ``labeling.KINDS``.  Every returned witness is built,
@@ -200,96 +202,96 @@ def solve_branch_and_bound(
     budget: int = 200_000,
     initial: tuple[int, ...] | None = None,
 ) -> SolveResult | BoundsOnly:
-    """DFS over vertices in id order, labels tried ascending.
+    """DFS over vertices in id order, labels tried ascending, each label
+    tested before it is applied.
 
     Each vertex carries its residual demand, reduced by the kind's table
-    as its neighbors are labeled.  A node is cut when its partial weight
-    plus ceil(total unmet demand / unit cover) cannot beat the incumbent,
-    the unmet demand of an open or 0-labeled vertex being the weight of
-    its residual.  `budget` counts label assignments; on exhaustion the
-    result degrades to BoundsOnly with lo = the unconditional kind floor
-    and hi = the incumbent's weight.  An `initial` labeling, when given,
-    seeds the incumbent and must be valid for the kind.
+    as its neighbors are labeled; it is final once the highest-id
+    neighbor is labeled.  An open or 0-labeled vertex's unmet demand is
+    its residual's weight.  A label's effect on the three neighbors
+    (distinct from it and from each other, as 2k < n) and on the total
+    unmet demand is computed into locals; the label is dropped, nothing
+    written, when it leaves a 0-labeled vertex with final unmet demand or
+    when its partial weight plus ceil(total unmet demand / unit cover)
+    cannot beat the incumbent.  Only a surviving label is written,
+    searched below and undone.
+    `budget` counts labels tested; on exhaustion the result degrades to
+    BoundsOnly with lo = the unconditional kind floor and hi = the
+    incumbent's weight.  An `initial` labeling, when given, seeds the
+    incumbent and must be valid for the kind.
     """
     kd = kind_of(kind)
     adj = g.adjacency
     nv = g.num_vertices
+    labels = kd.labels
     wt = kd.weight
     red = kd.reduce
     divisor = _unit_cover(kd)
+    # gain[d][c]: change in the unmet demand of an open or 0-labeled vertex
+    # of residual d when a neighbor takes label c; no_gain for label > 0
+    gain = tuple(tuple(wt[r] - wt[d] for r in row) for d, row in enumerate(red))
+    no_gain = (0,) * len(labels)
+    last = [max(nbrs) for nbrs in adj]
 
-    if initial is not None:
-        _witness(g, kd, initial)
-        best_vals = tuple(initial)
-    else:
+    if initial is None:
         best_vals = greedy_labeling(g, kind)
+    else:
+        best_vals = tuple(initial)
+        if len(best_vals) != nv or not set(best_vals) <= set(labels):
+            raise InvalidParameters(f"initial must be {nv} {kind} labels from {labels}")
+        try:
+            _witness(g, kd, best_vals)
+        except InternalError:
+            raise InvalidParameters(
+                f"initial is not a valid {kind} labeling of P({g.n},{g.k})"
+            ) from None
     best_w = sum(wt[v] for v in best_vals)
 
     vals = [-1] * nv
     res = [kd.need] * nv  # residual demand
-    pending = [3] * nv
-    # deficit of an open vertex: coverage still required if it stays 0
-    defv = [wt[kd.need]] * nv
-    total = sum(defv)
+    nodes = 0
 
-    st = {
-        "nodes": 0,
-        "truncated": False,
-        "best_w": best_w,
-        "best_vals": best_vals,
-        "total": total,
-    }
-
-    def current_deficit(v: int) -> int:
-        if vals[v] > 0:
-            return 0
-        return wt[res[v]]
-
-    def set_def(v: int, value: int) -> None:
-        st["total"] += value - defv[v]
-        defv[v] = value
-
-    def dfs(v: int, w: int) -> None:
+    def dfs(v: int, w: int, total: int) -> bool:
+        """Search below v; False once the budget is exhausted."""
+        nonlocal nodes, best_w, best_vals
         if v == nv:
-            if w < st["best_w"]:
-                st["best_w"] = w
-                st["best_vals"] = tuple(vals)
-            return
-        for lab in kd.labels:
-            if st["truncated"]:
-                return
-            st["nodes"] += 1
-            if st["nodes"] > budget:
-                st["truncated"] = True
-                return
+            if w < best_w:
+                best_w, best_vals = w, tuple(vals)
+            return True
+        a, b, c = adj[v]
+        ra, rb, rc = res[a], res[b], res[c]
+        rowa, rowb, rowc = red[ra], red[rb], red[rc]
+        ga = no_gain if vals[a] > 0 else gain[ra]
+        gb = no_gain if vals[b] > 0 else gain[rb]
+        gc = no_gain if vals[c] > 0 else gain[rc]
+        # a 0-labeled vertex whose demand turns final must end up covered
+        fa = vals[a] == 0 and last[a] == v
+        fb = vals[b] == 0 and last[b] == v
+        fc = vals[c] == 0 and last[c] == v
+        zero_dead = last[v] < v and res[v] != 0  # label 0 leaves v uncovered
+        own = wt[res[v]]  # v's unmet demand, cleared by a positive label
+        for lab in labels:
+            nodes += 1
+            if nodes > budget:
+                return False
+            na, nb, nc = rowa[lab], rowb[lab], rowc[lab]
+            if (fa and na) or (fb and nb) or (fc and nc) or (zero_dead and lab == 0):
+                continue
             w2 = w + wt[lab]
+            t2 = total + ga[lab] + gb[lab] + gc[lab] - (own if lab else 0)
+            if w2 + -(-t2 // divisor) >= best_w:
+                continue
             vals[v] = lab
-            saved = [(v, defv[v])]
-            set_def(v, current_deficit(v))
-            feasible = not (lab == 0 and pending[v] == 0 and res[v])
-            touched = []
-            for u in adj[v]:
-                touched.append((u, res[u]))
-                res[u] = red[res[u]][lab]
-                pending[u] -= 1
-                saved.append((u, defv[u]))
-                set_def(u, current_deficit(u))
-                if vals[u] == 0 and pending[u] == 0 and res[u]:
-                    feasible = False
-            if feasible and w2 + -(-st["total"] // divisor) < st["best_w"]:
-                dfs(v + 1, w2)
-            for u, old_res in touched:
-                res[u] = old_res
-                pending[u] += 1
-            for x, old_def in reversed(saved):
-                set_def(x, old_def)
-            vals[v] = -1
+            res[a], res[b], res[c] = na, nb, nc
+            in_budget = dfs(v + 1, w2, t2)
+            res[a], res[b], res[c] = ra, rb, rc
+            if not in_budget:
+                return False
+        vals[v] = -1
+        return True
 
-    dfs(0, 0)
-    witness = _witness(g, kd, st["best_vals"], st["best_w"])
-    if not st["truncated"]:
-        return SolveResult(
-            kind, g.n, g.k, st["best_w"], witness, "branch_and_bound", st["nodes"]
-        )
-    lo = max(kind_floor(g, kind), 0)
-    return BoundsOnly(kind, g.n, g.k, lo, st["best_w"], witness, st["nodes"])
+    complete = dfs(0, 0, nv * wt[kd.need])
+    witness = _witness(g, kd, best_vals, best_w)
+    if complete:
+        return SolveResult(kind, g.n, g.k, best_w, witness, "branch_and_bound", nodes)
+    return BoundsOnly(kind, g.n, g.k, kind_floor(g, kind), best_w, witness, nodes)

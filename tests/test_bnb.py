@@ -23,6 +23,11 @@ residual demands through the kind table (commit d96603e), with
 
 so the search order, the cut, the greedy incumbent and the witness must
 match that search exactly.
+
+`_reference_bnb` below is the search that applied every label before
+testing it (commit 00a8850), kept verbatim; `test_matches_reference` and
+`test_matches_reference_from_initial` compare the JSON of both, byte for
+byte, over a grid of kinds, sizes, budgets and `initial` labelings.
 """
 
 import hashlib
@@ -30,7 +35,19 @@ import json
 
 import pytest
 
-from gpid import build_petersen, solve_branch_and_bound
+from gpid import build_petersen, construct_pnk, solve_branch_and_bound
+from gpid.errors import InvalidParameters
+from gpid.graph import PetersenGraph
+from gpid.labeling import kind_of
+from gpid.solver import (
+    BoundsOnly,
+    SolveResult,
+    _unit_cover,
+    _witness,
+    greedy_labeling,
+    kind_floor,
+    repair_idf,
+)
 
 PINNED = [
     ("italian", 9, 4, "exact", (8,), 3, "c300a33491faf201"),
@@ -45,6 +62,107 @@ PINNED = [
 ]
 
 
+def _reference_bnb(
+    g: PetersenGraph,
+    kind: str,
+    budget: int = 200_000,
+    initial: tuple[int, ...] | None = None,
+) -> SolveResult | BoundsOnly:
+    """DFS over vertices in id order, labels tried ascending.
+
+    Each vertex carries its residual demand, reduced by the kind's table
+    as its neighbors are labeled.  A node is cut when its partial weight
+    plus ceil(total unmet demand / unit cover) cannot beat the incumbent,
+    the unmet demand of an open or 0-labeled vertex being the weight of
+    its residual.  `budget` counts label assignments; on exhaustion the
+    result degrades to BoundsOnly with lo = the unconditional kind floor
+    and hi = the incumbent's weight.  An `initial` labeling, when given,
+    seeds the incumbent and must be valid for the kind.
+    """
+    kd = kind_of(kind)
+    adj = g.adjacency
+    nv = g.num_vertices
+    wt = kd.weight
+    red = kd.reduce
+    divisor = _unit_cover(kd)
+
+    if initial is not None:
+        _witness(g, kd, initial)
+        best_vals = tuple(initial)
+    else:
+        best_vals = greedy_labeling(g, kind)
+    best_w = sum(wt[v] for v in best_vals)
+
+    vals = [-1] * nv
+    res = [kd.need] * nv  # residual demand
+    pending = [3] * nv
+    # deficit of an open vertex: coverage still required if it stays 0
+    defv = [wt[kd.need]] * nv
+    total = sum(defv)
+
+    st = {
+        "nodes": 0,
+        "truncated": False,
+        "best_w": best_w,
+        "best_vals": best_vals,
+        "total": total,
+    }
+
+    def current_deficit(v: int) -> int:
+        if vals[v] > 0:
+            return 0
+        return wt[res[v]]
+
+    def set_def(v: int, value: int) -> None:
+        st["total"] += value - defv[v]
+        defv[v] = value
+
+    def dfs(v: int, w: int) -> None:
+        if v == nv:
+            if w < st["best_w"]:
+                st["best_w"] = w
+                st["best_vals"] = tuple(vals)
+            return
+        for lab in kd.labels:
+            if st["truncated"]:
+                return
+            st["nodes"] += 1
+            if st["nodes"] > budget:
+                st["truncated"] = True
+                return
+            w2 = w + wt[lab]
+            vals[v] = lab
+            saved = [(v, defv[v])]
+            set_def(v, current_deficit(v))
+            feasible = not (lab == 0 and pending[v] == 0 and res[v])
+            touched = []
+            for u in adj[v]:
+                touched.append((u, res[u]))
+                res[u] = red[res[u]][lab]
+                pending[u] -= 1
+                saved.append((u, defv[u]))
+                set_def(u, current_deficit(u))
+                if vals[u] == 0 and pending[u] == 0 and res[u]:
+                    feasible = False
+            if feasible and w2 + -(-st["total"] // divisor) < st["best_w"]:
+                dfs(v + 1, w2)
+            for u, old_res in touched:
+                res[u] = old_res
+                pending[u] += 1
+            for x, old_def in reversed(saved):
+                set_def(x, old_def)
+            vals[v] = -1
+
+    dfs(0, 0)
+    witness = _witness(g, kd, st["best_vals"], st["best_w"])
+    if not st["truncated"]:
+        return SolveResult(
+            kind, g.n, g.k, st["best_w"], witness, "branch_and_bound", st["nodes"]
+        )
+    lo = max(kind_floor(g, kind), 0)
+    return BoundsOnly(kind, g.n, g.k, lo, st["best_w"], witness, st["nodes"])
+
+
 @pytest.mark.parametrize("kind,n,k,status,values,explored,digest", PINNED)
 def test_bnb_pinned(kind, n, k, status, values, explored, digest):
     d = solve_branch_and_bound(build_petersen(n, k), kind, budget=50_000).to_json_dict()
@@ -57,3 +175,48 @@ def test_bnb_pinned(kind, n, k, status, values, explored, digest):
         hashlib.sha256(json.dumps(witness, sort_keys=True).encode()).hexdigest()[:16],
     )
     assert got == (status, values, explored, digest)
+
+
+BUDGETS = (1, 7, 2000)
+
+
+def _same(g, kind, budget, initial=None):
+    got = solve_branch_and_bound(g, kind, budget=budget, initial=initial)
+    want = _reference_bnb(g, kind, budget=budget, initial=initial)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+@pytest.mark.parametrize("kind", ["italian", "domination", "rainbow2"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_matches_reference(kind, k):
+    for n in range(2 * k + 1, 26):
+        g = build_petersen(n, k)
+        for budget in BUDGETS:
+            _same(g, kind, budget)
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_matches_reference_from_initial(k):
+    for n in range(2 * k + 1, 26):
+        g = build_petersen(n, k)
+        initial = repair_idf(g, construct_pnk(n, k).labeling.values)
+        for budget in BUDGETS:
+            _same(g, "italian", budget, initial)
+
+
+@pytest.mark.parametrize(
+    "kind,initial",
+    [
+        ("italian", (0,) * 18),  # all zeros dominate nothing
+        ("domination", (0,) * 18),
+        ("rainbow2", (0,) * 18),
+        ("italian", (1,) * 17),  # wrong length
+        ("domination", (1,) * 17),
+        ("italian", (3,) * 18),  # out of range
+        ("domination", (2,) * 18),
+        ("rainbow2", (4,) * 18),
+    ],
+)
+def test_bad_initial_is_invalid_parameters(kind, initial):
+    with pytest.raises(InvalidParameters, match="initial"):
+        solve_branch_and_bound(build_petersen(9, 4), kind, budget=10, initial=initial)
