@@ -8,24 +8,29 @@ is decided (counting contributions of already-decided neighbors), reduced
 when later neighbors are decided, and must be zero once its last neighbor
 is decided.
 
-The cycle is closed by seam enumeration: the labels that interact across
+The cycle is closed through its seam: the labels that interact across
 the wrap are the outer label of column 0 and the inner labels of columns
-0..k-1.  For each assignment of those k+1 labels the run becomes linear:
+0..k-1 (a0 and bs[0..k-1]).  Columns 0..k-1 choose exactly these labels,
+so a state carries them as its seam code and the run becomes linear:
 wrap vertices keep their demands in a small residual vector that is
 reduced at the known steps where their wrap neighbors are decided and
 checked for zero after the last column.  Vertices in the closing window
-see only known labels, so their demands are checked at creation.
+see only known labels (the seam code's), so their demands are checked at
+creation.
 
 Demand bookkeeping is shared by the three invariants through their kind
 records (`labeling.KINDS`): a zero-labeled vertex starts with the kind's
 `need` (2, 1, or the mask {1,2}), and each neighbor label c turns a
 demand d into `reduce[d][c]`.
 
-Engine.  A state is one integer, `window_id * R + residual_code`: the
-window's k+1 (label, demand) pairs are digits over the few pairs that can
-occur, and the k+1 wrap residuals are base-(need+1) digits (R of them).
-A layer is a set of such integers with their weights, held in numpy
-arrays in the order of their label prefixes.
+Engine.  A state is one integer, `(seam_code * windows + window_id) * R
++ residual_code`: the seam code's k+1 labels are base-L digits, a0 first
+(zero until columns 0..k-1 write them), the window's k+1 (label, demand)
+pairs are digits over the few pairs that can occur, and the k+1 wrap
+residuals are base-(need+1) digits (R of them).  A seam code depends on
+the label prefix only, so prefixes with different seams never share a
+state.  A layer is a set of such integers with their weights, held in
+numpy arrays in the order of their label prefixes.
 
 Tables.  Transitions come from tables keyed by the column signature
 `(min(c, 2k), c - (n - k) if that is >= 0, c == n - 1)`, which fixes
@@ -33,41 +38,44 @@ everything a transition reads of c and n; the tables are therefore shared
 by every n and every seam, and filled lazily.  A row holds, for one window
 and each label pair (lo, li), the new window id and, where the column
 reads seam labels (columns 0..k-1 and the closing window), a bitmask of
-the seam labelings under which the pair is legal.  A residual update
-depends only on the signature and the pair, so each signature holds one
-map from (residual code, pair) to the next residual code.
+the seam labelings under which the pair is legal.  A pair of columns
+0..k-1 fixes the labels its column reads, so it is legal exactly where its
+new window id is not -1; in the closing window the state's seam code picks
+the bit.  A residual update depends only on the signature and the pair, so
+each signature holds one map from (residual code, pair) to the next
+residual code.
 
-Before the seams run, two passes over the columns prepare them.  The
-forward pass follows the frontier: the windows that some seam can reach
-from the empty window.  It builds each column's missing rows for the
-whole frontier in one numpy pass over (window, lo, li, seam labeling).
-The backward pass computes the cost-to-go bound `bound[c][w]`, the least
+Before the search, two walks over the columns prepare it.  The forward
+walk follows the frontier: the windows that some seam can reach from the
+empty window.  It builds each column's missing rows for the whole
+frontier in one numpy pass over (window, lo, li, seam labeling).  The
+backward walk computes the cost-to-go bound `bound[c][w]`, the least
 weight of columns c..n-1 from window w under any seam, residuals ignored.
 
-Advancing a layer gathers the rows of its m states into an (m, L * L)
-grid of candidates, marks the illegal ones (by the seam mask, or when
-weight plus the bound of the new window exceeds the best weight found so
-far), and takes a group-min over the new state integers with one sort of
-packed int64 keys.  Layer arrays are padded to a multiple of 16 states
-whose weight is over the bound.  The candidates of one state share a
-window and so a bound: pruning removes whole groups and never changes a
-group's winner.
+Search.  The search deepens a weight limit `prune`: it starts at
+`bound[0][0]`, a lower bound on the optimum, and adds one after each pass
+over the columns that closes no state.  A pass advances a layer in blocks
+of parent states: it gathers the rows of a block into a (block, L * L)
+grid of candidates, keeps those whose weight plus the bound of their new
+window is at most `prune` (and, in the closing window, that are legal
+under their seam), and then takes a group-min over the new state integers
+of the whole layer with one sort of packed int64 keys.  The candidates of
+one state share a window and so a bound: pruning removes whole groups and
+never changes a group's winner.  Only a weight plus bound strictly above
+`prune` is dropped, so every prefix of a labeling of weight `prune`
+survives, and the first pass that closes a state has `prune` equal to the
+optimum.
 
 Ties.  States keep backpointers (parent position, lo * L + li) instead of
 label prefixes.  All prefixes in a layer have the same length and the
 layer is kept in prefix order, so comparing two candidate prefixes is
 comparing (parent position, lo * L + li), which is the candidate's index;
-the group-min takes the smallest weight and then the smallest index.
-Each seam therefore ends with the lexicographically smallest optimal
-labeling, and across seams full prefixes are compared, so the witness is
-the lexicographically smallest one of minimum weight.  Pruning drops a
-candidate only when its weight must end strictly above the best weight
-so far: a later seam can still give a smaller witness of equal weight.
-
-Seams stay sequential: each seam is pruned by the best weight of the seams
-before it.  `explored` counts the states kept, summed over layers and
-seams.  Advancing all seams as one layer would lose that bound and make
-the layers several times wider.
+legal candidates are kept in index order, and the group-min takes the
+smallest weight and then the smallest index.  A state's completions do not
+depend on the prefix that reached it, so the first closing state of least
+weight in the last layer ends the lexicographically smallest optimal
+labeling over all seams.  `explored` counts the states kept, summed over
+columns and deepening passes.
 """
 
 from __future__ import annotations
@@ -134,7 +142,8 @@ class _Rows:
     of `mask` is set when the pair is legal under the v-th labeling of the
     seam positions the signature reads (None: it reads none).
     `op[code, lo * L + li]` is the residual code that follows `code` (None:
-    the signature updates no residual).
+    the signature updates no residual).  `seam_bit[s]` is the bit of
+    `mask` that seam code s selects (None outside the closing window).
     """
 
     def __init__(self, tables: _Tables, sig: tuple, reads: tuple[int, ...]) -> None:
@@ -146,6 +155,14 @@ class _Rows:
         if sig[0] < 2 * tables.k or sig[1] >= 0:
             labels = tables.alg.labels
             self.op = np.stack([tables.op_map(sig, lo, li) for lo in labels for li in labels], 1)
+        self.seam_bit = None
+        if sig[1] >= 0:
+            L = len(tables.alg.labels)
+            codes = np.arange(tables.seams)
+            v = 0
+            for pos in reads:  # seam position pos is digit k - pos of a code
+                v = v * L + codes // L ** (tables.k - pos) % L
+            self.seam_bit = (1 << v).astype(np.uint16)
 
     def extend(self, wids: np.ndarray, nw: np.ndarray, mask: np.ndarray | None) -> None:
         self.row_of[wids] = np.arange(len(self.nw), len(self.nw) + len(wids))
@@ -163,6 +180,8 @@ class _Tables:
         self.width = len(alg.labels) ** 2
         self.base = alg.need + 1
         self.R = self.base ** (k + 1)  # residual codes
+        # seam codes: a0, bs[0], ..., bs[k-1] as base-L digits, a0 first
+        self.seams = len(alg.labels) ** (k + 1)
         # the (label, demand) pairs a window can hold: the empty pair, a
         # nonzero label (demand 0) or label 0 with any demand; pair (0, d)
         # is number L + d
@@ -175,8 +194,7 @@ class _Tables:
         self.pair_demand = np.array([p[1] for p in pairs])
         self.windows = len(pairs) ** (k + 1)
         self.ids = np.int16 if self.windows < 2**15 else np.int32
-        # state keys; `_winners` moves illegal candidates' keys up to 3x
-        self.keys = np.int32 if 3 * self.windows * self.R < 2**31 else np.int64
+        self.keys = np.int32 if self.seams * self.windows * self.R < 2**31 else np.int64
         self.dw = np.array(
             [alg.weight[lo] + alg.weight[li] for lo in alg.labels for li in alg.labels],
             np.int32,
@@ -299,46 +317,139 @@ def _cost_to_go(tables: _Tables, tabs: list[_Rows], fronts: list[np.ndarray]) ->
     return bound[::-1]
 
 
-# Group-min sort keys are packed as ((key * span + weight) << shift) + index
-# in one int64; only layers far beyond any solvable size could overflow it.
+# Group-min sort keys pack (key, weight, position) as bit fields of one
+# int64; only layers far beyond any solvable size could overflow it.
 _PACK_LIMIT = 2**63
 
-# Layer arrays are padded to a multiple of _PAD states.  numpy keeps up to
-# seven freed blocks per byte size under 1 KiB; arrays of every small size
-# filled that cache with about 1 MB on the dp-sweep benchmark, padded ones
-# take a few sizes only.
+# A layer is expanded in blocks of _BLOCK parent states, so that its
+# (states, L * L) grids of candidates stay small; only the legal candidates
+# of a block are kept.
+_BLOCK = 1024
+
+# Layers and the legal candidates of a block are padded to a multiple of
+# _PAD entries.  numpy keeps up to seven freed blocks per byte size under
+# 1 KiB; arrays of every small size filled that cache with about 0.5 MB on
+# the dp-sweep benchmark, padded ones take a few sizes only.
 _PAD = 16
 
 
-def _winners(ck: np.ndarray, cw: np.ndarray, illegal: np.ndarray, span: int,
-             key_bound: int) -> np.ndarray:
-    """Indices, ascending, of the legal candidates that win their state:
-    the smallest weight, then the smallest index.  The candidates form an
-    (m, width) grid with keys in [-R, key_bound) and weights below span + 4
-    (below span when legal).  Overwrites the keys of illegal candidates."""
-    m, width = ck.shape
-    size = m * width
+def _winners(ck: np.ndarray, cw: np.ndarray, span: int, key_bound: int) -> np.ndarray:
+    """Positions, ascending, of the candidates that win their state: the
+    smallest weight, then the smallest position.  Keys lie in [0, key_bound)
+    and weights in [0, span)."""
+    size = len(ck)
     shift = (size - 1).bit_length()
-    if 3 * (key_bound + 1) * span << shift >= _PACK_LIMIT:
+    low = (span - 1).bit_length() + shift  # bits of (weight, position)
+    if key_bound << low >= _PACK_LIMIT:
         raise BudgetExceeded(f"dp layer of {size} candidates overflows its int64 sort keys")
-    # illegal keys move to [key_bound, 3 * key_bound), after every legal key
-    ck += np.multiply(illegal, 2 * key_bound, dtype=ck.dtype)
-    order = np.multiply(ck, span, dtype=np.int64)
-    order += cw
+    order = np.left_shift(ck, low - shift, dtype=np.int64)
+    order |= cw
     order <<= shift
-    order += np.arange(0, size, width)[:, None]  # + the candidate's index
-    order += np.arange(width)
-    order = order.ravel()
+    order |= np.arange(size)
     order.sort()
-    order &= (1 << shift) - 1
-    sk = ck.ravel()[order]
-    first = np.empty(size, bool)  # where a new key starts among the legal ones
+    sk = order >> low
+    first = np.empty(size, bool)  # where a new key starts
     first[0] = True
     np.not_equal(sk[1:], sk[:-1], out=first[1:])
-    first[size - np.count_nonzero(illegal):] = False
-    win = order.take(first.nonzero()[0])
+    win = order[first]
+    win &= (1 << shift) - 1
     win.sort()
     return win
+
+
+def _sweep(tables: _Tables, tabs: list[_Rows], bound: list[np.ndarray], prune: int,
+           state_cap: int) -> tuple[tuple[int, bytes] | None, int]:
+    """One pass over the columns that carries every seam, dropping each
+    candidate whose weight plus cost-to-go bound exceeds `prune`.
+
+    Returns ((weight, witness) of the lexicographically smallest closing
+    labeling of least weight, or None when no state closes; states kept).
+    """
+    k = tables.k
+    nl = len(tables.alg.labels)
+    width = tables.width
+    R = tables.R
+    WR = tables.windows * R
+    key_bound = tables.seams * WR
+    pair = np.arange(width)
+    key = np.zeros(1, tables.keys)  # no seam label yet, the empty window
+    w = np.zeros(1, np.int32)
+    back: list[np.ndarray] = []  # per layer: parent position * width + lo * nl + li
+    explored = 0
+    for c, tab in enumerate(tabs):
+        # the least weight each pair adds up to the last column (_INF when
+        # it is illegal: nw = -1 reads the bound's last slot)
+        cost = tables.dw + bound[c + 1][tab.nw]
+        # columns 0..k-1 write seam digits: (a0, bs[0]) = (lo, li), bs[c] = li
+        writes = pair * WR if c == 0 else pair % nl * WR if c < k else None
+        ks, ws, idxs = [], [], []
+        for start in range(0, len(key), _BLOCK):
+            kb = key[start:start + _BLOCK]
+            wb = w[start:start + _BLOCK]
+            rest = kb % WR
+            wid, res = np.divmod(rest, R)
+            rows = tab.row_of[wid]
+            if rows.min() < 0:
+                bad = int(wid[rows.argmin()])
+                raise InternalError(f"dp met window {bad} off the frontier of column {c}")
+            legal = cost.take(rows, axis=0)
+            # <= : a labeling of weight `prune` must keep all its prefixes
+            legal = np.less_equal(legal, (prune - wb)[:, None])
+            if tab.seam_bit is not None:  # closing window: legal under the state's seam
+                legal &= (tab.mask.take(rows, axis=0) & tab.seam_bit[kb // WR][:, None]) != 0
+            pos = np.flatnonzero(legal)
+            if len(pos) % _PAD:  # copies of the last candidate lose every tie to it
+                pos = np.concatenate((pos, np.full(-len(pos) % _PAD, pos[-1])))
+            par = pos // width
+            j = pos - par * width
+            base = kb - rest  # seam code * WR
+            if writes is not None:
+                base *= nl
+            if tab.op is None:
+                base += res
+            cell = rows[par].astype(np.intp)
+            cell *= width
+            cell += j
+            ck = tab.nw.ravel()[cell].astype(tables.keys)
+            ck *= R
+            ck += base[par]
+            if tab.op is not None:
+                cell = res[par]
+                cell *= width
+                cell += j
+                ck += tab.op.ravel()[cell]
+            if writes is not None:
+                ck += writes[j]
+            ks.append(ck)
+            ws.append(wb[par] + tables.dw[j])
+            idxs.append(pos + start * width)
+        ck, cw, idx = (a[0] if len(a) == 1 else np.concatenate(a) for a in (ks, ws, idxs))
+        if len(ck) == 0:
+            return None, explored
+        win = _winners(ck, cw, prune + 1, key_bound)
+        # the layer's m states, in prefix order, then padding copies of state
+        # 0 whose weight leaves them no legal pair
+        m = len(win)
+        key = np.empty(m + -m % _PAD, tables.keys)
+        ck.take(win, out=key[:m])
+        key[m:] = key[0]
+        w = np.empty(len(key), np.int32)
+        cw.take(win, out=w[:m])
+        w[m:] = prune + 1
+        back.append(idx[win].astype(np.int32))
+        explored += m
+        if m > state_cap:
+            raise BudgetExceeded(f"dp state count {m} exceeds cap {state_cap}")
+    closed = np.flatnonzero(key[:m] % R == 0)  # every wrap residual met
+    if len(closed) == 0:
+        return None, explored
+    pos = int(closed[np.argmin(w[closed])])  # the first: lex-smallest labeling
+    weight = int(w[pos])
+    seq = bytearray(2 * len(tabs))
+    for c in range(len(tabs) - 1, -1, -1):
+        pos, chunk = divmod(int(back[c][pos]), width)
+        seq[2 * c], seq[2 * c + 1] = divmod(chunk, nl)
+    return (weight, bytes(seq)), explored
 
 
 def solve_cycle(
@@ -348,79 +459,18 @@ def solve_cycle(
 
     Returns (optimum, witness label bytes in vertex order, states explored).
     """
-    labels = kind_of(kind).labels  # 0..L-1, so lo * L + li encodes a pair
+    kind_of(kind)  # rejects an unknown kind
     if n < 3 or k < 1 or 2 * k >= n:
         raise InvalidParameters(f"P(n,k) requires n >= 3, 2k < n; got n={n}, k={k}")
-    nl = len(labels)
     tables = _tables(kind, k)
     columns = [_column(c, n, k) for c in range(n)]
     tabs, bound = _plan(tables, columns)
-    R = tables.R
-    width = tables.width
-    prune = 2 * n  # the all-ones labeling is always valid at this weight
-    best_w = None
-    best_seq = b""
     explored = 0
-    for seam in product(labels, repeat=k + 1):
-        # the layer's m states, in prefix order, then padding copies of state 0
-        m = 1
-        key = np.zeros(_PAD, tables.keys)
-        w = np.full(_PAD, prune + 1, np.int32)  # padding: over the bound, no moves
-        w[0] = 0
-        back: list[np.ndarray] = []  # per layer: parent position * width + lo * nl + li
-        for c, (tab, (_, reads)) in enumerate(zip(tabs, columns)):
-            wid, res = np.divmod(key, R)
-            rows = tab.row_of[wid]
-            if rows.min() < 0:
-                bad = int(wid[rows.argmin()])
-                raise InternalError(f"dp met window {bad} off the frontier of column {c}")
-            nw = tab.nw[rows]
-            if tab.mask is None:
-                illegal = nw < 0
-            else:
-                v = 0
-                for pos in reads:
-                    v = v * nl + seam[pos]
-                illegal = (tab.mask[rows] & (1 << v)) == 0
-            w2 = w[:, None] + tables.dw
-            illegal |= w2 + bound[c + 1][nw] > prune  # > : ties may still win
-            ck = nw.astype(tables.keys)
-            ck *= R
-            ck += res[:, None] if tab.op is None else tab.op[res]
-            del nw, res
-            win = _winners(ck, w2, illegal, prune + 1, tables.windows * R)
-            del illegal
-            m = len(win)
-            if m == 0:
-                break
-            size = -(-m // _PAD) * _PAD
-            key = np.empty(size, tables.keys)
-            ck.ravel().take(win, out=key[:m])
-            key[m:] = key[0]
-            w = np.empty(size, np.int32)
-            w2.ravel().take(win, out=w[:m])
-            w[m:] = prune + 1
-            back.append(np.empty(size, np.int32))
-            back[-1][:m] = win
-            explored += m
-            if m > state_cap:
-                raise BudgetExceeded(f"dp state count {m} exceeds cap {state_cap}")
-        if m == 0:
-            continue
-        closed = np.flatnonzero(key[:m] % R == 0)  # every wrap residual met
-        if len(closed) == 0:
-            continue
-        pos = int(closed[np.argmin(w[closed])])  # the first: lex-smallest prefix
-        wmin = int(w[pos])
-        if best_w is not None and wmin > best_w:
-            continue
-        seq = bytearray(2 * n)
-        for c in range(n - 1, -1, -1):
-            pos, chunk = divmod(int(back[c][pos]), width)
-            seq[2 * c], seq[2 * c + 1] = divmod(chunk, nl)
-        if best_w is None or (wmin, seq) < (best_w, best_seq):
-            best_w, best_seq = wmin, bytes(seq)
-            prune = min(prune, best_w)
-    if best_w is None:
-        raise InternalError("dp found no closing state (pruning bug)")
-    return best_w, best_seq, explored
+    # bound[0][0] is a lower bound on the optimum, and the all-ones labeling
+    # is always valid at weight 2n
+    for prune in range(int(bound[0][0]), 2 * n + 1):
+        found, kept = _sweep(tables, tabs, bound, prune, state_cap)
+        explored += kept
+        if found is not None:
+            return (*found, explored)
+    raise InternalError("dp found no closing state (pruning bug)")

@@ -2,16 +2,17 @@
 `gpid.dp.solve_cycle`.
 
 Each row of PINNED is (kind, n, k, optimum, sha256(witness bytes)[:16],
-explored without the bound, explored) for every kind, k = 1..3 and
-2k < n <= 12, plus three longer cycles; each row of LONG_PINNED is
-(kind, n, k, optimum, digest, explored) for two more.  `explored` counts
-the states the engine keeps; "without the bound" is the same count with
-the cost-to-go bound set to zero, which prunes only by weight.  The
-optimum, digest and bound-free count of PINNED were produced by the
-dict-based DP that the table-driven engine replaced (commit 4bf4087), the
-optimum and digest of LONG_PINNED by the engine before cost-to-go
-pruning (commit 6b90b29); the test ids keep the fields of the earlier
-pins.  Regenerate the explored column with
+unbounded, explored) for every kind, k = 1..3 and 2k < n <= 12, plus
+three longer cycles; each row of LONG_PINNED is (kind, n, k, optimum,
+digest, explored) for four more.  `explored` counts the states the engine
+keeps, summed over columns and deepening passes.  `unbounded` is the
+state count of the per-seam engines without the cost-to-go bound (the
+dict-based DP of commit 4bf4087 and the table-driven engine up to commit
+db503db); no test reads it now, but the test ids of PINNED carry it.  The
+optimum and digest of PINNED were produced by that dict-based DP, those
+of LONG_PINNED by the engine before cost-to-go pruning (commit 6b90b29)
+and, for 2-rainbow P(24,3) and P(40,3), by the per-seam engine of commit
+db503db.  Regenerate the explored column with
 
     PYTHONPATH=src python - <<'PY'
     import hashlib
@@ -19,20 +20,25 @@ pins.  Regenerate the explored column with
     grid = [(kind, n, k) for kind in ("italian", "domination", "rainbow2")
             for k in (1, 2, 3) for n in range(2 * k + 1, 13)]
     grid += [("italian", 30, 2), ("domination", 30, 3), ("rainbow2", 40, 1),
-             ("rainbow2", 16, 3), ("italian", 40, 3)]
+             ("rainbow2", 16, 3), ("italian", 40, 3), ("rainbow2", 24, 3),
+             ("rainbow2", 40, 3)]
     for kind, n, k in grid:
         opt, seq, explored = solve_cycle(n, k, kind)
         digest = hashlib.sha256(seq).hexdigest()[:16]
         print(f'    ("{kind}", {n}, {k}, {opt}, "{digest}", {explored}),')
     PY
 
-and the bound-free count by running it with `dp._cost_to_go` replaced by
-`_no_bound` below.  The witness (the lexicographically smallest optimal
-labeling) must match those engines exactly, with and without the bound.
+The witness (the lexicographically smallest optimal labeling) must match
+those engines exactly, with and without the bound: `test_pinned` also runs
+one pass of the engine with the bound set to zero (`_no_bound` below) at
+the optimum, where it must find the pinned witness, and one below it,
+where no state may close.
 
 `_transitions` below is the scalar transition rule the engine's numpy
 table build replaced; `test_table_rows_match_the_scalar_rule` compares
-them entry by entry.
+them entry by entry.  `_reference_cycle` is the per-seam engine that one
+pass over all seams replaced; the reference grid compares their optima
+and witnesses on every instance with n <= 10.
 """
 
 import hashlib
@@ -43,88 +49,90 @@ import pytest
 
 from gpid import dp
 from gpid.errors import BudgetExceeded, InternalError
+from gpid.labeling import kind_of
 
 PINNED = [
-    ("italian", 3, 1, 3, "eaabdf1df6e204af", 74, 64),
-    ("italian", 4, 1, 4, "09b5a07b111a36dc", 240, 179),
-    ("italian", 5, 1, 5, "08aafc53a275b184", 561, 413),
-    ("italian", 6, 1, 6, "819270ea8f8181b8", 933, 632),
-    ("italian", 7, 1, 7, "f0f803bb05465caf", 1317, 908),
-    ("italian", 8, 1, 8, "71bf2b11f0393fd5", 1698, 1196),
-    ("italian", 9, 1, 9, "031dc99072dfb284", 2060, 1484),
-    ("italian", 10, 1, 10, "eb03930a8ff60d75", 2432, 1784),
-    ("italian", 11, 1, 11, "e9328a01ba584c2a", 2789, 2070),
-    ("italian", 12, 1, 12, "0ac1153320ad1aa2", 3156, 2372),
-    ("italian", 5, 2, 4, "ffee64ddb4a8b5cd", 502, 318),
-    ("italian", 6, 2, 6, "d302b185510a24e2", 2542, 1416),
-    ("italian", 7, 2, 7, "d583814370073aeb", 5922, 2842),
-    ("italian", 8, 2, 7, "2f12bfb1e4453656", 7888, 2827),
-    ("italian", 9, 2, 8, "bacadc16c77bf86a", 13933, 4667),
-    ("italian", 10, 2, 8, "53e26e33c654a6f5", 16082, 5358),
-    ("italian", 11, 2, 10, "7a6d5ffdead863df", 29240, 9353),
-    ("italian", 12, 2, 11, "6719ce7eb6784b6b", 37374, 12075),
-    ("italian", 7, 3, 7, "5d0379efdc764bb1", 9315, 4774),
-    ("italian", 8, 3, 7, "04c13fb63b1100b1", 14185, 4977),
-    ("italian", 9, 3, 8, "8a1acf4253109f15", 36833, 9533),
-    ("italian", 10, 3, 8, "53e26e33c654a6f5", 49950, 13842),
-    ("italian", 11, 3, 10, "9ae82edfcb0c1326", 157217, 31398),
-    ("italian", 12, 3, 11, "1f2c53eff4143693", 268618, 50538),
-    ("domination", 3, 1, 2, "7c70b6b1c612fa54", 26, 26),
-    ("domination", 4, 1, 2, "da49d2915281f633", 46, 35),
-    ("domination", 5, 1, 3, "fc110e74dc12ce42", 99, 78),
-    ("domination", 6, 1, 4, "f253005ab5dea1b1", 160, 138),
-    ("domination", 7, 1, 4, "0ac9dbcfcebb42c0", 200, 146),
-    ("domination", 8, 1, 4, "1670a6c2664ba135", 234, 150),
-    ("domination", 9, 1, 5, "bebfc74a023a9c7b", 295, 214),
-    ("domination", 10, 1, 6, "03ece23e65950811", 354, 297),
-    ("domination", 11, 1, 6, "241139ad34d11c3c", 393, 282),
-    ("domination", 12, 1, 6, "8f73a0235e1fc754", 427, 270),
-    ("domination", 5, 2, 3, "b0fd5d617e67c0fe", 149, 116),
-    ("domination", 6, 2, 4, "91507b44ea4b2747", 350, 280),
-    ("domination", 7, 2, 5, "67c2e4e40581433f", 657, 555),
-    ("domination", 8, 2, 5, "eb985816fba484a0", 863, 565),
-    ("domination", 9, 2, 6, "ab113f978c688c5a", 1285, 991),
-    ("domination", 10, 2, 6, "599e425ad2b20c2c", 1528, 876),
-    ("domination", 11, 2, 7, "656fd26028a6951d", 1992, 1423),
-    ("domination", 12, 2, 8, "1a29d9873d143bca", 2407, 2020),
-    ("domination", 7, 3, 5, "f60a683e2a04ab5d", 1165, 1000),
-    ("domination", 8, 3, 4, "1670a6c2664ba135", 904, 423),
-    ("domination", 9, 3, 5, "cdbb304ec38f0ab6", 2212, 1025),
-    ("domination", 10, 3, 6, "a359e1c2c6a9033e", 4277, 2240),
-    ("domination", 11, 3, 6, "2f0cd9257a97b4e9", 5286, 1793),
-    ("domination", 12, 3, 6, "8f73a0235e1fc754", 6124, 1582),
-    ("rainbow2", 3, 1, 3, "65d461de366094ef", 192, 163),
-    ("rainbow2", 4, 1, 4, "96af552e69286a26", 778, 551),
-    ("rainbow2", 5, 1, 5, "e31439467087f2e3", 1886, 1316),
-    ("rainbow2", 6, 1, 6, "f30a9481561ad1f8", 3159, 2116),
-    ("rainbow2", 7, 1, 7, "d414a502960b1856", 4483, 3084),
-    ("rainbow2", 8, 1, 8, "8eef0ce2fd7394ec", 5750, 4090),
-    ("rainbow2", 9, 1, 9, "1b4b5e6bf90ea692", 6980, 5112),
-    ("rainbow2", 10, 1, 10, "81525922c77f5949", 8238, 6132),
-    ("rainbow2", 11, 1, 11, "3f9eebc251dda0e6", 9457, 7128),
-    ("rainbow2", 12, 1, 12, "4daba9d72028a8e0", 10694, 8178),
-    ("rainbow2", 5, 2, 5, "8d928c70f2a6c27a", 4176, 2459),
-    ("rainbow2", 6, 2, 6, "3af766bfc6607799", 13537, 6112),
-    ("rainbow2", 7, 2, 7, "8d9c52491b7b7e72", 35365, 14398),
-    ("rainbow2", 8, 2, 8, "31f15b4c389f9fc4", 70420, 27520),
-    ("rainbow2", 9, 2, 8, "c38eba09b6562e8c", 88256, 21912),
-    ("rainbow2", 10, 2, 8, "ec823fb9752466c4", 100822, 24809),
-    ("rainbow2", 11, 2, 10, "99b7006a76a15880", 187377, 48094),
-    ("rainbow2", 12, 2, 11, "d67a55224512175b", 238435, 64686),
-    ("rainbow2", 7, 3, 7, "4bed496a6e51eb5d", 70254, 30503),
-    ("rainbow2", 8, 3, 8, "f5e2c8b2f093aa2c", 229090, 75652),
-    ("rainbow2", 9, 3, 9, "7852b8282ce4df1d", 614186, 160903),
-    ("rainbow2", 10, 3, 10, "6ec96c929b0f48b3", 1380663, 347805),
-    ("rainbow2", 11, 3, 11, "b6dc7bbeb7cf64ad", 2591132, 613077),
-    ("rainbow2", 12, 3, 12, "e0fed66d6a8b584d", 4197433, 1026322),
-    ("italian", 30, 2, 24, "913e798e7b597ca7", 158851, 36236),
-    ("domination", 30, 3, 16, "3475a96d5e243540", 56810, 16585),
-    ("rainbow2", 40, 1, 40, "fb469362e38e7a7c", 44994, 37242),
-]
+    ("italian", 3, 1, 3, "eaabdf1df6e204af", 74, 53),
+    ("italian", 4, 1, 4, "09b5a07b111a36dc", 240, 163),
+    ("italian", 5, 1, 5, "08aafc53a275b184", 561, 321),
+    ("italian", 6, 1, 6, "819270ea8f8181b8", 933, 570),
+    ("italian", 7, 1, 7, "f0f803bb05465caf", 1317, 889),
+    ("italian", 8, 1, 8, "71bf2b11f0393fd5", 1698, 1255),
+    ("italian", 9, 1, 9, "031dc99072dfb284", 2060, 1645),
+    ("italian", 10, 1, 10, "eb03930a8ff60d75", 2432, 2075),
+    ("italian", 11, 1, 11, "e9328a01ba584c2a", 2789, 2500),
+    ("italian", 12, 1, 12, "0ac1153320ad1aa2", 3156, 2949),
+    ("italian", 5, 2, 4, "ffee64ddb4a8b5cd", 502, 128),
+    ("italian", 6, 2, 6, "d302b185510a24e2", 2542, 1343),
+    ("italian", 7, 2, 7, "d583814370073aeb", 5922, 2669),
+    ("italian", 8, 2, 7, "2f12bfb1e4453656", 7888, 1044),
+    ("italian", 9, 2, 8, "bacadc16c77bf86a", 13933, 1859),
+    ("italian", 10, 2, 8, "53e26e33c654a6f5", 16082, 373),
+    ("italian", 11, 2, 10, "7a6d5ffdead863df", 29240, 4827),
+    ("italian", 12, 2, 11, "6719ce7eb6784b6b", 37374, 7075),
+    ("italian", 7, 3, 7, "5d0379efdc764bb1", 9315, 4765),
+    ("italian", 8, 3, 7, "04c13fb63b1100b1", 14185, 2122),
+    ("italian", 9, 3, 8, "8a1acf4253109f15", 36833, 3848),
+    ("italian", 10, 3, 8, "53e26e33c654a6f5", 49950, 895),
+    ("italian", 11, 3, 10, "9ae82edfcb0c1326", 157217, 16006),
+    ("italian", 12, 3, 11, "1f2c53eff4143693", 268618, 29327),
+    ("domination", 3, 1, 2, "7c70b6b1c612fa54", 26, 29),
+    ("domination", 4, 1, 2, "da49d2915281f633", 46, 24),
+    ("domination", 5, 1, 3, "fc110e74dc12ce42", 99, 76),
+    ("domination", 6, 1, 4, "f253005ab5dea1b1", 160, 175),
+    ("domination", 7, 1, 4, "0ac9dbcfcebb42c0", 200, 129),
+    ("domination", 8, 1, 4, "1670a6c2664ba135", 234, 67),
+    ("domination", 9, 1, 5, "bebfc74a023a9c7b", 295, 176),
+    ("domination", 10, 1, 6, "03ece23e65950811", 354, 357),
+    ("domination", 11, 1, 6, "241139ad34d11c3c", 393, 225),
+    ("domination", 12, 1, 6, "8f73a0235e1fc754", 427, 104),
+    ("domination", 5, 2, 3, "b0fd5d617e67c0fe", 149, 119),
+    ("domination", 6, 2, 4, "91507b44ea4b2747", 350, 351),
+    ("domination", 7, 2, 5, "67c2e4e40581433f", 657, 779),
+    ("domination", 8, 2, 5, "eb985816fba484a0", 863, 616),
+    ("domination", 9, 2, 6, "ab113f978c688c5a", 1285, 1277),
+    ("domination", 10, 2, 6, "599e425ad2b20c2c", 1528, 854),
+    ("domination", 11, 2, 7, "656fd26028a6951d", 1992, 1753),
+    ("domination", 12, 2, 8, "1a29d9873d143bca", 2407, 2945),
+    ("domination", 7, 3, 5, "f60a683e2a04ab5d", 1165, 1335),
+    ("domination", 8, 3, 4, "1670a6c2664ba135", 904, 225),
+    ("domination", 9, 3, 5, "cdbb304ec38f0ab6", 2212, 863),
+    ("domination", 10, 3, 6, "a359e1c2c6a9033e", 4277, 2380),
+    ("domination", 11, 3, 6, "2f0cd9257a97b4e9", 5286, 1269),
+    ("domination", 12, 3, 6, "8f73a0235e1fc754", 6124, 473),
+    ("rainbow2", 3, 1, 3, "65d461de366094ef", 192, 138),
+    ("rainbow2", 4, 1, 4, "96af552e69286a26", 778, 514),
+    ("rainbow2", 5, 1, 5, "e31439467087f2e3", 1886, 1131),
+    ("rainbow2", 6, 1, 6, "f30a9481561ad1f8", 3159, 2022),
+    ("rainbow2", 7, 1, 7, "d414a502960b1856", 4483, 3205),
+    ("rainbow2", 8, 1, 8, "8eef0ce2fd7394ec", 5750, 4530),
+    ("rainbow2", 9, 1, 9, "1b4b5e6bf90ea692", 6980, 5973),
+    ("rainbow2", 10, 1, 10, "81525922c77f5949", 8238, 7528),
+    ("rainbow2", 11, 1, 11, "3f9eebc251dda0e6", 9457, 9094),
+    ("rainbow2", 12, 1, 12, "4daba9d72028a8e0", 10694, 10726),
+    ("rainbow2", 5, 2, 5, "8d928c70f2a6c27a", 4176, 2338),
+    ("rainbow2", 6, 2, 6, "3af766bfc6607799", 13537, 5972),
+    ("rainbow2", 7, 2, 7, "8d9c52491b7b7e72", 35365, 14173),
+    ("rainbow2", 8, 2, 8, "31f15b4c389f9fc4", 70420, 27919),
+    ("rainbow2", 9, 2, 8, "c38eba09b6562e8c", 88256, 9237),
+    ("rainbow2", 10, 2, 8, "ec823fb9752466c4", 100822, 1291),
+    ("rainbow2", 11, 2, 10, "99b7006a76a15880", 187377, 27464),
+    ("rainbow2", 12, 2, 11, "d67a55224512175b", 238435, 42490),
+    ("rainbow2", 7, 3, 7, "4bed496a6e51eb5d", 70254, 30707),
+    ("rainbow2", 8, 3, 8, "f5e2c8b2f093aa2c", 229090, 73592),
+    ("rainbow2", 9, 3, 9, "7852b8282ce4df1d", 614186, 156490),
+    ("rainbow2", 10, 3, 10, "6ec96c929b0f48b3", 1380663, 337786),
+    ("rainbow2", 11, 3, 11, "b6dc7bbeb7cf64ad", 2591132, 637720),
+    ("rainbow2", 12, 3, 12, "e0fed66d6a8b584d", 4197433, 1110117),
+    ("italian", 30, 2, 24, "913e798e7b597ca7", 158851, 951),
+    ("domination", 30, 3, 16, "3475a96d5e243540", 56810, 13369),
+    ("rainbow2", 40, 1, 40, "fb469362e38e7a7c", 44994, 55918),]
 
 LONG_PINNED = [
-    ("rainbow2", 16, 3, 14, "cedd790ca682cbd5", 847901),
-    ("italian", 40, 3, 32, "6af80f8709d34aed", 448461),
+    ("rainbow2", 16, 3, 14, "cedd790ca682cbd5", 131241),
+    ("italian", 40, 3, 32, "6af80f8709d34aed", 2195),
+    ("rainbow2", 24, 3, 22, "6f6251fe1d80b8bd", 2314916),
+    ("rainbow2", 40, 3, 36, "a008aee49f270df4", 4363553),
 ]
 
 
@@ -219,24 +227,150 @@ def _digest(result):
     return opt, hashlib.sha256(seq).hexdigest()[:16], explored
 
 
-def _no_bound(tables, tabs, fronts):
-    return [np.zeros(tables.windows + 1, np.int32)] * (len(tabs) + 1)
+def _no_bound(tables, n):
+    """The cost-to-go bound set to zero on every window; the last slot, read
+    by an illegal pair, stays _INF."""
+    h = np.zeros(tables.windows + 1, np.int32)
+    h[-1] = dp._INF
+    return [h] * (n + 1)
 
 
 @pytest.mark.parametrize(
     "kind,n,k,optimum,digest,unbounded,explored", PINNED,
     ids=["-".join(map(str, row[:6])) for row in PINNED],
 )
-def test_pinned(kind, n, k, optimum, digest, unbounded, explored, monkeypatch):
+def test_pinned(kind, n, k, optimum, digest, unbounded, explored):
     assert _digest(dp.solve_cycle(n, k, kind)) == (optimum, digest, explored)
-    # the bound prunes states and changes nothing else
-    monkeypatch.setattr(dp, "_cost_to_go", _no_bound)
-    assert _digest(dp.solve_cycle(n, k, kind)) == (optimum, digest, unbounded)
+    # the bound prunes states and changes nothing else: without it, one pass
+    # at the optimum finds the same witness and one below it closes nothing
+    tables = dp._tables(kind, k)
+    tabs, _ = dp._plan(tables, [dp._column(c, n, k) for c in range(n)])
+    free = _no_bound(tables, n)
+    (weight, seq), _ = dp._sweep(tables, tabs, free, optimum, dp.DP_STATE_CAP)
+    assert (weight, hashlib.sha256(seq).hexdigest()[:16]) == (optimum, digest)
+    found, _ = dp._sweep(tables, tabs, free, optimum - 1, dp.DP_STATE_CAP)
+    assert found is None
 
 
-@pytest.mark.parametrize("kind,n,k,optimum,digest,explored", LONG_PINNED)
+@pytest.mark.parametrize("kind,n,k,optimum,digest,explored", LONG_PINNED,
+                         ids=["-".join(map(str, row[:5])) for row in LONG_PINNED])
 def test_pinned_long(kind, n, k, optimum, digest, explored):
     assert _digest(dp.solve_cycle(n, k, kind)) == (optimum, digest, explored)
+
+
+# The engine before all seams shared one pass (commit db503db): one pass per
+# seam labeling, each pruned by the best weight of the seams before it.
+_REFERENCE_PAD = 16
+
+
+def _reference_winners(ck, cw, illegal, span, key_bound):
+    m, width = ck.shape
+    size = m * width
+    shift = (size - 1).bit_length()
+    if 3 * (key_bound + 1) * span << shift >= dp._PACK_LIMIT:
+        raise BudgetExceeded(f"dp layer of {size} candidates overflows its int64 sort keys")
+    # illegal keys move to [key_bound, 3 * key_bound), after every legal key
+    ck += np.multiply(illegal, 2 * key_bound, dtype=ck.dtype)
+    order = np.multiply(ck, span, dtype=np.int64)
+    order += cw
+    order <<= shift
+    order += np.arange(0, size, width)[:, None]  # + the candidate's index
+    order += np.arange(width)
+    order = order.ravel()
+    order.sort()
+    order &= (1 << shift) - 1
+    sk = ck.ravel()[order]
+    first = np.empty(size, bool)  # where a new key starts among the legal ones
+    first[0] = True
+    np.not_equal(sk[1:], sk[:-1], out=first[1:])
+    first[size - np.count_nonzero(illegal):] = False
+    win = order.take(first.nonzero()[0])
+    win.sort()
+    return win
+
+
+def _reference_cycle(n, k, kind, state_cap=dp.DP_STATE_CAP):
+    labels = kind_of(kind).labels  # 0..L-1, so lo * L + li encodes a pair
+    nl = len(labels)
+    tables = dp._tables(kind, k)
+    columns = [dp._column(c, n, k) for c in range(n)]
+    tabs, bound = dp._plan(tables, columns)
+    R = tables.R
+    width = tables.width
+    prune = 2 * n  # the all-ones labeling is always valid at this weight
+    best_w = None
+    best_seq = b""
+    explored = 0
+    for seam in product(labels, repeat=k + 1):
+        # the layer's m states, in prefix order, then padding copies of state 0
+        m = 1
+        key = np.zeros(_REFERENCE_PAD, tables.keys)
+        w = np.full(_REFERENCE_PAD, prune + 1, np.int32)  # padding: over the bound, no moves
+        w[0] = 0
+        back = []  # per layer: parent position * width + lo * nl + li
+        for c, (tab, (_, reads)) in enumerate(zip(tabs, columns)):
+            wid, res = np.divmod(key, R)
+            rows = tab.row_of[wid]
+            if rows.min() < 0:
+                bad = int(wid[rows.argmin()])
+                raise InternalError(f"dp met window {bad} off the frontier of column {c}")
+            nw = tab.nw[rows]
+            if tab.mask is None:
+                illegal = nw < 0
+            else:
+                v = 0
+                for pos in reads:
+                    v = v * nl + seam[pos]
+                illegal = (tab.mask[rows] & (1 << v)) == 0
+            w2 = w[:, None] + tables.dw
+            illegal |= w2 + bound[c + 1][nw] > prune  # > : ties may still win
+            ck = nw.astype(tables.keys)
+            ck *= R
+            ck += res[:, None] if tab.op is None else tab.op[res]
+            del nw, res
+            win = _reference_winners(ck, w2, illegal, prune + 1, tables.windows * R)
+            del illegal
+            m = len(win)
+            if m == 0:
+                break
+            size = -(-m // _REFERENCE_PAD) * _REFERENCE_PAD
+            key = np.empty(size, tables.keys)
+            ck.ravel().take(win, out=key[:m])
+            key[m:] = key[0]
+            w = np.empty(size, np.int32)
+            w2.ravel().take(win, out=w[:m])
+            w[m:] = prune + 1
+            back.append(np.empty(size, np.int32))
+            back[-1][:m] = win
+            explored += m
+            if m > state_cap:
+                raise BudgetExceeded(f"dp state count {m} exceeds cap {state_cap}")
+        if m == 0:
+            continue
+        closed = np.flatnonzero(key[:m] % R == 0)  # every wrap residual met
+        if len(closed) == 0:
+            continue
+        pos = int(closed[np.argmin(w[closed])])  # the first: lex-smallest prefix
+        wmin = int(w[pos])
+        if best_w is not None and wmin > best_w:
+            continue
+        seq = bytearray(2 * n)
+        for c in range(n - 1, -1, -1):
+            pos, chunk = divmod(int(back[c][pos]), width)
+            seq[2 * c], seq[2 * c + 1] = divmod(chunk, nl)
+        if best_w is None or (wmin, seq) < (best_w, best_seq):
+            best_w, best_seq = wmin, bytes(seq)
+            prune = min(prune, best_w)
+    if best_w is None:
+        raise InternalError("dp found no closing state (pruning bug)")
+    return best_w, best_seq, explored
+
+
+@pytest.mark.parametrize("kind", ["italian", "domination", "rainbow2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_pass_over_all_seams_matches_the_per_seam_engine(kind, k):
+    for n in range(2 * k + 1, 11):
+        assert dp.solve_cycle(n, k, kind)[:2] == _reference_cycle(n, k, kind)[:2], n
 
 
 def test_result_does_not_depend_on_table_warmth():
@@ -348,10 +482,7 @@ def test_table_rows_match_the_scalar_rule(kind, k, n_max):
     dp._tables.cache_clear()
 
 
-K_LE_2 = [row[:4] for row in PINNED if row[2] <= 2]
-
-
-@pytest.mark.parametrize("kind,n,k,optimum", K_LE_2)
+@pytest.mark.parametrize("kind,n,k,optimum", [row[:4] for row in PINNED])
 def test_cost_to_go_bounds_the_optimum(kind, n, k, optimum):
     tables = dp._tables(kind, k)
     _, bound = dp._plan(tables, [dp._column(c, n, k) for c in range(n)])
@@ -360,7 +491,7 @@ def test_cost_to_go_bounds_the_optimum(kind, n, k, optimum):
 
 
 def test_a_window_off_the_frontier_is_an_internal_error(monkeypatch):
-    # rows built for the first frontier window only: the seam loop meets
+    # rows built for the first frontier window only: the column pass meets
     # a window with no row and must not read another window's row
     dp._tables.cache_clear()
     build = dp._Tables.rows_for
