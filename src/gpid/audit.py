@@ -12,6 +12,13 @@
 
 All tenth-valued arithmetic is integer arithmetic on tenths; nothing here
 touches floating point.
+
+The sweeps run the kernels on blocks of BLOCK_ROWS labelings from the
+enumerator.  A kernel takes a (rows, vertices) label table and computes
+on its vertex-major transpose, which is contiguous for enumerated blocks.
+Per-cell values are uint8: a charge is at most 26 tenths (5 + 2*3 + 5*3)
+and a column weighs at most 4 (its two flanks at most 8).  The only int64
+is the per-row residual 10*w - 4*(2n).
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ from .labeling import (
     weight,
 )
 
-_BASE_TENTHS = np.array((0, 4, 5), dtype=np.int64)  # charge a vertex keeps, by label
+# Rows per enumeration block in the sweeps.  One vertex of a block is a
+# 32 KiB run, so the per-vertex arrays a kernel makes stay in cache.
+BLOCK_ROWS = 1 << 15
 
 
 def _require_k(f: Labeling, k: int, what: str) -> None:
@@ -46,27 +55,34 @@ def _rows(f: Labeling) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kernels: one row per labeling, one column per vertex (or per column pair)
+# Kernels: one row per labeling, one column per vertex (or per column pair);
+# the results are (row, ...) views of arrays computed on `labels.T`.
 
 
 def _column_lemma(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks over (row, column) of zero-weight columns and of the zero
     columns whose two neighbor columns sum to less than 4."""
-    cw = labels[:, 0::2].astype(np.int64) + labels[:, 1::2]
+    lt = labels.T
+    cw = lt[0::2] + lt[1::2]  # uint8: a column weighs at most 4
     zero = cw == 0
-    flank = np.roll(cw, 1, axis=1) + np.roll(cw, -1, axis=1)
-    return zero, zero & (flank < 4)
+    flank = np.roll(cw, 1, axis=0) + np.roll(cw, -1, axis=0)  # at most 8
+    return zero.T, (zero & (flank < 4)).T
 
 
 def _charges(
     labels: np.ndarray, adj: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per (row, vertex): number of 1-neighbors, number of 2-neighbors, and
-    the charge in tenths (own base plus 0.2 per 1- and 0.5 per 2-neighbor)."""
-    nb = labels[:, adj]  # (rows, 2n, 3)
-    ones = (nb == 1).sum(axis=2)
-    twos = (nb == 2).sum(axis=2)
-    return ones, twos, _BASE_TENTHS[labels] + 2 * ones + 5 * twos
+    the charge in tenths (own base 0.4 for label 1 and 0.5 for label 2,
+    plus 0.2 per 1- and 0.5 per 2-neighbor), all uint8: a charge is at
+    most 5 + 2*3 + 5*3 = 26 tenths."""
+    lt = labels.T
+    is1 = (lt == 1).view(np.uint8)
+    is2 = (lt == 2).view(np.uint8)
+    a, b, c = adj.T
+    ones = is1[a] + is1[b] + is1[c]
+    twos = is2[a] + is2[b] + is2[c]
+    return ones.T, twos.T, (4 * is1 + 5 * is2 + 2 * ones + 5 * twos).T
 
 
 # Residual floors in tenths: findings 2..8 bind the residual total;
@@ -88,23 +104,23 @@ def _findings(
     labels: np.ndarray, adj: np.ndarray, edges: np.ndarray
 ) -> tuple[dict, dict]:
     """Per-row hypothesis and conclusion masks of findings 1..8 on P(n,2)."""
-    ones, twos, charge = _charges(labels, adj)
-    r = 10 * labels.sum(axis=1, dtype=np.int64) - 4 * labels.shape[1]
-    isz = labels == 0
-    lu = labels[:, edges[:, 0]]
-    lv = labels[:, edges[:, 1]]
+    lt = labels.T
+    ones, twos, charge = (a.T for a in _charges(labels, adj))
+    is0, is1, is2 = lt == 0, lt == 1, lt == 2
+    u, v = edges.T
+    r = 10 * lt.sum(axis=0, dtype=np.int64) - 4 * lt.shape[0]
     hyp = {
-        1: np.ones(labels.shape[0], dtype=bool),
-        2: (isz & (ones == 2)).any(axis=1),
-        3: (isz & (ones == 3)).any(axis=1),
-        4: (labels == 2).any(axis=1),
-        5: ((lu == 1) & (lv == 1)).any(axis=1),
-        6: (isz & (ones == 1) & (twos == 1)).any(axis=1),
-        7: (isz & (ones == 2) & (twos == 1)).any(axis=1),
-        8: (((lu == 1) & (lv == 2)) | ((lu == 2) & (lv == 1))).any(axis=1),
+        1: np.ones(lt.shape[1], dtype=bool),
+        2: (is0 & (ones == 2)).any(axis=0),
+        3: (is0 & (ones == 3)).any(axis=0),
+        4: is2.any(axis=0),
+        5: (is1[u] & is1[v]).any(axis=0),
+        6: (is0 & (ones == 1) & (twos == 1)).any(axis=0),
+        7: (is0 & (ones == 2) & (twos == 1)).any(axis=0),
+        8: ((is1[u] & is2[v]) | (is2[u] & is1[v])).any(axis=0),
     }
     concl = {i: r >= _FINDING_FLOORS[i] for i in range(2, 9)}
-    concl[1] = charge.min(axis=1) >= 4
+    concl[1] = charge.min(axis=0) >= 4
     return hyp, concl
 
 
@@ -392,7 +408,7 @@ def sweep_findings(n: int, weight_cap: int | None = None) -> FindingsSweep:
     hyp_counts = {i: 0 for i in range(1, 9)}
     bad_counts = {i: 0 for i in range(1, 9)}
     total = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=1 << 19):
+    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=BLOCK_ROWS):
         total += block.shape[0]
         hyp, concl = _findings(block, adj, edges)
         for i in range(1, 9):
@@ -428,11 +444,11 @@ def sweep_discharge(n: int, weight_cap: int | None = None) -> DischargeSweep:
     total = 0
     id_bad = 0
     floor_bad = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=1 << 19):
+    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=BLOCK_ROWS):
         total += block.shape[0]
         w = block.sum(axis=1, dtype=np.int64)
         charge = _charges(block, adj)[2]
-        id_bad += int((charge.sum(axis=1) != 10 * w).sum())
+        id_bad += int((charge.sum(axis=1, dtype=np.int64) != 10 * w).sum())
         floor_bad += int((charge.min(axis=1) < 4).sum())
     return DischargeSweep(
         n=n,
@@ -453,7 +469,7 @@ def random_identity_check(n: int, samples: int, seed: int = 0) -> int:
     labels = rng.integers(0, 3, size=(samples, g.num_vertices), dtype=np.uint8)
     w = labels.sum(axis=1, dtype=np.int64)
     charge = _charges(labels, adj)[2]
-    return int((charge.sum(axis=1) != 10 * w).sum())
+    return int((charge.sum(axis=1, dtype=np.int64) != 10 * w).sum())
 
 
 @dataclass(frozen=True)
@@ -473,7 +489,7 @@ def sweep_column_lemma(n: int, weight_cap: int | None = None) -> ColumnLemmaSwee
     g = build_petersen(n, 1)
     total = 0
     bad = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=1 << 19):
+    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=BLOCK_ROWS):
         total += block.shape[0]
         bad += int(_column_lemma(block)[1].any(axis=1).sum())
     return ColumnLemmaSweep(
@@ -503,7 +519,7 @@ def sweep_bagging(n: int, optimal_weight: int | None = None) -> BaggingSweep:
     inconsistent = 0
     wrong_bound = 0
     conflicts = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", target, chunk=1 << 19):
+    for block in exhaustive.iter_valid_labelings(g, "italian", target, chunk=BLOCK_ROWS):
         w = block.sum(axis=1, dtype=np.int64)
         for row in block[w == target]:
             f = Labeling(n, 1, tuple(int(x) for x in row))

@@ -5,7 +5,10 @@ digit is vertex 0, so ascending index order is lexicographic order on
 label vectors.  Only the rows of the weights asked for are generated:
 the prefix and the suffix halves of the vertex list are enumerated once
 each and joined where their weights add up to the range, in
-lexicographic order and in blocks that bound memory.  The oracle
+lexicographic order and in blocks that bound memory.  A block is stored
+vertex-major (one contiguous run of rows per vertex) and handed out as
+its (rows, vertices) transpose, so per-vertex reads are contiguous while
+the row order and the public shape stay those of a label table.  The oracle
 (``exhaustive_minimum``) walks weight classes upwards and stops at the
 first class holding a valid labeling, so it examines the classes below
 the optimum and part of the optimum's class, not all b^(2n) vectors.
@@ -34,15 +37,28 @@ def label_block(num_vertices: int, base: int, start: int, stop: int) -> np.ndarr
     return out
 
 
+def _check_gate(g: PetersenGraph, kind: str) -> None:
+    """Raise BudgetExceeded when g is beyond the size gate for the kind."""
+    if g.num_vertices > SIZE_GATES[kind]:
+        raise BudgetExceeded(
+            f"exhaustive {kind} search gated at 2n <= {SIZE_GATES[kind]}, "
+            f"got 2n = {g.num_vertices}"
+        )
+
+
 def validity_mask(labels: np.ndarray, g: PetersenGraph, kind: str) -> np.ndarray:
-    """Boolean mask of rows satisfying the kind's domination condition."""
+    """Boolean mask of rows satisfying the kind's domination condition.
+
+    Reads one vertex at a time from `labels.T`, which is contiguous for
+    the vertex-major blocks the enumerator yields."""
     kd = kind_of(kind)
     combine = kd.combine
+    lt = labels.T
     ok = np.ones(labels.shape[0], dtype=bool)
     for v in range(g.num_vertices):
         a, b, c = g.adjacency[v]
-        got = combine(combine(labels[:, a], labels[:, b]), labels[:, c])
-        ok &= (labels[:, v] != 0) | (got >= kd.need)
+        got = combine(combine(lt[a], lt[b]), lt[c])
+        ok &= (lt[v] != 0) | (got >= kd.need)
     return ok
 
 
@@ -63,6 +79,10 @@ def _rows_by_weight(
     rest (suffix) are enumerated once each.  Each prefix, in index order,
     is followed by the suffixes of fitting weight, in index order, which
     is lexicographic order on the whole vector.
+
+    Each block is written vertex-major, as a C-contiguous (vertices, rows)
+    array, and yielded as its (rows, vertices) transpose, so that the
+    kernels read every vertex as one contiguous run.
     """
     base = len(kind_of(kind).labels)
     head = num_vertices // 2
@@ -77,16 +97,24 @@ def _rows_by_weight(
     flat = np.concatenate(fits)
     counts = sizes[cls]  # rows emitted after each prefix
     ends = np.cumsum(counts)
-    shift = offsets[cls] - (ends - counts)  # row r of prefix p: suffix flat[r + shift[p]]
+    starts = ends - counts
+    shift = offsets[cls] - starts  # row r of prefix p: suffix flat[r + shift[p]]
     total = int(ends[-1])
+    prefixes_t = np.ascontiguousarray(prefixes.T)
+    suffixes_t = np.ascontiguousarray(suffixes.T)
     for first in range(0, total, chunk):
-        rows = np.arange(first, min(first + chunk, total), dtype=np.int64)
-        p = np.searchsorted(ends, rows, side="right")
-        block = np.empty((len(rows), num_vertices), np.uint8)
-        block[:, :head] = prefixes[p]
-        block[:, head:] = suffixes[flat[rows + shift[p]]]
-        del rows, p  # not held while the consumer works on the block
-        yield block
+        last = min(first + chunk, total)
+        # the prefixes of rows first..last-1, each repeated once per row
+        lo_p = int(np.searchsorted(ends, first, side="right"))
+        hi_p = int(np.searchsorted(ends, last - 1, side="right")) + 1
+        here = np.minimum(ends[lo_p:hi_p], last) - np.maximum(starts[lo_p:hi_p], first)
+        p = np.repeat(np.arange(lo_p, hi_p), here)
+        block = np.empty((num_vertices, last - first), np.uint8)
+        np.take(prefixes_t, p, axis=1, out=block[:head])
+        suffix_ids = flat[np.arange(first, last) + shift[p]]
+        np.take(suffixes_t, suffix_ids, axis=1, out=block[head:])
+        del p, suffix_ids  # not held while the consumer works on the block
+        yield block.T
 
 
 def iter_valid_labelings(
@@ -96,13 +124,19 @@ def iter_valid_labelings(
     chunk: int = 1 << 20,
 ) -> Iterator[np.ndarray]:
     """Yield arrays of valid labelings (optionally weight-capped), in
-    ascending lexicographic order across yields."""
+    ascending lexicographic order across yields.
+
+    Each array is the (rows, vertices) transpose of a vertex-major block.
+    Raises BudgetExceeded when the instance is beyond the size gate for
+    the kind.
+    """
+    _check_gate(g, kind)
     kd = kind_of(kind)
     hi = g.num_vertices * max(kd.weight) if weight_cap is None else weight_cap
     for labels in _rows_by_weight(g.num_vertices, kind, 0, hi, chunk):
         mask = validity_mask(labels, g, kind)
         if mask.any():
-            yield labels[mask]
+            yield labels.T.compress(mask, axis=1).T
 
 
 def exhaustive_minimum(
@@ -118,11 +152,7 @@ def exhaustive_minimum(
     the kind.
     """
     kd = kind_of(kind)
-    if g.num_vertices > SIZE_GATES[kind]:
-        raise BudgetExceeded(
-            f"exhaustive {kind} search gated at 2n <= {SIZE_GATES[kind]}, "
-            f"got 2n = {g.num_vertices}"
-        )
+    _check_gate(g, kind)
     examined = 0
     for w in range(g.num_vertices * max(kd.weight) + 1):
         for labels in _rows_by_weight(g.num_vertices, kind, w, w, chunk):

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from gpid import (
@@ -9,6 +12,7 @@ from gpid import (
     validate_idf,
     weight,
 )
+from gpid import audit
 from gpid.audit import (
     bagging_certificate,
     check_column_lemma,
@@ -22,7 +26,8 @@ from gpid.audit import (
     threshold_check,
 )
 from gpid.errors import InvalidParameters, WrongFamily
-from gpid.exhaustive import iter_valid_labelings
+from gpid.exhaustive import iter_valid_labelings, validity_mask
+from gpid.labeling import KINDS
 
 
 def columns_labeling(n, k, cols):
@@ -251,3 +256,82 @@ def test_certificate_json_dumps():
     d = led.to_json_dict()
     assert d["identity_ok"] is True
     assert len(d["charge_tenths"]) == 20
+
+
+# ---------------------------------------------------------------------------
+# block layout and the sweeps over many blocks
+
+
+def _random_rows(n, k, labels, count=3000):
+    """Random label rows, label 0 drawn with probability 0.35 so that valid
+    and invalid rows both occur."""
+    rng = np.random.default_rng(20261018)
+    p = [0.35] + [0.65 / (labels - 1)] * (labels - 1)
+    return rng.choice(labels, size=(count, 2 * n), p=p).astype(np.uint8)
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[i], b[i]) for i in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_kernels_agree_on_row_major_and_vertex_major_blocks():
+    g = build_petersen(7, 2)
+    adj = np.array(g.adjacency, dtype=np.int64)
+    edges = np.array(g.edges(), dtype=np.int64)
+    for kind, kd in KINDS.items():
+        rows = _random_rows(7, 2, len(kd.labels))
+        mask = validity_mask(rows, g, kind)
+        assert 0 < mask.sum() < len(rows)
+        assert _same(mask, validity_mask(np.asfortranarray(rows), g, kind))
+    rows = _random_rows(7, 2, 3)
+    cols = np.asfortranarray(rows)
+    assert _same(audit._charges(rows, adj), audit._charges(cols, adj))
+    assert _same(audit._findings(rows, adj, edges), audit._findings(cols, adj, edges))
+    rows = _random_rows(7, 1, 3)
+    assert audit._column_lemma(rows)[1].any()
+    assert _same(audit._column_lemma(rows), audit._column_lemma(np.asfortranarray(rows)))
+
+
+def test_enumerated_blocks_are_vertex_major():
+    blocks = list(iter_valid_labelings(build_petersen(6, 1), "italian", chunk=1 << 12))
+    assert len(blocks) > 1
+    assert all(b.T.flags.c_contiguous and b.dtype == np.uint8 for b in blocks)
+
+
+def test_findings_sweep_pinned_uncapped():
+    """Pinned from the row-major kernels:
+    python -c "from gpid.audit import sweep_findings; print(sweep_findings(6))"
+    """
+    assert 3**12 > 10 * audit.BLOCK_ROWS  # the sweep crosses more than ten blocks
+    sweep = sweep_findings(6)
+    assert sweep.labelings_checked == 358105
+    assert sweep.hypothesis_counts == {
+        1: 358105, 2: 214267, 3: 55930, 4: 357295,
+        5: 286108, 6: 182286, 7: 153610, 8: 351604,
+    }
+    assert sweep.violation_counts == {i: 0 for i in range(1, 9)}
+
+
+def test_column_lemma_sweep_pinned_uncapped():
+    """Pinned from the row-major kernels:
+    python -c "from gpid.audit import sweep_column_lemma; print(sweep_column_lemma(6))"
+    """
+    assert 3**12 > 10 * audit.BLOCK_ROWS
+    sweep = sweep_column_lemma(6)
+    assert (sweep.labelings_checked, sweep.counterexamples) == (348393, 0)
+
+
+def test_findings_sweep_memory_stays_block_sized():
+    """numpy reports its buffers to tracemalloc; the row-major kernels on
+    blocks of 2^19 rows peaked at 151.6 MiB."""
+    tracemalloc.start()
+    try:
+        sweep_findings(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

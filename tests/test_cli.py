@@ -242,6 +242,8 @@ def test_console_entry_point():
     ["value", "--n", "9", "--k", "4", "--method", "bnb", "--budget", "0"],
     ["audit", "findings", "--n", "6", "--weight-cap", "-1"],
     ["audit", "column-lemma", "--n", "5", "--weight-cap", "-3"],
+    ["audit", "findings", "--n", "20"],
+    ["audit", "column-lemma", "--n", "9"],
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
