@@ -9,6 +9,7 @@ are stable interface names.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -37,6 +38,10 @@ from .solver import (
 
 THM_3_3_SET = (5, 8, 10, 15, 18, 20, 25, 28)
 THM_4_1_EXACT_SET = ((7, 15), (8, 20), (12, 25), (13, 30))
+THM_4_1_BUDGET = 50_000  # branch-and-bound nodes of the incumbent fallback
+DISCHARGE_RANDOM_N, DISCHARGE_SAMPLES = 12, 10_000  # random labelings of P(12,2)
+BAGGING_NS = range(4, 9)
+RELATION_N_MAX = 12  # gamma_I / gamma_r2 relation, checked for n <= this
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,10 @@ def check_thm_2_3(n_max: int = 16) -> CheckResult:
     count = 0
     for n in range(3, n_max + 1):
         count += 1
+        expected = italian_value(n, 1).value
         r = solve_dp(n, 1, "italian")
         c = construct_pn1(n)
-        if r.optimum != n or not c.valid or c.actual_weight != n:
+        if r.optimum != expected or not c.valid or c.actual_weight != expected:
             bad.append((n, r.optimum, c.valid, c.actual_weight))
     detail = "all exact" if not bad else f"failures: {bad[:5]}"
     return CheckResult("thm-2.3", not bad, count, detail)
@@ -73,7 +79,7 @@ def check_thm_3_3(n_max: int = 28) -> CheckResult:
         if isinstance(c, Unavailable):
             bad.append((n, "unavailable"))
             continue
-        if not c.valid or c.actual_weight != -(-4 * n // 5):
+        if not c.valid or c.actual_weight != italian_value(n, 2).value:
             bad.append((n, c.valid, c.actual_weight))
     detail = "all valid at ceil(4n/5)" if not bad else f"failures: {bad}"
     return CheckResult("thm-3.3", not bad, count, detail)
@@ -93,7 +99,7 @@ def check_thm_3_6(n_max: int = 20) -> CheckResult:
     return CheckResult("thm-3.6", not bad, count, detail)
 
 
-def check_thm_4_1(k_max: int = 12, n_max: int = 60, budget: int = 50_000) -> CheckResult:
+def check_thm_4_1(k_max: int = 12, n_max: int = 60) -> CheckResult:
     """Exact family certified without search; bound sweep for the rest.
 
     Exact family: construction weight = 4n/5 = degree lower bound.  Sweep:
@@ -110,7 +116,7 @@ def check_thm_4_1(k_max: int = 12, n_max: int = 60, budget: int = 50_000) -> Che
         count += 1
         c = construct_pnk(n, k)
         dlb = degree_lower_bound(build_petersen(n, k))
-        if not (c.valid and c.actual_weight == 4 * n // 5 == dlb):
+        if not (c.valid and c.actual_weight == italian_value(n, k).value == dlb):
             bad.append(("exact", n, k, c.valid, c.actual_weight, dlb))
     for k in range(4, k_max + 1):
         for n in range(2 * k + 1, n_max + 1):
@@ -125,7 +131,9 @@ def check_thm_4_1(k_max: int = 12, n_max: int = 60, budget: int = 50_000) -> Che
                 invalid_seams.append((n, k))
                 g = build_petersen(n, k)
                 repaired = repair_idf(g, c.labeling.values)
-                r = solve_branch_and_bound(g, "italian", budget=budget, initial=repaired)
+                r = solve_branch_and_bound(
+                    g, "italian", budget=THM_4_1_BUDGET, initial=repaired
+                )
                 hi = r.optimum if isinstance(r, SolveResult) else r.hi
                 if hi > cap:
                     bad.append(("incumbent", n, k, hi, cap))
@@ -178,7 +186,7 @@ def check_cited_formulas(n_max: int = 16) -> CheckResult:
     return CheckResult("cited-formulas", not bad, count, detail)
 
 
-def check_discharge(random_n: int = 12, samples: int = 10_000) -> CheckResult:
+def check_discharge() -> CheckResult:
     """Charge identity and per-vertex floor over enumerated near-optimal
     IDFs of P(6,2), P(7,2), plus the identity on random labelings."""
     bad = []
@@ -187,10 +195,10 @@ def check_discharge(random_n: int = 12, samples: int = 10_000) -> CheckResult:
         cap = italian_value(n, 2).value + 1
         sweep = audit.sweep_discharge(n, weight_cap=cap)
         count += sweep.labelings_checked
-        if not sweep.ok:
+        if not sweep.ok or sweep.labelings_checked == 0:
             bad.append((n, sweep.identity_failures, sweep.charge_floor_failures))
-    failures = audit.random_identity_check(random_n, samples)
-    count += samples
+    failures = audit.random_identity_check(DISCHARGE_RANDOM_N, DISCHARGE_SAMPLES)
+    count += DISCHARGE_SAMPLES
     if failures:
         bad.append(("random", failures))
     detail = "identity and floor hold" if not bad else f"failures: {bad}"
@@ -204,26 +212,26 @@ def check_findings() -> CheckResult:
     for n in (6, 7):
         sweep = audit.sweep_findings(n)
         count += sweep.labelings_checked
-        if not sweep.ok:
+        if not sweep.ok or sweep.labelings_checked == 0:
             bad.append((n, sweep.violation_counts))
     detail = "no violations" if not bad else f"failures: {bad}"
     return CheckResult("findings", not bad, count, detail)
 
 
-def check_bagging(n_lo: int = 4, n_hi: int = 8) -> CheckResult:
+def check_bagging() -> CheckResult:
     """Every optimal IDF of P(n,1) certifies weight >= n via the bags."""
     bad = []
     count = 0
-    for n in range(n_lo, n_hi + 1):
+    for n in BAGGING_NS:
         sweep = audit.sweep_bagging(n)
         count += sweep.labelings_checked
-        if not sweep.ok:
+        if not sweep.ok or sweep.labelings_checked == 0:
             bad.append((n, sweep.inconsistent, sweep.wrong_bound))
     detail = "all certificates bound n" if not bad else f"failures: {bad}"
     return CheckResult("bagging", not bad, count, detail)
 
 
-def check_classification(n_max: int = 16, relation_n_max: int = 12) -> CheckResult:
+def check_classification(n_max: int = 16) -> CheckResult:
     """Italian-graph verdicts and the gamma_I/gamma_r2 relation against
     solver-computed values."""
     bad = []
@@ -234,9 +242,11 @@ def check_classification(n_max: int = 16, relation_n_max: int = 12) -> CheckResu
             verdict = italian_graph_predicate(n, k)
             gi = solve_dp(n, k, "italian").optimum
             dom = solve_dp(n, k, "domination").optimum
+            if (verdict.gamma_italian, verdict.double_gamma) != (gi, 2 * dom):
+                bad.append(("values", n, k, verdict, gi, 2 * dom))
             if verdict.is_italian != (gi == 2 * dom):
                 bad.append(("predicate", n, k, verdict.is_italian, gi, 2 * dom))
-        for n in range(max(3, 2 * k + 1), relation_n_max + 1):
+        for n in range(max(3, 2 * k + 1), RELATION_N_MAX + 1):
             count += 1
             rel = relation_report(n, k)
             gi = solve_dp(n, k, "italian").optimum
@@ -261,8 +271,10 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
     "classification": check_classification,
 }
 
-# checks that accept range overrides
-_N_MAX_AWARE = {"thm-2.3", "thm-3.3", "thm-3.6", "cited-formulas", "classification"}
+
+def checks_taking(param: str) -> list[str]:
+    """Ids of the checks whose signature takes `param` (a range override)."""
+    return [i for i, fn in CHECKS.items() if param in inspect.signature(fn).parameters]
 
 
 def run_checks(
@@ -270,22 +282,23 @@ def run_checks(
     n_max: int | None = None,
     k_max: int | None = None,
 ) -> list[tuple[CheckResult, float]]:
-    """Run the selected checks, returning (result, seconds) pairs."""
+    """Run the selected checks, returning (result, seconds) pairs.  `n_max`
+    and `k_max` go to the checks that take them; a pass on no instance
+    proves nothing, so it raises InvalidParameters (an empty range)."""
     ids = list(CHECKS) if not only else list(only)
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise InvalidParameters(f"unknown check ids: {unknown}; known: {sorted(CHECKS)}")
+    overrides = {"n_max": n_max, "k_max": k_max}
     out = []
     for check_id in ids:
-        kwargs = {}
-        if n_max is not None and check_id in _N_MAX_AWARE:
-            kwargs["n_max"] = n_max
-        if check_id == "thm-4.1":
-            if k_max is not None:
-                kwargs["k_max"] = k_max
-            if n_max is not None:
-                kwargs["n_max"] = n_max
+        kwargs = {
+            p: v for p, v in overrides.items() if v is not None and check_id in checks_taking(p)
+        }
         start = time.perf_counter()
         result = CHECKS[check_id](**kwargs)
+        if result.ok and result.instances == 0:
+            given = ", ".join(f"{p}={v}" for p, v in kwargs.items())
+            raise InvalidParameters(f"check {check_id} has no instance with {given}")
         out.append((result, time.perf_counter() - start))
     return out

@@ -23,7 +23,7 @@ from . import audit, checks
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
 from .errors import GpidError, InternalError, InvalidParameters
 from .formulas import domination_value, italian_value, rainbow2_value
-from .graph import build_petersen
+from .graph import build_petersen, is_admissible
 from .labeling import (
     KINDS,
     Labeling,
@@ -136,11 +136,11 @@ def cmd_value(args) -> int:
     if args.mod:
         m, r = _parse_mod(args.mod)
         ns = [n for n in ns if n % m == r]
-    pairs = [(n, k) for n in ns for k in ks if 2 * k < n and n >= 3]
+    pairs = [(n, k) for n in ns for k in ks if is_admissible(n, k)]
     if not pairs:
         raise GpidError(
-            f"no admissible (n, k) pairs in the requested ranges "
-            f"(need n >= 3 and 2k < n)"
+            "no admissible (n, k) pairs in the requested ranges "
+            "(need n >= 3, k >= 1, 2k < n)"
         )
     rows = [_value_row(n, k, args.invariant, args.method, args.budget)
             for n, k in sorted(pairs)]
@@ -443,8 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-theorems", help="run the named checks")
     p_ver.add_argument("--only", action="append", default=None,
                        help=f"check id, repeatable; known: {', '.join(checks.CHECKS)}")
-    p_ver.add_argument("--n-max", type=int, default=None)
-    p_ver.add_argument("--k-max", type=int, default=None)
+    p_ver.add_argument("--n-max", type=int, default=None,
+                       help=f"largest n for: {', '.join(checks.checks_taking('n_max'))}")
+    p_ver.add_argument("--k-max", type=int, default=None,
+                       help=f"largest k for: {', '.join(checks.checks_taking('k_max'))}")
     p_ver.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(fn=cmd_verify)

@@ -15,6 +15,7 @@ from typing import Union
 
 from .errors import InvalidParameters
 from .formulas import ceil_div
+from .graph import require_admissible
 from .labeling import Labeling, validate_idf, weight
 
 Column = tuple[int, int]
@@ -103,8 +104,7 @@ def _result(n: int, k: int, case: str, claimed: int, cols) -> ConstructionResult
 
 def construct_pn1(n: int) -> ConstructionResult:
     """Alternating (1/0),(0/1) columns; weight n for every n >= 3."""
-    if n < 3:
-        raise InvalidParameters(f"P(n,1) requires n >= 3, got {n}")
+    require_admissible(n, 1)
     cols = [((1, 0) if i % 2 == 0 else (0, 1)) for i in range(n)]
     # odd n ends on (1/0) after (n-1)/2 full repeats of the 2-column block
     return _result(n, 1, "pn1", n, cols)
@@ -203,8 +203,7 @@ def construct_pnk(n: int, k: int) -> ConstructionResult:
     """
     if k < 4:
         raise InvalidParameters(f"construct_pnk requires k >= 4, got k={k}")
-    if 2 * k >= n:
-        raise InvalidParameters(f"P(n,k) requires 2k < n; got n={n}, k={k}")
+    require_admissible(n, k)
     case, block, block_weight = _case_block(k)
     period = len(block)
     if n % period == 0:

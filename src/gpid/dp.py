@@ -85,7 +85,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceeded, InternalError, InvalidParameters
+from .errors import BudgetExceeded, InternalError
+from .graph import require_admissible
 from .labeling import KINDS, Kind, kind_of
 
 DP_STATE_CAP = 2_000_000
@@ -460,8 +461,7 @@ def solve_cycle(
     Returns (optimum, witness label bytes in vertex order, states explored).
     """
     kind_of(kind)  # rejects an unknown kind
-    if n < 3 or k < 1 or 2 * k >= n:
-        raise InvalidParameters(f"P(n,k) requires n >= 3, 2k < n; got n={n}, k={k}")
+    require_admissible(n, k)
     tables = _tables(kind, k)
     columns = [_column(c, n, k) for c in range(n)]
     tabs, bound = _plan(tables, columns)

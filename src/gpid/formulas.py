@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameters
+from .graph import require_admissible
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,6 @@ def _exact(value: int, theorem: str) -> FormulaResult:
     return FormulaResult("exact", value, value, value, theorem)
 
 
-def _check_params(n: int, k: int) -> None:
-    if n < 3 or k < 1 or 2 * k >= n:
-        raise InvalidParameters(f"P(n,k) requires n >= 3, 2k < n; got n={n}, k={k}")
-
-
 def ceil_div(a: int, b: int) -> int:
     """ceil(a / b) in exact integer arithmetic, for b > 0."""
     return -(-a // b)
@@ -64,7 +60,7 @@ def pnk_upper_bound_expression(n: int, k: int) -> Fraction:
 def italian_value(n: int, k: int) -> FormulaResult:
     """Italian domination number: exact for k = 1, k = 2 and the
     k = 2,3 (mod 5), n = 0 (mod 5) family; bounds otherwise."""
-    _check_params(n, k)
+    require_admissible(n, k)
     if k == 1:
         return _exact(n, "italian-pn1")
     if k == 2:
@@ -87,7 +83,7 @@ def italian_value(n: int, k: int) -> FormulaResult:
 
 def rainbow2_value(n: int, k: int) -> FormulaResult:
     """2-rainbow domination number for k = 1 (n >= 5) and k = 2."""
-    _check_params(n, k)
+    require_admissible(n, k)
     if k == 1:
         if n < 5:
             # the k=1 formula is stated from n = 5; smaller n go to the solver
@@ -101,7 +97,7 @@ def rainbow2_value(n: int, k: int) -> FormulaResult:
 
 def domination_value(n: int, k: int) -> FormulaResult:
     """Domination number for k = 1 and k = 2."""
-    _check_params(n, k)
+    require_admissible(n, k)
     if k == 1:
         if n % 4 == 2:
             return _exact(n // 2 + 1, "domination-pn1")
@@ -123,7 +119,7 @@ def italian_graph_predicate(n: int, k: int) -> ItalianGraphVerdict:
 
     P(n,1) is Italian exactly when n = 0 (mod 4); P(n,2) never is.
     """
-    _check_params(n, k)
+    require_admissible(n, k)
     if k not in (1, 2):
         raise InvalidParameters(f"predicate stated for k in {{1,2}}, got k={k}")
     gi = italian_value(n, k).value
@@ -143,7 +139,7 @@ class RelationReport:
 def relation_report(n: int, k: int) -> RelationReport:
     """gamma_I versus gamma_r2: equal on P(n,1); equal on P(n,2) except
     n = 5, 8 (mod 10) where gamma_I = gamma_r2 - 1."""
-    _check_params(n, k)
+    require_admissible(n, k)
     if k not in (1, 2):
         raise InvalidParameters(f"relation stated for k in {{1,2}}, got k={k}")
     gi = italian_value(n, k).value

@@ -66,6 +66,19 @@ class ColumnView:
 CACHE_SIZE = 1024
 
 
+def is_admissible(n: int, k: int) -> bool:
+    """Whether P(n, k) is defined here: n >= 3, k >= 1 and 2k < n."""
+    return n >= 3 and k >= 1 and 2 * k < n
+
+
+def require_admissible(n: int, k: int) -> None:
+    """Raise InvalidParameters unless P(n, k) is admissible."""
+    if not is_admissible(n, k):
+        raise InvalidParameters(
+            f"P(n,k) requires n >= 3, k >= 1, 2k < n; got n={n}, k={k}"
+        )
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def build_petersen(n: int, k: int) -> PetersenGraph:
     """Construct P(n, k).
@@ -77,10 +90,7 @@ def build_petersen(n: int, k: int) -> PetersenGraph:
     """
     if not isinstance(n, int) or not isinstance(k, int):
         raise InvalidParameters(f"n and k must be integers, got n={n!r}, k={k!r}")
-    if n < 3 or k < 1 or 2 * k >= n:
-        raise InvalidParameters(
-            f"P(n,k) requires n >= 3, k >= 1, 2k < n; got n={n}, k={k}"
-        )
+    require_admissible(n, k)
     adj = []
     for i in range(n):
         outer = 2 * i

@@ -1,218 +1,128 @@
-"""Acceptance criteria, one test per criterion, each printing a pass/fail
-line.  Every comparison is exact; no tolerances are involved anywhere."""
+"""Acceptance: every `verify-theorems` check, run as shipped.
 
-import time
+`checks.CHECKS` is the one statement of each claim; these tests run it
+and pin its results, make sure each check can fail, and pin how
+`run_checks` routes the range overrides.  The table below is the output
+of
 
-from gpid import (
-    SolveResult,
-    Unavailable,
-    build_petersen,
-    construct_pn1,
-    construct_pn2,
-    construct_pnk,
-    degree_lower_bound,
-    domination_value,
-    italian_graph_predicate,
-    italian_value,
-    rainbow2_value,
-    relation_report,
-    solve_branch_and_bound,
-    solve_dp,
-    solve_exhaustive,
-)
-from gpid.audit import (
-    random_identity_check,
-    sweep_bagging,
-    sweep_discharge,
-    sweep_findings,
-)
-from gpid.formulas import pnk_upper_bound_expression
-from gpid.solver import repair_idf
+    PYTHONPATH=src python -m gpid.cli verify-theorems --format json
+"""
 
+import dataclasses
 
-def ceil_div(a, b):
-    return -(-a // b)
+import pytest
+
+from gpid import audit, checks
+from gpid.cli import main
+from gpid.constructions import ConstructionResult
+from gpid.labeling import Labeling, validate_idf
+
+PINNED = {
+    "thm-2.3": (True, 14, "all exact"),
+    "thm-3.3": (True, 8, "all valid at ceil(4n/5)"),
+    "thm-3.6": (True, 16, "dp matches formula"),
+    "thm-4.1": (True, 399, "0 constructions needed the incumbent fallback"),
+    "oracle-eq": (True, 30, "dp = exhaustive everywhere"),
+    "cited-formulas": (True, 50, "formulas match dp"),
+    "discharge": (True, 12587, "identity and floor hold"),
+    "findings": (True, 3281738, "no violations"),
+    "bagging": (True, 166, "all certificates bound n"),
+    "classification": (True, 43, "classification matches solver"),
+}
 
 
-def report(name, ok, started, detail=""):
-    status = "PASS" if ok else "FAIL"
-    print(f"{status} {name} ({time.perf_counter() - started:.1f}s) {detail}")
-    assert ok, f"{name}: {detail}"
+def outcome(result):
+    return (result.check_id, result.ok, result.instances, result.detail)
 
 
-def test_criterion_01_pn1_exact_value():
-    t0 = time.perf_counter()
-    bad = []
-    for n in range(3, 17):
-        r = solve_dp(n, 1, "italian")
-        c = construct_pn1(n)
-        if r.optimum != n or not c.valid or c.actual_weight != n:
-            bad.append((n, r.optimum, c.valid, c.actual_weight))
-    report("criterion 1: gamma_I(P(n,1)) = n for n = 3..16", not bad, t0, str(bad))
+@pytest.mark.parametrize("check_id", list(checks.CHECKS))
+def test_check_matches_pinned_result(check_id):
+    [(result, _)] = checks.run_checks(only=[check_id])
+    assert outcome(result) == (check_id, *PINNED[check_id])
 
 
-def test_criterion_02_pn2_exact_value():
-    t0 = time.perf_counter()
-    bad = []
-    for n in range(5, 21):
-        expected = ceil_div(4 * n, 5) + (1 if n % 5 in (1, 2) else 0)
-        got = solve_dp(n, 2, "italian").optimum
-        if got != expected:
-            bad.append((n, got, expected))
-    report("criterion 2: gamma_I(P(n,2)) piecewise for n = 5..20", not bad, t0, str(bad))
+def test_every_check_is_pinned():
+    assert set(PINNED) == set(checks.CHECKS)
 
 
-def test_criterion_03_pn2_constructions():
-    t0 = time.perf_counter()
-    bad = []
-    for n in (5, 8, 10, 15, 18, 20, 25, 28):
-        c = construct_pn2(n)
-        if isinstance(c, Unavailable) or not c.valid or c.actual_weight != ceil_div(4 * n, 5):
-            bad.append((n, c))
-    report("criterion 3: P(n,2) patterns valid at ceil(4n/5)", not bad, t0, str(bad))
+@pytest.mark.parametrize("kwargs,expected", [
+    (dict(only=["thm-4.1"], n_max=70, k_max=13),
+     [("thm-4.1", True, 534, "0 constructions needed the incumbent fallback")]),
+    # the sweeps take no range: n_max leaves them at their defaults
+    (dict(only=["discharge", "findings", "bagging"], n_max=12),
+     [("discharge", *PINNED["discharge"]), ("findings", *PINNED["findings"]),
+      ("bagging", *PINNED["bagging"])]),
+    (dict(only=["classification", "thm-3.3"], n_max=12),
+     [("classification", True, 35, "classification matches solver"),
+      ("thm-3.3", True, 3, "all valid at ceil(4n/5)")]),
+])
+def test_range_overrides_reach_the_checks_that_take_them(kwargs, expected):
+    assert [outcome(r) for r, _ in checks.run_checks(**kwargs)] == expected
 
 
-def test_criterion_04_pnk_exact_family():
-    t0 = time.perf_counter()
-    bad = []
-    for k, n in ((7, 15), (8, 20), (12, 25), (13, 30)):
-        c = construct_pnk(n, k)
-        dlb = degree_lower_bound(build_petersen(n, k))
-        if not c.valid or c.actual_weight != 4 * n // 5 or dlb != 4 * n // 5:
-            bad.append((n, k, c.valid, c.actual_weight, dlb))
-    report(
-        "criterion 4: gamma_I(P(n,k)) = 4n/5 certified without search",
-        not bad,
-        t0,
-        str(bad),
-    )
+def test_override_flags_list_the_checks_they_apply_to():
+    assert checks.checks_taking("n_max") == [
+        "thm-2.3", "thm-3.3", "thm-3.6", "thm-4.1", "cited-formulas", "classification",
+    ]
+    assert checks.checks_taking("k_max") == ["thm-4.1"]
 
 
-def test_criterion_05_pnk_bound_sweep():
-    t0 = time.perf_counter()
-    bad = []
-    invalid = []
-    for k in range(4, 13):
-        for n in range(2 * k + 1, 61):
-            c = construct_pnk(n, k)
-            expr = pnk_upper_bound_expression(n, k)
-            cap = ceil_div(expr.numerator, expr.denominator)
-            if c.valid:
-                if c.actual_weight > cap:
-                    bad.append(("weight", n, k, c.actual_weight, cap))
-            else:
-                invalid.append((n, k))
-                g = build_petersen(n, k)
-                r = solve_branch_and_bound(
-                    g, "italian", budget=20_000,
-                    initial=repair_idf(g, c.labeling.values),
-                )
-                hi = r.optimum if isinstance(r, SolveResult) else r.hi
-                if hi > cap:
-                    bad.append(("incumbent", n, k, hi, cap))
-    detail = f"{len(invalid)} invalid constructions reported: {invalid[:10]}" if invalid else ""
-    report(
-        "criterion 5: k = 4..12, n <= 60 sweep respects the open bound",
-        not bad,
-        t0,
-        detail or str(bad),
-    )
+# ---------------------------------------------------------------------------
+# planted faults: each route fed a wrong answer must fail the checks reading it
 
 
-def test_criterion_06_oracle_equivalence():
-    t0 = time.perf_counter()
-    bad = []
-    for k in (1, 2, 3):
-        for n in range(max(3, 2 * k + 1), 9):
-            for kind in ("italian", "domination"):
-                a = solve_dp(n, k, kind).optimum
-                b = solve_exhaustive(build_petersen(n, k), kind).optimum
-                if a != b:
-                    bad.append((n, k, kind, a, b))
-            if 2 * n <= 12:
-                a = solve_dp(n, k, "rainbow2").optimum
-                b = solve_exhaustive(build_petersen(n, k), "rainbow2").optimum
-                if a != b:
-                    bad.append((n, k, "rainbow2", a, b))
-    report("criterion 6: dp = exhaustive on all gated instances", not bad, t0, str(bad))
+def dp_off_by_one(real):
+    def planted(n, k, kind):
+        r = real(n, k, kind)
+        return dataclasses.replace(r, optimum=r.optimum + 1)
+    return planted
 
 
-def test_criterion_07_cited_formula_cross_check():
-    t0 = time.perf_counter()
-    bad = []
-    for k in (1, 2):
-        for n in range(max(3, 2 * k + 1), 17):
-            for kind, oracle in (
-                ("domination", domination_value),
-                ("rainbow2", rainbow2_value),
-            ):
-                f = oracle(n, k)
-                if f.kind != "exact":
-                    continue
-                got = solve_dp(n, k, kind).optimum
-                if got != f.value:
-                    bad.append((n, k, kind, got, f.value))
-    report("criterion 7: cited formulas match the exact solver", not bad, t0, str(bad))
+def predicate_values_off_by_one(real):  # same verdict, wrong values
+    def planted(n, k):
+        v = real(n, k)
+        return dataclasses.replace(v, gamma_italian=v.gamma_italian + 1)
+    return planted
 
 
-def test_criterion_08_discharge_identity():
-    t0 = time.perf_counter()
-    bad = []
-    for n in (6, 7):
-        cap = italian_value(n, 2).value + 1
-        sweep = sweep_discharge(n, weight_cap=cap)
-        if not sweep.ok or sweep.labelings_checked == 0:
-            bad.append((n, sweep))
-    if random_identity_check(12, 10_000) != 0:
-        bad.append("random identity failures")
-    report(
-        "criterion 8: charge identity and per-vertex floor in exact tenths",
-        not bad,
-        t0,
-        str(bad),
-    )
+def all_zero_pn2(real):
+    def planted(n):
+        f = Labeling(n, 2, (0,) * (2 * n))
+        report = validate_idf(f)
+        return ConstructionResult(n, 2, "planted", 0, 0, report.valid, report.violations, f)
+    return planted
 
 
-def test_criterion_09_findings_sweep():
-    t0 = time.perf_counter()
-    bad = []
-    for n in (6, 7):
-        sweep = sweep_findings(n)
-        if not sweep.ok or sweep.labelings_checked == 0:
-            bad.append((n, sweep.violation_counts))
-    report("criterion 9: findings hold over all valid IDFs of P(6,2), P(7,2)",
-           not bad, t0, str(bad))
+def returning(value):
+    return lambda real: lambda *args, **kwargs: value
 
 
-def test_criterion_10_bagging_certificates():
-    t0 = time.perf_counter()
-    bad = []
-    for n in range(4, 9):
-        sweep = sweep_bagging(n)
-        if not sweep.ok or sweep.labelings_checked == 0:
-            bad.append((n, sweep))
-    report("criterion 10: every optimal P(n,1) IDF certifies the bound n",
-           not bad, t0, str(bad))
+def findings(labelings, violations):
+    counts = dict.fromkeys(range(1, 9), 0)
+    return audit.FindingsSweep(6, None, labelings, counts, {**counts, 3: violations})
 
 
-def test_criterion_11_classification():
-    t0 = time.perf_counter()
-    bad = []
-    for k in (1, 2):
-        lo = 4 if k == 1 else 5
-        for n in range(lo, 17):
-            verdict = italian_graph_predicate(n, k)
-            gi = solve_dp(n, k, "italian").optimum
-            dom = solve_dp(n, k, "domination").optimum
-            if (verdict.gamma_italian, verdict.double_gamma) != (gi, 2 * dom):
-                bad.append(("values", n, k))
-            if verdict.is_italian != (gi == 2 * dom):
-                bad.append(("predicate", n, k))
-        for n in range(max(3, 2 * k + 1), 13):
-            rel = relation_report(n, k)
-            gi = solve_dp(n, k, "italian").optimum
-            r2 = solve_dp(n, k, "rainbow2").optimum
-            want = "equal" if gi == r2 else "minus_one" if gi == r2 - 1 else "other"
-            if rel.relation != want:
-                bad.append(("relation", n, k, rel.relation, gi, r2))
-    report("criterion 11: classification agrees with solver values", not bad, t0, str(bad))
+FAULTS = {
+    "dp-off-by-one": (checks, "solve_dp", dp_off_by_one,
+                      ["thm-2.3", "thm-3.6", "oracle-eq", "cited-formulas", "classification"]),
+    "predicate-values": (checks, "italian_graph_predicate", predicate_values_off_by_one,
+                         ["classification"]),
+    "pn2-invalid": (checks, "construct_pn2", all_zero_pn2, ["thm-3.3"]),
+    "findings-violation": (audit, "sweep_findings", returning(findings(5, 1)), ["findings"]),
+    "findings-empty": (audit, "sweep_findings", returning(findings(0, 0)), ["findings"]),
+    "discharge-empty": (audit, "sweep_discharge",
+                        returning(audit.DischargeSweep(6, None, 0, 0, 0)), ["discharge"]),
+    "bagging-empty": (audit, "sweep_bagging",
+                      returning(audit.BaggingSweep(6, 0, 0, 0, 0)), ["bagging"]),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_a_planted_fault_fails_the_checks_that_read_it(monkeypatch, capsys, fault):
+    owner, name, plant, affected = FAULTS[fault]
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    code = main(["verify-theorems", *(arg for i in affected for arg in ("--only", i))])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split()[:2] for line in lines[:-1]] == [["✗", i] for i in affected]
+    assert lines[-1] == "SOME CHECKS FAILED"

@@ -59,6 +59,13 @@ def test_value_inadmissible_pair_is_a_usage_error(capsys):
     assert "admissible" in err
 
 
+def test_value_skips_inadmissible_pairs_in_a_range(capsys):
+    code, out, err = run_cli(capsys, "value", "--n", "5..6", "--k", "0..1")
+    assert code == 0
+    assert out == "italian P(5,1) = 5 (exact, italian-pn1)\nitalian P(6,1) = 6 (exact, italian-pn1)\n"
+    assert err == ""
+
+
 def test_value_k_range(capsys):
     code, out, _ = run_cli(
         capsys, "value", "--n", "12", "--k-range", "1..2", "--format", "csv"
@@ -244,6 +251,9 @@ def test_console_entry_point():
     ["audit", "column-lemma", "--n", "5", "--weight-cap", "-3"],
     ["audit", "findings", "--n", "20"],
     ["audit", "column-lemma", "--n", "9"],
+    ["value", "--n", "5", "--k", "0"],
+    ["verify-theorems", "--only", "thm-3.3", "--n-max", "4"],
+    ["verify-theorems", "--only", "thm-4.1", "--k-max", "3"],
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

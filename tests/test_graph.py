@@ -3,9 +3,22 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from gpid import build_petersen, column, neighbors
+from gpid import (
+    build_petersen,
+    column,
+    domination_value,
+    italian_value,
+    neighbors,
+    rainbow2_value,
+)
+from gpid.dp import solve_cycle
 from gpid.errors import InvalidParameters, OutOfRange
-from gpid.graph import export_descriptor_json, export_edge_list, graph_descriptor
+from gpid.graph import (
+    export_descriptor_json,
+    export_edge_list,
+    graph_descriptor,
+    is_admissible,
+)
 
 from conftest import oracle_adjacency, oracle_connected, oracle_girth
 
@@ -100,8 +113,13 @@ def test_determinism():
 
 @pytest.mark.parametrize("n,k", [(2, 1), (5, 0), (6, 3), (4, 2), (10, 5)])
 def test_invalid_parameters(n, k):
-    with pytest.raises(InvalidParameters):
-        build_petersen(n, k)
+    assert not is_admissible(n, k)
+    message = f"P(n,k) requires n >= 3, k >= 1, 2k < n; got n={n}, k={k}"
+    for call in (build_petersen, italian_value, domination_value, rainbow2_value,
+                 lambda n, k: solve_cycle(n, k, "italian")):
+        with pytest.raises(InvalidParameters) as exc:
+            call(n, k)
+        assert str(exc.value) == message
 
 
 def test_out_of_range():
