@@ -126,3 +126,62 @@ def test_a_planted_fault_fails_the_checks_that_read_it(monkeypatch, capsys, faul
     assert code == 1
     assert [line.split()[:2] for line in lines[:-1]] == [["✗", i] for i in affected]
     assert lines[-1] == "SOME CHECKS FAILED"
+
+
+# ---------------------------------------------------------------------------
+# the P(n,k), k >= 4 criteria: thm-4.1's two loops, each shown to cover its
+# instances and to fail on a wrong answer
+
+
+def recording(seen, real):
+    def planted(*args):
+        seen.append(args)
+        return real(*args)
+    return planted
+
+
+def test_criterion_04_pnk_exact_family(monkeypatch):
+    """gamma_I(P(n,k)) = 4n/5 on the exact family, certified without search:
+    a degree bound one short of the construction fails each instance.
+    The default k_max = 12 leaves out P(30,13), so k_max = 13 here."""
+    seen = []
+    monkeypatch.setattr(checks, "degree_lower_bound",
+                        recording(seen, checks.degree_lower_bound))
+    assert checks.check_thm_4_1(k_max=13).ok
+    assert [(g.n, g.k) for (g,) in seen] == [(15, 7), (20, 8), (25, 12), (30, 13)]
+
+    monkeypatch.setattr(checks, "degree_lower_bound", lambda g: 4 * g.n // 5 - 1)
+    result = checks.check_thm_4_1(k_max=13)
+    expected = [("exact", n, k, True, 4 * n // 5, 4 * n // 5 - 1)
+                for n, k in [(15, 7), (20, 8), (25, 12), (30, 13)]]
+    assert (result.ok, result.detail) == (False, f"failures: {expected}")
+
+
+def test_criterion_05_pnk_bound_sweep(monkeypatch):
+    """k = 4..12, n <= 60: every construction respects the open-case bound,
+    an invalid one is covered by the branch-and-bound incumbent, and one
+    over the bound fails the check."""
+    seen = []
+    monkeypatch.setattr(checks, "pnk_upper_bound_expression",
+                        recording(seen, checks.pnk_upper_bound_expression))
+    assert checks.check_thm_4_1().ok
+    assert seen == [(n, k) for k in range(4, 13) for n in range(2 * k + 1, 61)]
+
+    real = checks.construct_pnk
+
+    def invalid_at_9_4(n, k):
+        c = real(n, k)
+        return dataclasses.replace(c, valid=False) if (n, k) == (9, 4) else c
+    monkeypatch.setattr(checks, "construct_pnk", invalid_at_9_4)
+    result = checks.check_thm_4_1()
+    assert (result.ok, result.detail) == (True, "1 constructions needed the incumbent fallback")
+
+    expr = checks.pnk_upper_bound_expression(30, 6)
+    cap = checks.ceil_div(expr.numerator, expr.denominator)
+
+    def overweight_at_30_6(n, k):
+        c = real(n, k)
+        return dataclasses.replace(c, actual_weight=cap + 1) if (n, k) == (30, 6) else c
+    monkeypatch.setattr(checks, "construct_pnk", overweight_at_30_6)
+    result = checks.check_thm_4_1()
+    assert (result.ok, result.detail) == (False, f"failures: {[('bound', 30, 6, cap + 1, cap)]}")
