@@ -41,7 +41,6 @@ THM_4_1_EXACT_SET = ((7, 15), (8, 20), (12, 25), (13, 30))
 THM_4_1_BUDGET = 50_000  # branch-and-bound nodes of the incumbent fallback
 DISCHARGE_RANDOM_N, DISCHARGE_SAMPLES = 12, 10_000  # random labelings of P(12,2)
 BAGGING_NS = range(4, 9)
-RELATION_N_MAX = 12  # gamma_I / gamma_r2 relation, checked for n <= this
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,8 @@ def check_thm_4_1(k_max: int = 12, n_max: int = 60) -> CheckResult:
     bad = []
     invalid_seams = []
     count = 0
-    for k, n in THM_4_1_EXACT_SET:
-        if k > k_max or n > n_max:
+    for k, n in THM_4_1_EXACT_SET:  # certified without search, so not bounded by k_max
+        if n > n_max:
             continue
         count += 1
         c = construct_pnk(n, k)
@@ -246,7 +245,7 @@ def check_classification(n_max: int = 16) -> CheckResult:
                 bad.append(("values", n, k, verdict, gi, 2 * dom))
             if verdict.is_italian != (gi == 2 * dom):
                 bad.append(("predicate", n, k, verdict.is_italian, gi, 2 * dom))
-        for n in range(max(3, 2 * k + 1), RELATION_N_MAX + 1):
+        for n in range(max(3, 2 * k + 1), n_max + 1):
             count += 1
             rel = relation_report(n, k)
             gi = solve_dp(n, k, "italian").optimum

@@ -23,7 +23,7 @@ from . import audit, checks
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
 from .errors import GpidError, InternalError, InvalidParameters
 from .formulas import domination_value, italian_value, rainbow2_value
-from .graph import build_petersen, is_admissible
+from .graph import build_petersen, is_admissible, require_admissible
 from .labeling import (
     KINDS,
     Labeling,
@@ -171,6 +171,7 @@ def cmd_value(args) -> int:
 
 def cmd_construct(args) -> int:
     n, k = _parse_int(args.n, "--n"), _parse_int(args.k, "--k")
+    require_admissible(n, k)
     if k == 1:
         result = construct_pn1(n)
     elif k == 2:

@@ -45,18 +45,44 @@ the bit.  A residual update depends only on the signature and the pair, so
 each signature holds one map from (residual code, pair) to the next
 residual code.
 
-Before the search, two walks over the columns prepare it.  The forward
+Transfer step.  Columns 2k..n-k-1 (the middle) share one signature,
+which reads no seam label and updates no residual: each applies the same
+(min,+) map to the window alone.  For each (kind, k) a transfer table
+holds, for every window s of the frontier at column 2k (a start) and
+every window t that m middle columns reach from it, the least weight of
+a path of m pairs from s to t, the lexicographically first path of that
+weight, and that path's rank among the paths from s.  Layer m of the table
+is the column step below, without pruning, applied m times to the identity
+layer (key = start index * windows + window); it grows to the largest m
+asked for and keeps only the back-pointers of its older layers.  With two
+or more middle columns a pass then takes 3k + 1 steps: the 2k opening
+columns, one landing step that crosses the m = n - 3k middle columns by
+joining each state with its window's row of layer m, and the k closing
+columns.  The table is used only where its layers are small: a layer
+holds at most |frontier at 2k| x |frontier at 2k + 1| (start, window)
+pairs (the middle frontier stays the same), and the landing step is taken
+where that is at most _TRANSFER_LAYER = 2,048.  That is the case for
+domination k = 1 and 2, Italian k = 1 and 2-rainbow k = 1 (49 to 1,225
+pairs), not for domination k = 3 (2,704) or Italian k = 2 (7,225), where
+the pruned column steps are as fast or faster; those cases advance one
+middle column per step.
+
+Before the search, two walks over the steps prepare it.  The forward
 walk follows the frontier: the windows that some seam can reach from the
 empty window.  It builds each column's missing rows for the whole
-frontier in one numpy pass over (window, lo, li, seam labeling).  The
-backward walk computes the cost-to-go bound `bound[c][w]`, the least
-weight of columns c..n-1 from window w under any seam, residuals ignored.
+frontier in one numpy pass over (window, lo, li, seam labeling); a landing
+step's frontier is the windows its table row reaches.  The backward walk
+computes the cost-to-go bound `bound[i][w]`, the least weight of the
+columns of steps i.. from window w under any seam, residuals ignored; at
+a landing step it is the least path weight plus the bound of the path's
+window.
 
 Search.  The search deepens a weight limit `prune`: it starts at
 `bound[0][0]`, a lower bound on the optimum, and adds one after each pass
-over the columns that closes no state.  A pass advances a layer in blocks
+over the steps that closes no state.  A pass advances a layer in blocks
 of parent states: it gathers the rows of a block into a (block, L * L)
-grid of candidates, keeps those whose weight plus the bound of their new
+grid of candidates (a landing step: a (block, row length) grid of the
+windows of layer m), keeps those whose weight plus the bound of their new
 window is at most `prune` (and, in the closing window, that are legal
 under their seam), and then takes a group-min over the new state integers
 of the whole layer with one sort of packed int64 keys.  The candidates of
@@ -71,11 +97,16 @@ label prefixes.  All prefixes in a layer have the same length and the
 layer is kept in prefix order, so comparing two candidate prefixes is
 comparing (parent position, lo * L + li), which is the candidate's index;
 legal candidates are kept in index order, and the group-min takes the
-smallest weight and then the smallest index.  A state's completions do not
-depend on the prefix that reached it, so the first closing state of least
-weight in the last layer ends the lexicographically smallest optimal
-labeling over all seams.  `explored` counts the states kept, summed over
-columns and deepening passes.
+smallest weight and then the smallest index.  A landing step orders its
+candidates by (parent position, path rank), which is the order of their
+prefixes followed by their paths, and its state points back to (parent
+position, the path's position in layer m); the witness expands that path
+into its m pairs.  A state's completions do not depend on the prefix that
+reached it, so the first closing state of least weight in the last layer
+ends the lexicographically smallest optimal labeling over all seams, with
+or without the transfer step.  `explored` counts the states of the layers
+a pass materialises (opening columns, landing step, closing columns, or
+every column where no landing step is taken), summed over passes.
 """
 
 from __future__ import annotations
@@ -149,6 +180,7 @@ class _Rows:
 
     def __init__(self, tables: _Tables, sig: tuple, reads: tuple[int, ...]) -> None:
         width = tables.width
+        self.dw = tables.dw
         self.row_of = np.full(tables.windows, -1, tables.ids)  # -1: not built
         self.nw = np.empty((0, width), tables.ids)
         self.mask = np.empty((0, width), np.uint16) if reads else None
@@ -164,6 +196,10 @@ class _Rows:
             for pos in reads:  # seam position pos is digit k - pos of a code
                 v = v * L + codes // L ** (tables.k - pos) % L
             self.seam_bit = (1 << v).astype(np.uint16)
+
+    def cost(self, h: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The weight of each pair of `rows` plus `h` of its new window."""
+        return self.dw + h[self.nw[rows]]
 
     def extend(self, wids: np.ndarray, nw: np.ndarray, mask: np.ndarray | None) -> None:
         self.row_of[wids] = np.arange(len(self.nw), len(self.nw) + len(wids))
@@ -202,6 +238,23 @@ class _Tables:
         )
         self.reduce = np.array(alg.reduce)
         self.rows: dict[tuple, _Rows] = {}
+        self._transfer: _Transfer | bool | None = None  # None: gate not yet decided
+
+    def transfer(self, starts: np.ndarray) -> _Transfer | None:
+        """The transfer table of the middle columns from `starts`, the
+        frontier at column 2k, or None when its layers would hold more than
+        _TRANSFER_LAYER (start, window) pairs: |starts| times the frontier
+        one middle column later, which stays the same up to column n - k.
+        Columns 0..2k-1 have the same signatures for every n with two or
+        more middle columns, so `starts` is too."""
+        if self._transfer is None:
+            sig = (2 * self.k, -1, False)
+            tab = self.rows_for(sig, (), starts)
+            size = len(starts) * len(_distinct(tab.nw[tab.row_of[starts]], self.windows))
+            self._transfer = size <= _TRANSFER_LAYER and _Transfer(self, starts, tab)
+        if self._transfer and not np.array_equal(starts, self._transfer.starts):
+            raise InternalError("dp met a frontier at column 2k other than its transfer table's")
+        return self._transfer or None
 
     def op_map(self, sig: tuple, lo: int, li: int) -> np.ndarray:
         """The residual code that follows each code under pair (lo, li)."""
@@ -279,39 +332,185 @@ class _Tables:
         return nw, bits.sum(axis=3).reshape(len(wids), -1).astype(np.uint16)
 
 
+def _distinct(wids: np.ndarray, windows: int) -> np.ndarray:
+    """The distinct window ids of `wids`, ascending, without -1 (np.unique
+    would import numpy.ma, about 1.7 MB of resident memory)."""
+    seen = np.zeros(windows + 1, bool)  # the last slot takes -1
+    seen[wids] = True
+    return np.flatnonzero(seen[:-1])
+
+
+class _Transfer:
+    """Least-weight paths over the middle columns of one (kind, k).
+
+    Columns 2k..n-k-1 share one signature, which reads no seam label and
+    updates no residual, so m of them take a window s of the frontier at
+    column 2k (a start) to a window t along a path of m pairs.  Layer m
+    holds a state `start index * windows + t` for each (s, t) that m
+    columns join, with the least weight of such a path and, as a
+    back-pointer into layer m - 1 (parent position * L * L + lo * L + li),
+    the lexicographically first path of that weight.  Layer 0 is the
+    identity; each later layer is the column step of `_sweep` without
+    pruning, so a layer is in prefix order: the states of a start are
+    contiguous and ordered by their paths, and a state's position ranks
+    its path among the start's.  The table grows to the largest m asked
+    for and keeps the keys and weights of its last layer only; `_layer`
+    replays an older one from the back-pointers.
+    """
+
+    def __init__(self, tables: _Tables, starts: np.ndarray, tab: _Rows) -> None:
+        self.tables = tables
+        self.starts = starts
+        self.sig = (2 * tables.k, -1, False)
+        self.tab = tab  # the rows of self.sig
+        self.start_of = np.full(tables.windows, -1, tables.ids)
+        self.start_of[starts] = np.arange(len(starts))
+        self.key, self.w = self._identity()
+        self.back: list[np.ndarray] = []  # back[j - 1]: the back-pointers of layer j
+
+    def _identity(self) -> tuple[np.ndarray, np.ndarray]:
+        key = np.arange(len(self.starts)) * self.tables.windows + self.starts
+        return key.astype(np.int32), np.zeros(len(key), np.int32)
+
+    def _rows(self, wid: np.ndarray) -> np.ndarray:
+        rows = self.tab.row_of[wid]
+        if rows.min() < 0:  # a window first reached this deep
+            self.tables.rows_for(self.sig, (), _distinct(wid, self.tables.windows))
+            rows = self.tab.row_of[wid]
+            if rows.min() < 0:
+                bad = int(wid[rows.argmin()])
+                raise InternalError(f"dp met window {bad} off the frontier of the middle columns")
+        return rows
+
+    def _grow(self, m: int) -> None:
+        windows = self.tables.windows
+        width = self.tables.width
+        while len(self.back) < m:
+            wid = self.key % windows
+            nw = self.tab.nw[self._rows(wid)]
+            pos = np.flatnonzero(nw >= 0)
+            par = pos // width
+            ck = (self.key - wid)[par]
+            ck += nw.ravel()[pos]
+            cw = self.w[par] + self.tables.dw[pos - par * width]
+            win = _winners(ck, cw, int(cw.max()) + 1, len(self.starts) * windows)
+            self.key = ck[win]
+            self.w = cw[win]
+            self.back.append(pos[win].astype(np.int32))
+
+    def _layer(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys and weights of layer m."""
+        self._grow(m)
+        if m == len(self.back):
+            return self.key, self.w
+        windows = self.tables.windows
+        width = self.tables.width
+        key, w = self._identity()
+        for back in self.back[:m]:
+            par, j = np.divmod(back, width)
+            key = key[par]
+            wid = key % windows
+            key += self.tab.nw[self._rows(wid), j] - wid
+            w = w[par] + self.tables.dw[j]
+        return key, w
+
+    def landing(self, m: int) -> _Landing:
+        """The m middle columns as one step."""
+        key, w = self._layer(m)
+        start, target = np.divmod(key, self.tables.windows)  # start ascends
+        col = np.arange(len(key)) - np.searchsorted(start, start)
+        shape = (len(self.starts), int(col.max()) + 1)
+        nw = np.full(shape, -1, self.tables.ids)
+        nw[start, col] = target
+        weight = np.zeros(shape, np.int32)
+        weight[start, col] = w
+        rank = np.zeros(shape, np.int32)
+        rank[start, col] = np.arange(len(key))
+        return _Landing(self, m, nw, weight, rank)
+
+    def path(self, m: int, pos: int) -> bytes:
+        """The labels of the path of state `pos` of layer m, column-major."""
+        nl = len(self.tables.alg.labels)
+        seq = bytearray(2 * m)
+        for j in range(m - 1, -1, -1):
+            pos, chunk = divmod(int(self.back[j][pos]), self.tables.width)
+            seq[2 * j], seq[2 * j + 1] = divmod(chunk, nl)
+        return bytes(seq)
+
+
+class _Landing:
+    """The m middle columns as one step of a pass, in the layout of `_Rows`.
+
+    Row `start_of[w]` belongs to start w; entry [row, i] holds the i-th
+    window t that m middle columns reach from it (`nw`, -1 past the end),
+    in the order of their paths, the least path weight (`w`) and the
+    position of the path in layer m of the table (`rank`).
+    """
+
+    op = mask = seam_bit = None  # no residual update, no seam label read
+
+    def __init__(self, transfer: _Transfer, m: int, nw: np.ndarray, w: np.ndarray,
+                 rank: np.ndarray) -> None:
+        self.transfer = transfer
+        self.m = m
+        self.row_of = transfer.start_of
+        self.nw = nw
+        self.w = w
+        self.rank = rank
+        self.span = int(rank.max()) + 1  # states of layer m
+
+    def cost(self, h: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return self.w[rows] + h[self.nw[rows]]
+
+
+# The largest transfer table layer, in (start, window) pairs, for which the
+# middle columns are crossed in one landing step (module docstring).
+_TRANSFER_LAYER = 2048
+
+
 @lru_cache(maxsize=None)
 def _tables(kind: str, k: int) -> _Tables:
-    # bounded: one entry per (kind, k), each at most windows x signatures rows
+    # bounded: one entry per (kind, k), each at most windows x signatures
+    # rows and one transfer table of at most _TRANSFER_LAYER states a layer
     return _Tables(KINDS[kind], k)
 
 
-def _plan(tables: _Tables, columns: list) -> tuple[list[_Rows], list[np.ndarray]]:
-    """The rows of each column, built for its whole frontier, and the
-    cost-to-go bound of each column (`_cost_to_go`)."""
+def _plan(tables: _Tables, n: int) -> tuple[list[_Rows | _Landing], list[np.ndarray]]:
+    """The steps of a pass over P(n, k), each built for its whole frontier,
+    and the cost-to-go bound before each step and after the last.
+
+    A step is one column, or, with two or more middle columns and a
+    transfer table inside its gate, the middle columns 2k..n-k-1 at once.
+    """
+    k = tables.k
     frontier = np.zeros(1, np.int64)  # the empty window
-    tabs = []
+    steps = []
     fronts = []
-    reached = np.empty(tables.windows + 1, bool)  # the last slot takes nw = -1
-    for sig, reads in columns:
-        tab = tables.rows_for(sig, reads, frontier)
-        tabs.append(tab)
+    c = 0
+    while c < n:
+        transfer = tables.transfer(frontier) if c == 2 * k and n - 3 * k >= 2 else None
+        if transfer is not None:
+            step = transfer.landing(n - 3 * k)
+            c = n - k
+        else:
+            step = tables.rows_for(*_column(c, n, k), frontier)
+            c += 1
+        steps.append(step)
         fronts.append(frontier)
-        reached[:] = False
-        reached[tab.nw[tab.row_of[frontier]]] = True
-        frontier = np.flatnonzero(reached[:-1])
-    return tabs, _cost_to_go(tables, tabs, fronts)
+        frontier = _distinct(step.nw[step.row_of[frontier]], tables.windows)
+    return steps, _cost_to_go(tables, steps, fronts)
 
 
-def _cost_to_go(tables: _Tables, tabs: list[_Rows], fronts: list[np.ndarray]) -> list[np.ndarray]:
-    """bound[c][w]: the least weight of columns c..n-1 from window w under
-    any seam, residuals ignored (a lower bound on every completion); _INF
-    off the frontier and in the last slot, which an illegal pair (nw = -1)
-    reads.  bound[n] is zero on every window."""
+def _cost_to_go(tables: _Tables, steps: list, fronts: list[np.ndarray]) -> list[np.ndarray]:
+    """bound[i][w]: the least weight of the columns of steps i.. from
+    window w under any seam, residuals ignored (a lower bound on every
+    completion); _INF off the frontier and in the last slot, which an
+    illegal pair (nw = -1) reads.  The last bound is zero on every window."""
     h = np.zeros(tables.windows + 1, np.int32)
     h[-1] = _INF
     bound = [h]
-    for tab, front in zip(reversed(tabs), reversed(fronts)):
-        cost = (h[tab.nw[tab.row_of[front]]] + tables.dw).min(axis=1)
+    for step, front in zip(reversed(steps), reversed(fronts)):
+        cost = step.cost(h, step.row_of[front]).min(axis=1)
         h = np.full(tables.windows + 1, _INF, np.int32)
         h[front] = np.minimum(cost, _INF)
         bound.append(h)
@@ -358,9 +557,9 @@ def _winners(ck: np.ndarray, cw: np.ndarray, span: int, key_bound: int) -> np.nd
     return win
 
 
-def _sweep(tables: _Tables, tabs: list[_Rows], bound: list[np.ndarray], prune: int,
+def _sweep(tables: _Tables, steps: list, bound: list[np.ndarray], prune: int,
            state_cap: int) -> tuple[tuple[int, bytes] | None, int]:
-    """One pass over the columns that carries every seam, dropping each
+    """One pass over the steps that carries every seam, dropping each
     candidate whose weight plus cost-to-go bound exceeds `prune`.
 
     Returns ((weight, witness) of the lexicographically smallest closing
@@ -368,19 +567,22 @@ def _sweep(tables: _Tables, tabs: list[_Rows], bound: list[np.ndarray], prune: i
     """
     k = tables.k
     nl = len(tables.alg.labels)
-    width = tables.width
     R = tables.R
     WR = tables.windows * R
     key_bound = tables.seams * WR
-    pair = np.arange(width)
+    pair = np.arange(tables.width)
     key = np.zeros(1, tables.keys)  # no seam label yet, the empty window
     w = np.zeros(1, np.int32)
-    back: list[np.ndarray] = []  # per layer: parent position * width + lo * nl + li
+    # per layer: parent position * L * L + lo * L + li, or after a landing
+    # step parent position * span + the path's position in the table
+    back: list[np.ndarray] = []
     explored = 0
-    for c, tab in enumerate(tabs):
-        # the least weight each pair adds up to the last column (_INF when
+    for c, tab in enumerate(steps):
+        landing = isinstance(tab, _Landing)
+        width = tab.nw.shape[1]
+        # the least weight each entry adds up to the last column (_INF when
         # it is illegal: nw = -1 reads the bound's last slot)
-        cost = tables.dw + bound[c + 1][tab.nw]
+        cost = tab.cost(bound[c + 1])
         # columns 0..k-1 write seam digits: (a0, bs[0]) = (lo, li), bs[c] = li
         writes = pair * WR if c == 0 else pair % nl * WR if c < k else None
         ks, ws, idxs = [], [], []
@@ -392,7 +594,7 @@ def _sweep(tables: _Tables, tabs: list[_Rows], bound: list[np.ndarray], prune: i
             rows = tab.row_of[wid]
             if rows.min() < 0:
                 bad = int(wid[rows.argmin()])
-                raise InternalError(f"dp met window {bad} off the frontier of column {c}")
+                raise InternalError(f"dp met window {bad} off the frontier of step {c}")
             legal = cost.take(rows, axis=0)
             # <= : a labeling of weight `prune` must keep all its prefixes
             legal = np.less_equal(legal, (prune - wb)[:, None])
@@ -422,8 +624,12 @@ def _sweep(tables: _Tables, tabs: list[_Rows], bound: list[np.ndarray], prune: i
             if writes is not None:
                 ck += writes[j]
             ks.append(ck)
-            ws.append(wb[par] + tables.dw[j])
-            idxs.append(pos + start * width)
+            if landing:  # candidates in (parent position, path rank) order
+                ws.append(wb[par] + tab.w.ravel()[cell])
+                idxs.append((par + start) * tab.span + tab.rank.ravel()[cell])
+            else:
+                ws.append(wb[par] + tables.dw[j])
+                idxs.append(pos + start * width)
         ck, cw, idx = (a[0] if len(a) == 1 else np.concatenate(a) for a in (ks, ws, idxs))
         if len(ck) == 0:
             return None, explored
@@ -437,7 +643,7 @@ def _sweep(tables: _Tables, tabs: list[_Rows], bound: list[np.ndarray], prune: i
         w = np.empty(len(key), np.int32)
         cw.take(win, out=w[:m])
         w[m:] = prune + 1
-        back.append(idx[win].astype(np.int32))
+        back.append(idx[win] if landing else idx[win].astype(np.int32))
         explored += m
         if m > state_cap:
             raise BudgetExceeded(f"dp state count {m} exceeds cap {state_cap}")
@@ -446,11 +652,15 @@ def _sweep(tables: _Tables, tabs: list[_Rows], bound: list[np.ndarray], prune: i
         return None, explored
     pos = int(closed[np.argmin(w[closed])])  # the first: lex-smallest labeling
     weight = int(w[pos])
-    seq = bytearray(2 * len(tabs))
-    for c in range(len(tabs) - 1, -1, -1):
-        pos, chunk = divmod(int(back[c][pos]), width)
-        seq[2 * c], seq[2 * c + 1] = divmod(chunk, nl)
-    return (weight, bytes(seq)), explored
+    labels = []  # per step, last first
+    for tab, b in zip(reversed(steps), reversed(back)):
+        if isinstance(tab, _Landing):
+            pos, rank = divmod(int(b[pos]), tab.span)
+            labels.append(tab.transfer.path(tab.m, rank))
+        else:
+            pos, chunk = divmod(int(b[pos]), tables.width)
+            labels.append(bytes(divmod(chunk, nl)))
+    return (weight, b"".join(reversed(labels))), explored
 
 
 def solve_cycle(
@@ -463,13 +673,12 @@ def solve_cycle(
     kind_of(kind)  # rejects an unknown kind
     require_admissible(n, k)
     tables = _tables(kind, k)
-    columns = [_column(c, n, k) for c in range(n)]
-    tabs, bound = _plan(tables, columns)
+    steps, bound = _plan(tables, n)
     explored = 0
     # bound[0][0] is a lower bound on the optimum, and the all-ones labeling
     # is always valid at weight 2n
     for prune in range(int(bound[0][0]), 2 * n + 1):
-        found, kept = _sweep(tables, tabs, bound, prune, state_cap)
+        found, kept = _sweep(tables, steps, bound, prune, state_cap)
         explored += kept
         if found is not None:
             return (*found, explored)

@@ -28,13 +28,30 @@ SIZE_GATES = {"domination": 16, "italian": 16, "rainbow2": 12}
 
 
 def label_block(num_vertices: int, base: int, start: int, stop: int) -> np.ndarray:
-    """Digits of indices start..stop-1 as a (stop-start, num_vertices) array."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, num_vertices), dtype=np.uint8)
+    """Digits of indices start..stop-1 as a (stop-start, num_vertices) array.
+
+    Built vertex-major and handed out as its transpose.  Digit v is
+    constant over runs of base^(num_vertices-1-v) indices and cycles
+    through 0..base-1 from run to run, so each vertex repeats the digits
+    of the runs the range meets: one integer pass per run, not per index.
+    """
+    size = stop - start
+    out = np.empty((num_vertices, size), np.uint8)
     for v in range(num_vertices):
-        power = base ** (num_vertices - 1 - v)
-        out[:, v] = (idx // power) % base
-    return out
+        run = base ** (num_vertices - 1 - v)
+        first, skip = divmod(start, run)
+        count = (skip + size - 1) // run + 1  # runs met
+        if count <= 2:
+            cut = min(run - skip, size)
+            out[v, :cut] = first % base
+            out[v, cut:] = (first + 1) % base
+            continue
+        unit = min(count, base << 10)  # the digits cycle with period base
+        digits = (np.arange(first, first + unit) % base).astype(np.uint8)
+        if count > unit:
+            digits = np.tile(digits, -(-count // unit))[:count]
+        out[v] = np.repeat(digits, run)[skip:skip + size] if run > 1 else digits
+    return out.T
 
 
 def _check_gate(g: PetersenGraph, kind: str) -> None:
@@ -63,10 +80,22 @@ def validity_mask(labels: np.ndarray, g: PetersenGraph, kind: str) -> np.ndarray
 
 
 def weights_of(labels: np.ndarray, kind: str) -> np.ndarray:
+    """Weight of each row of a (rows, vertices) label array, as int64.
+
+    Summed one vertex (a contiguous run of a vertex-major block) at a time
+    in a narrow accumulator, with no table gather.  The label weights of
+    every kind rise by 0 or 1 from one label to the next, so label l
+    weighs l less the number of flat steps t <= l.
+    """
     kd = kind_of(kind)
-    if kd.weight == kd.labels:  # each label weighs its value
-        return labels.sum(axis=1, dtype=np.int64)
-    return np.array(kd.weight, np.uint8)[labels].sum(axis=1, dtype=np.int64)
+    flat = [t for t in kd.labels[1:] if kd.weight[t] == kd.weight[t - 1]]
+    narrow = labels.dtype == np.uint8 and labels.shape[1] * max(kd.labels) < 256
+    acc = np.zeros(labels.shape[0], np.uint8 if narrow else np.int64)
+    for row in labels.T:
+        acc += row
+        for t in flat:
+            acc -= row >= t
+    return acc.astype(np.int64)
 
 
 def _rows_by_weight(

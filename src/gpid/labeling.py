@@ -216,7 +216,8 @@ def rainbow_rows_to_idf(g: PetersenGraph, rows: np.ndarray) -> np.ndarray:
         raise NotA2RDF(
             f"labeling{where} violates the 2RDF condition at {len(report.violations)} vertices"
         )
-    return np.array(KINDS["rainbow2"].weight, np.uint8)[rows]
+    # |f(v)| of a mask in {0, {1}, {2}, {1,2}} = {0, 1, 2, 3}: its two bits
+    return ((rows & 1) + (rows >> 1)).astype(np.uint8, copy=False)
 
 
 def rainbow_to_idf(f: RainbowLabeling) -> Labeling:

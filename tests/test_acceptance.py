@@ -21,13 +21,13 @@ PINNED = {
     "thm-2.3": (True, 14, "all exact"),
     "thm-3.3": (True, 8, "all valid at ceil(4n/5)"),
     "thm-3.6": (True, 16, "dp matches formula"),
-    "thm-4.1": (True, 399, "0 constructions needed the incumbent fallback"),
+    "thm-4.1": (True, 400, "0 constructions needed the incumbent fallback"),
     "oracle-eq": (True, 30, "dp = exhaustive everywhere"),
     "cited-formulas": (True, 50, "formulas match dp"),
     "discharge": (True, 12587, "identity and floor hold"),
     "findings": (True, 3281738, "no violations"),
     "bagging": (True, 166, "all certificates bound n"),
-    "classification": (True, 43, "classification matches solver"),
+    "classification": (True, 51, "classification matches solver"),
 }
 
 
@@ -143,15 +143,16 @@ def recording(seen, real):
 def test_criterion_04_pnk_exact_family(monkeypatch):
     """gamma_I(P(n,k)) = 4n/5 on the exact family, certified without search:
     a degree bound one short of the construction fails each instance.
-    The default k_max = 12 leaves out P(30,13), so k_max = 13 here."""
+    The family is bounded by n_max only, so the default range reaches
+    P(30,13) although k_max = 12."""
     seen = []
     monkeypatch.setattr(checks, "degree_lower_bound",
                         recording(seen, checks.degree_lower_bound))
-    assert checks.check_thm_4_1(k_max=13).ok
+    assert checks.check_thm_4_1().ok
     assert [(g.n, g.k) for (g,) in seen] == [(15, 7), (20, 8), (25, 12), (30, 13)]
 
     monkeypatch.setattr(checks, "degree_lower_bound", lambda g: 4 * g.n // 5 - 1)
-    result = checks.check_thm_4_1(k_max=13)
+    result = checks.check_thm_4_1()
     expected = [("exact", n, k, True, 4 * n // 5, 4 * n // 5 - 1)
                 for n, k in [(15, 7), (20, 8), (25, 12), (30, 13)]]
     assert (result.ok, result.detail) == (False, f"failures: {expected}")

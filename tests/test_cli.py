@@ -253,7 +253,10 @@ def test_console_entry_point():
     ["audit", "column-lemma", "--n", "9"],
     ["value", "--n", "5", "--k", "0"],
     ["verify-theorems", "--only", "thm-3.3", "--n-max", "4"],
-    ["verify-theorems", "--only", "thm-4.1", "--k-max", "3"],
+    ["verify-theorems", "--only", "thm-4.1", "--n-max", "8"],
+    ["construct", "--n", "5", "--k", "0"],
+    ["construct", "--n", "5", "--k", "-1"],
+    ["construct", "--n", "5", "--k", "3"],
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

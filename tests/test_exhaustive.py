@@ -70,6 +70,19 @@ def test_valid_labelings_match_the_full_scan(kind, n, k):
     assert len(blocks) > 1
 
 
+@pytest.mark.parametrize("base", [2, 3, 4])
+def test_label_block_is_the_digits_of_its_indices(base):
+    # the per-index loop is the reference; the ranges start and stop inside runs
+    nv = 5
+    total = base**nv
+    for start, stop in [(0, total), (1, total - 1), (base + 1, 2 * base**2 + 3),
+                        (total // 2, total // 2 + 1), (7, 7 + base**3)]:
+        block = label_block(nv, base, start, stop)
+        expected = [[i // base ** (nv - 1 - v) % base for v in range(nv)]
+                    for i in range(start, stop)]
+        assert block.dtype == np.uint8 and block.tolist() == expected, (start, stop)
+
+
 @pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("lo,hi", [(0, 0), (2, 5), (4, 4), (6, 100), (5, 3)])
 def test_weight_range_rows_are_the_range_in_order(kind, lo, hi):
