@@ -13,12 +13,12 @@
 All tenth-valued arithmetic is integer arithmetic on tenths; nothing here
 touches floating point.
 
-The sweeps run the kernels on blocks of BLOCK_ROWS labelings from the
-enumerator.  A kernel takes a (rows, vertices) label table and computes
-on its vertex-major transpose, which is contiguous for enumerated blocks.
-Per-cell values are uint8: a charge is at most 26 tenths (5 + 2*3 + 5*3)
-and a column weighs at most 4 (its two flanks at most 8).  The only int64
-is the per-row residual 10*w - 4*(2n).
+The sweeps run the kernels on the blocks of `exhaustive.BLOCK_ROWS`
+labelings that the enumerator yields.  A kernel takes a (rows, vertices)
+label table and computes on its vertex-major transpose, which is
+contiguous for enumerated blocks.  Per-cell values are uint8: a charge is
+at most 26 tenths (5 + 2*3 + 5*3) and a column weighs at most 4 (its two
+flanks at most 8).  The only int64 is the per-row residual 10*w - 4*(2n).
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from .labeling import (
     validate_idf,
     weight,
 )
-
-# Rows per enumeration block in the sweeps.  One vertex of a block is a
-# 32 KiB run, so the per-vertex arrays a kernel makes stay in cache.
-BLOCK_ROWS = 1 << 15
 
 
 def _require_k(f: Labeling, k: int, what: str) -> None:
@@ -408,7 +404,7 @@ def sweep_findings(n: int, weight_cap: int | None = None) -> FindingsSweep:
     hyp_counts = {i: 0 for i in range(1, 9)}
     bad_counts = {i: 0 for i in range(1, 9)}
     total = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=BLOCK_ROWS):
+    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap):
         total += block.shape[0]
         hyp, concl = _findings(block, adj, edges)
         for i in range(1, 9):
@@ -444,7 +440,7 @@ def sweep_discharge(n: int, weight_cap: int | None = None) -> DischargeSweep:
     total = 0
     id_bad = 0
     floor_bad = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=BLOCK_ROWS):
+    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap):
         total += block.shape[0]
         w = block.sum(axis=1, dtype=np.int64)
         charge = _charges(block, adj)[2]
@@ -489,7 +485,7 @@ def sweep_column_lemma(n: int, weight_cap: int | None = None) -> ColumnLemmaSwee
     g = build_petersen(n, 1)
     total = 0
     bad = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap, chunk=BLOCK_ROWS):
+    for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap):
         total += block.shape[0]
         bad += int(_column_lemma(block)[1].any(axis=1).sum())
     return ColumnLemmaSweep(
@@ -519,7 +515,7 @@ def sweep_bagging(n: int, optimal_weight: int | None = None) -> BaggingSweep:
     inconsistent = 0
     wrong_bound = 0
     conflicts = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", target, chunk=BLOCK_ROWS):
+    for block in exhaustive.iter_valid_labelings(g, "italian", target):
         w = block.sum(axis=1, dtype=np.int64)
         for row in block[w == target]:
             f = Labeling(n, 1, tuple(int(x) for x in row))

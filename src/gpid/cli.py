@@ -131,8 +131,8 @@ def _value_row(n: int, k: int, invariant: str, method: str, budget: int) -> dict
 
 
 def cmd_value(args) -> int:
-    ns = _parse_range(args.n_range or args.n, "--n")
-    ks = _parse_range(args.k_range or args.k, "--k")
+    ns = _parse_range(args.n, "--n")
+    ks = _parse_range(args.k, "--k")
     if args.mod:
         m, r = _parse_mod(args.mod)
         ns = [n for n in ns if n % m == r]
@@ -327,8 +327,7 @@ def cmd_render(args) -> int:
         text = sys.stdin.read()
     if args.from_matrix:
         if args.n is None or args.k is None:
-            sys.stderr.write("--from-matrix requires --n and --k\n")
-            return EXIT_USAGE
+            raise InvalidParameters("--from-matrix requires --n and --k")
         f = parse_matrix(text, _parse_int(args.n, "--n"), _parse_int(args.k, "--k"))
         _emit(args.out, labeling_to_json(f) + "\n")
     else:
@@ -390,10 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_value = sub.add_parser("value", help="invariant values over (n, k) ranges")
-    p_value.add_argument("--n", default=None, help="n or inclusive range a..b")
-    p_value.add_argument("--n-range", dest="n_range", default=None)
+    p_value.add_argument("--n", required=True, help="n or inclusive range a..b")
     p_value.add_argument("--k", default="1", help="k or inclusive range a..b")
-    p_value.add_argument("--k-range", dest="k_range", default=None)
     p_value.add_argument("--invariant", default="italian", choices=list(KINDS))
     p_value.add_argument("--method", default="auto",
                          choices=["auto", "formula", "dp", "exhaustive", "bnb"])
@@ -465,8 +462,6 @@ def _check_bounds(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "value" and not (args.n or args.n_range):
-        parser.error("value requires --n or --n-range")
     try:
         _check_bounds(args)
         return args.fn(args)

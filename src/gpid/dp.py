@@ -45,27 +45,28 @@ the bit.  A residual update depends only on the signature and the pair, so
 each signature holds one map from (residual code, pair) to the next
 residual code.
 
-Transfer step.  Columns 2k..n-k-1 (the middle) share one signature,
-which reads no seam label and updates no residual: each applies the same
-(min,+) map to the window alone.  For each (kind, k) a transfer table
-holds, for every window s of the frontier at column 2k (a start) and
-every window t that m middle columns reach from it, the least weight of
-a path of m pairs from s to t, the lexicographically first path of that
-weight, and that path's rank among the paths from s.  Layer m of the table
-is the column step below, without pruning, applied m times to the identity
-layer (key = start index * windows + window); it grows to the largest m
-asked for and keeps only the back-pointers of its older layers.  With two
-or more middle columns a pass then takes 3k + 1 steps: the 2k opening
-columns, one landing step that crosses the m = n - 3k middle columns by
-joining each state with its window's row of layer m, and the k closing
+Transfer step.  Columns 2k..n-k-1 (the middle) share one signature, which
+reads no seam label and updates no residual: each applies the same
+(min,+) map to the window alone, and that map takes the frontier at
+column 2k onto itself.  For each (kind, k) a transfer table holds, for
+every window s of that frontier (a start) and every window t that m
+middle columns reach from it, the least weight of a path of m pairs from
+s to t, the lexicographically first path of that weight, and that path's
+rank among the paths from s.  Its layers are layers of a pass, keyed with
+the start's index as the seam code: layer m is m layer steps (below)
+over the middle rows from one state per start, under a limit above every
+path weight, so nothing is pruned.  It grows to the largest m asked for
+and keeps only the back-pointers of its older layers.  With two or more
+middle columns a pass then takes 3k + 1 steps: the 2k opening columns,
+one landing step that crosses the m = n - 3k middle columns by joining
+each state with its window's row of layer m, and the k closing
 columns.  The table is used only where its layers are small: a layer
-holds at most |frontier at 2k| x |frontier at 2k + 1| (start, window)
-pairs (the middle frontier stays the same), and the landing step is taken
-where that is at most _TRANSFER_LAYER = 2,048.  That is the case for
-domination k = 1 and 2, Italian k = 1 and 2-rainbow k = 1 (49 to 1,225
-pairs), not for domination k = 3 (2,704) or Italian k = 2 (7,225), where
-the pruned column steps are as fast or faster; those cases advance one
-middle column per step.
+holds at most |frontier at 2k|^2 (start, window) pairs, and the landing
+step is taken where that is at most _TRANSFER_LAYER = 2,048.  That is the
+case for domination k = 1 and 2, Italian k = 1 and 2-rainbow k = 1 (49
+to 1,225 pairs), not for domination k = 3 (2,704) or Italian k = 2
+(7,225), where the pruned column steps are as fast or faster; those
+cases advance one middle column per step.
 
 Before the search, two walks over the steps prepare it.  The forward
 walk follows the frontier: the windows that some seam can reach from the
@@ -78,35 +79,38 @@ a landing step it is the least path weight plus the bound of the path's
 window.
 
 Search.  The search deepens a weight limit `prune`: it starts at
-`bound[0][0]`, a lower bound on the optimum, and adds one after each pass
-over the steps that closes no state.  A pass advances a layer in blocks
-of parent states: it gathers the rows of a block into a (block, L * L)
-grid of candidates (a landing step: a (block, row length) grid of the
-windows of layer m), keeps those whose weight plus the bound of their new
-window is at most `prune` (and, in the closing window, that are legal
-under their seam), and then takes a group-min over the new state integers
-of the whole layer with one sort of packed int64 keys.  The candidates of
-one state share a window and so a bound: pruning removes whole groups and
-never changes a group's winner.  Only a weight plus bound strictly above
+`bound[0][0]`, a lower bound on the optimum, and adds one after each
+pass over the steps that closes no state.  A pass advances each layer by
+one layer step, `_step`, which works in blocks of parent states: it
+gathers the rows of a block into a (block, L * L) grid of candidates (a
+landing step: a (block, row length) grid of the windows of layer m),
+keeps those whose weight plus the bound of their new window is at most
+`prune` (and, in the closing window, that are legal under their seam),
+and then takes a group-min over the new state integers of the whole
+layer with one sort of packed int64 keys.  The candidates of one state
+share a window and so a bound: pruning removes whole groups and never
+changes a group's winner.  Only a weight plus bound strictly above
 `prune` is dropped, so every prefix of a labeling of weight `prune`
-survives, and the first pass that closes a state has `prune` equal to the
-optimum.
+survives, and the first pass that closes a state has `prune` equal to
+the optimum.
 
-Ties.  States keep backpointers (parent position, lo * L + li) instead of
-label prefixes.  All prefixes in a layer have the same length and the
-layer is kept in prefix order, so comparing two candidate prefixes is
-comparing (parent position, lo * L + li), which is the candidate's index;
-legal candidates are kept in index order, and the group-min takes the
-smallest weight and then the smallest index.  A landing step orders its
-candidates by (parent position, path rank), which is the order of their
-prefixes followed by their paths, and its state points back to (parent
-position, the path's position in layer m); the witness expands that path
-into its m pairs.  A state's completions do not depend on the prefix that
-reached it, so the first closing state of least weight in the last layer
-ends the lexicographically smallest optimal labeling over all seams, with
-or without the transfer step.  `explored` counts the states of the layers
-a pass materialises (opening columns, landing step, closing columns, or
-every column where no landing step is taken), summed over passes.
+Ties.  States keep backpointers (parent position, rank) instead of label
+prefixes, where the rank of a column's entry is its pair lo * L + li and
+that of a landing step's entry is its path's position in layer m.  All
+prefixes in a layer have the same length, the layer is kept in prefix
+order and a row lists its entries by rank, so comparing two candidate
+prefixes is comparing (parent position, rank), which is the order in
+which a step gathers them; legal candidates are kept in that order, and
+the group-min takes the smallest weight and then the first candidate.
+One unwinder follows the backpointers and asks each step for the labels
+of a rank: a pair for a column, and for a landing step its path, which
+it unwinds from the table's layers.  A state's completions do not
+depend on the prefix that reached it, so the first closing state of
+least weight in the last layer ends the lexicographically smallest
+optimal labeling over all seams, with or without the transfer step.
+`explored` counts the states of the layers a pass materialises (opening
+columns, landing step, closing columns, or every column where no landing
+step is taken), summed over passes.
 """
 
 from __future__ import annotations
@@ -166,13 +170,32 @@ def _residual_ops(sig: tuple[int, int, bool], k: int, alg: Kind, lo: int, li: in
     return ops
 
 
-class _Rows:
+class _Step:
+    """A step of a pass as `_step`, `_cost_to_go` and `_unwind` read it:
+    one column (`_Rows`) or the middle columns at once (`_Landing`).
+
+    Entry [row_of[w], i] of window w leads to window `nw` (-1: none), adds
+    weight `w` and has `rank` in [0, span), a row's entries ascending by
+    rank; a state reached through it points back to parent position *
+    span + rank, and `labels(rank)` are the labels it decides.  `op`,
+    `mask` and `seam_bit` are those of `_Rows` (None: none).
+    """
+
+    op = mask = seam_bit = None
+
+    def cost(self, h: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The weight of each entry of `rows` plus `h` of its new window."""
+        return self.w[rows] + h[self.nw[rows]]
+
+
+class _Rows(_Step):
     """Transition rows of one signature, one row per window reached there.
 
     Entry `[row, lo * L + li]` of `nw` is the id of the new window, or -1
     when the pair is illegal under every seam, and bit v of the same entry
     of `mask` is set when the pair is legal under the v-th labeling of the
-    seam positions the signature reads (None: it reads none).
+    seam positions the signature reads (None: it reads none).  The entry
+    has the pair's weight, and its rank is the pair, lo * L + li.
     `op[code, lo * L + li]` is the residual code that follows `code` (None:
     the signature updates no residual).  `seam_bit[s]` is the bit of
     `mask` that seam code s selects (None outside the closing window).
@@ -180,30 +203,30 @@ class _Rows:
 
     def __init__(self, tables: _Tables, sig: tuple, reads: tuple[int, ...]) -> None:
         width = tables.width
-        self.dw = tables.dw
+        self.nl = L = len(tables.alg.labels)
+        self.span = width
+        self.grids = tables.grids
         self.row_of = np.full(tables.windows, -1, tables.ids)  # -1: not built
         self.nw = np.empty((0, width), tables.ids)
+        self.w, self.rank = (grid[:0] for grid in self.grids)
         self.mask = np.empty((0, width), np.uint16) if reads else None
-        self.op = None
         if sig[0] < 2 * tables.k or sig[1] >= 0:
             labels = tables.alg.labels
             self.op = np.stack([tables.op_map(sig, lo, li) for lo in labels for li in labels], 1)
-        self.seam_bit = None
         if sig[1] >= 0:
-            L = len(tables.alg.labels)
             codes = np.arange(tables.seams)
             v = 0
             for pos in reads:  # seam position pos is digit k - pos of a code
                 v = v * L + codes // L ** (tables.k - pos) % L
             self.seam_bit = (1 << v).astype(np.uint16)
 
-    def cost(self, h: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """The weight of each pair of `rows` plus `h` of its new window."""
-        return self.dw + h[self.nw[rows]]
+    def labels(self, rank: int) -> bytes:
+        return bytes(divmod(rank, self.nl))
 
     def extend(self, wids: np.ndarray, nw: np.ndarray, mask: np.ndarray | None) -> None:
         self.row_of[wids] = np.arange(len(self.nw), len(self.nw) + len(wids))
         self.nw = np.concatenate((self.nw, nw))
+        self.w, self.rank = (grid[:len(self.nw)] for grid in self.grids)
         if self.mask is not None:
             self.mask = np.concatenate((self.mask, mask))
 
@@ -236,6 +259,10 @@ class _Tables:
             [alg.weight[lo] + alg.weight[li] for lo in alg.labels for li in alg.labels],
             np.int32,
         )
+        # the weight and the rank (lo * L + li) of each pair, on every row:
+        # the entries of the rows of a `_Rows`
+        entries = np.stack((self.dw, np.arange(self.width))).astype(np.uint8)
+        self.grids = tuple(np.tile(row, (self.windows, 1)) for row in entries)
         self.reduce = np.array(alg.reduce)
         self.rows: dict[tuple, _Rows] = {}
         self._transfer: _Transfer | bool | None = None  # None: gate not yet decided
@@ -341,126 +368,82 @@ def _distinct(wids: np.ndarray, windows: int) -> np.ndarray:
 
 
 class _Transfer:
-    """Least-weight paths over the middle columns of one (kind, k).
+    """Least-weight paths over the middle columns of one (kind, k), from
+    each window of the frontier at column 2k (a start).
 
-    Columns 2k..n-k-1 share one signature, which reads no seam label and
-    updates no residual, so m of them take a window s of the frontier at
-    column 2k (a start) to a window t along a path of m pairs.  Layer m
-    holds a state `start index * windows + t` for each (s, t) that m
-    columns join, with the least weight of such a path and, as a
-    back-pointer into layer m - 1 (parent position * L * L + lo * L + li),
-    the lexicographically first path of that weight.  Layer 0 is the
-    identity; each later layer is the column step of `_sweep` without
-    pruning, so a layer is in prefix order: the states of a start are
-    contiguous and ordered by their paths, and a state's position ranks
-    its path among the start's.  The table grows to the largest m asked
-    for and keeps the keys and weights of its last layer only; `_layer`
-    replays an older one from the back-pointers.
+    Layer m holds a state for each (start, window t) that m middle columns
+    join, keyed as in a pass with the start's index as its seam code and
+    residual 0, with the least weight of such a path and, as its
+    back-pointer, the lexicographically first one.  Layer 0 is the
+    identity and each later layer a `_step` over the middle rows, so a
+    layer is in prefix order: a start's states are contiguous and ordered
+    by their paths.  The table grows to the largest m asked for and keeps
+    the keys and weights of its last layer only; `layer` replays an older
+    one from the back-pointers.
     """
 
     def __init__(self, tables: _Tables, starts: np.ndarray, tab: _Rows) -> None:
         self.tables = tables
         self.starts = starts
-        self.sig = (2 * tables.k, -1, False)
-        self.tab = tab  # the rows of self.sig
+        self.tab = tab  # the rows of the middle signature
         self.start_of = np.full(tables.windows, -1, tables.ids)
         self.start_of[starts] = np.arange(len(starts))
-        self.key, self.w = self._identity()
+        self.key_bound = len(starts) * tables.windows * tables.R
+        key = (np.arange(len(starts)) * tables.windows + starts) * tables.R
+        self.key = key.astype(np.int32 if self.key_bound < 2**31 else np.int64)
+        self.w = np.zeros(len(key), np.int32)
         self.back: list[np.ndarray] = []  # back[j - 1]: the back-pointers of layer j
+        h = np.zeros(tables.windows + 1, np.int32)
+        h[-1] = _INF  # no bound: an entry costs its weight, no entry _INF
+        self.cost = tab.cost(h)  # the middle map reaches no row built later
 
-    def _identity(self) -> tuple[np.ndarray, np.ndarray]:
-        key = np.arange(len(self.starts)) * self.tables.windows + self.starts
-        return key.astype(np.int32), np.zeros(len(key), np.int32)
-
-    def _rows(self, wid: np.ndarray) -> np.ndarray:
-        rows = self.tab.row_of[wid]
-        if rows.min() < 0:  # a window first reached this deep
-            self.tables.rows_for(self.sig, (), _distinct(wid, self.tables.windows))
-            rows = self.tab.row_of[wid]
-            if rows.min() < 0:
-                bad = int(wid[rows.argmin()])
-                raise InternalError(f"dp met window {bad} off the frontier of the middle columns")
-        return rows
-
-    def _grow(self, m: int) -> None:
-        windows = self.tables.windows
-        width = self.tables.width
+    def layer(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The start index, window and weight of each state of layer m."""
         while len(self.back) < m:
-            wid = self.key % windows
-            nw = self.tab.nw[self._rows(wid)]
-            pos = np.flatnonzero(nw >= 0)
-            par = pos // width
-            ck = (self.key - wid)[par]
-            ck += nw.ravel()[pos]
-            cw = self.w[par] + self.tables.dw[pos - par * width]
-            win = _winners(ck, cw, int(cw.max()) + 1, len(self.starts) * windows)
-            self.key = ck[win]
-            self.w = cw[win]
-            self.back.append(pos[win].astype(np.int32))
-
-    def _layer(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The keys and weights of layer m."""
-        self._grow(m)
+            limit = int(self.w.max()) + int(self.tables.dw.max())  # prunes nothing
+            key, w, back = _step(self.tables, self.tab, self.cost, None, self.key, self.w,
+                                 limit, self.key_bound)
+            self.key, self.w = key[:len(back)], w[:len(back)]
+            self.back.append(back)
         if m == len(self.back):
-            return self.key, self.w
-        windows = self.tables.windows
-        width = self.tables.width
-        key, w = self._identity()
+            start, target = np.divmod(self.key // self.tables.R, self.tables.windows)
+            return start, target, self.w
+        start, target = np.arange(len(self.starts)), self.starts
+        w = np.zeros(len(start), np.int32)
         for back in self.back[:m]:
-            par, j = np.divmod(back, width)
-            key = key[par]
-            wid = key % windows
-            key += self.tab.nw[self._rows(wid), j] - wid
-            w = w[par] + self.tables.dw[j]
-        return key, w
-
-    def landing(self, m: int) -> _Landing:
-        """The m middle columns as one step."""
-        key, w = self._layer(m)
-        start, target = np.divmod(key, self.tables.windows)  # start ascends
-        col = np.arange(len(key)) - np.searchsorted(start, start)
-        shape = (len(self.starts), int(col.max()) + 1)
-        nw = np.full(shape, -1, self.tables.ids)
-        nw[start, col] = target
-        weight = np.zeros(shape, np.int32)
-        weight[start, col] = w
-        rank = np.zeros(shape, np.int32)
-        rank[start, col] = np.arange(len(key))
-        return _Landing(self, m, nw, weight, rank)
-
-    def path(self, m: int, pos: int) -> bytes:
-        """The labels of the path of state `pos` of layer m, column-major."""
-        nl = len(self.tables.alg.labels)
-        seq = bytearray(2 * m)
-        for j in range(m - 1, -1, -1):
-            pos, chunk = divmod(int(self.back[j][pos]), self.tables.width)
-            seq[2 * j], seq[2 * j + 1] = divmod(chunk, nl)
-        return bytes(seq)
+            par, rank = np.divmod(back, self.tab.span)
+            start = start[par]
+            target = self.tab.nw[self.tab.row_of[target[par]], rank]
+            w = w[par] + self.tables.dw[rank]
+        return start, target, w
 
 
-class _Landing:
-    """The m middle columns as one step of a pass, in the layout of `_Rows`.
+class _Landing(_Step):
+    """The m middle columns as one step of a pass.
 
-    Row `start_of[w]` belongs to start w; entry [row, i] holds the i-th
+    Row `row_of[w]` belongs to start w; entry [row, i] holds the i-th
     window t that m middle columns reach from it (`nw`, -1 past the end),
-    in the order of their paths, the least path weight (`w`) and the
-    position of the path in layer m of the table (`rank`).
+    in the order of their paths, the least path weight (`w`) and, as its
+    rank, the position of the path in layer m of the table.
     """
 
-    op = mask = seam_bit = None  # no residual update, no seam label read
-
-    def __init__(self, transfer: _Transfer, m: int, nw: np.ndarray, w: np.ndarray,
-                 rank: np.ndarray) -> None:
-        self.transfer = transfer
-        self.m = m
+    def __init__(self, transfer: _Transfer, m: int) -> None:
+        start, target, w = transfer.layer(m)  # start ascends
+        col = np.arange(len(start)) - np.searchsorted(start, start)
+        shape = (len(transfer.starts), int(col.max()) + 1)
         self.row_of = transfer.start_of
-        self.nw = nw
-        self.w = w
-        self.rank = rank
-        self.span = int(rank.max()) + 1  # states of layer m
+        self.nw = np.full(shape, -1, transfer.tables.ids)
+        self.nw[start, col] = target
+        self.w = np.zeros(shape, np.int32)
+        self.w[start, col] = w
+        self.rank = np.zeros(shape, np.int32)
+        self.rank[start, col] = np.arange(len(start))
+        self.span = len(start)  # states of layer m
+        self.middle = [transfer.tab] * m
+        self.back = transfer.back[:m]
 
-    def cost(self, h: np.ndarray, rows=slice(None)) -> np.ndarray:
-        return self.w[rows] + h[self.nw[rows]]
+    def labels(self, rank: int) -> bytes:
+        return _unwind(self.middle, self.back, rank)
 
 
 # The largest transfer table layer, in (start, window) pairs, for which the
@@ -490,7 +473,7 @@ def _plan(tables: _Tables, n: int) -> tuple[list[_Rows | _Landing], list[np.ndar
     while c < n:
         transfer = tables.transfer(frontier) if c == 2 * k and n - 3 * k >= 2 else None
         if transfer is not None:
-            step = transfer.landing(n - 3 * k)
+            step = _Landing(transfer, n - 3 * k)
             c = n - k
         else:
             step = tables.rows_for(*_column(c, n, k), frontier)
@@ -523,8 +506,9 @@ _PACK_LIMIT = 2**63
 
 # A layer is expanded in blocks of _BLOCK parent states, so that its
 # (states, L * L) grids of candidates stay small; only the legal candidates
-# of a block are kept.
-_BLOCK = 1024
+# of a block are kept.  A transfer table's layers (at most 1,225 states in
+# the gated cases) take one block each.
+_BLOCK = 2048
 
 # Layers and the legal candidates of a block are padded to a multiple of
 # _PAD entries.  numpy keeps up to seven freed blocks per byte size under
@@ -557,8 +541,94 @@ def _winners(ck: np.ndarray, cw: np.ndarray, span: int, key_bound: int) -> np.nd
     return win
 
 
-def _sweep(tables: _Tables, steps: list, bound: list[np.ndarray], prune: int,
-           state_cap: int) -> tuple[tuple[int, bytes] | None, int]:
+def _step(tables: _Tables, tab: _Step, cost: np.ndarray, writes: np.ndarray | None,
+          key: np.ndarray, w: np.ndarray, limit: int, key_bound: int):
+    """Advance the layer (`key`, `w`, keys in [0, key_bound)) by step
+    `tab`, keeping the candidates whose weight plus the `cost` of their
+    entry is at most `limit`; `writes[lo * L + li]` is the seam digit a
+    column 0..k-1 writes (None: none).  Returns the new layer's keys and
+    weights, padded, and its back-pointers; None when it is empty.
+    """
+    R = tables.R
+    WR = tables.windows * R
+    width = tab.nw.shape[1]
+    ks, ws, pars, ranks = [], [], [], []
+    for start in range(0, len(key), _BLOCK):
+        kb = key[start:start + _BLOCK]
+        wb = w[start:start + _BLOCK]
+        rest = kb % WR
+        wid, res = np.divmod(rest, R)
+        rows = tab.row_of.take(wid)
+        if rows.min() < 0:
+            bad = int(wid[rows.argmin()])
+            raise InternalError(f"dp met window {bad} off the frontier of its step")
+        legal = cost.take(rows, axis=0)
+        # <= : a labeling of weight `limit` must keep all its prefixes
+        legal = np.less_equal(legal, (limit - wb)[:, None])
+        if tab.seam_bit is not None:  # closing window: legal under the state's seam
+            legal &= (tab.mask.take(rows, axis=0) & tab.seam_bit[kb // WR][:, None]) != 0
+        pos = np.flatnonzero(legal)
+        if len(pos) % _PAD:  # copies of the last candidate lose every tie to it
+            pos = np.concatenate((pos, np.full(-len(pos) % _PAD, pos[-1])))
+        par = pos // width
+        j = np.subtract(pos, par * width, out=pos)  # pos is not read again
+        base = kb - rest  # seam code * WR
+        if writes is not None:
+            base *= len(tables.alg.labels)
+        if tab.op is None:
+            base += res
+        cell = np.multiply(rows, width, dtype=np.intp).take(par)
+        cell += j
+        ck = np.multiply(tab.nw.take(cell), R, dtype=key.dtype)
+        ck += base.take(par)
+        ws.append(wb.take(par) + tab.w.take(cell))
+        ranks.append(tab.rank.take(cell))
+        if tab.op is not None:
+            cell = res.take(par)  # now the candidate's cell in `op`
+            cell *= width
+            cell += j
+            ck += tab.op.take(cell)
+        if writes is not None:
+            ck += writes.take(j)
+        ks.append(ck)
+        if start:
+            par += start
+        pars.append(par)
+    del pos, j, cell  # not held through the group-min: less heap to trim and fault in again
+    ck, cw, par, rank = (a[0] if len(a) == 1 else np.concatenate(a)
+                         for a in (ks, ws, pars, ranks))
+    if len(ck) == 0:
+        return None
+    win = _winners(ck, cw, limit + 1, key_bound)
+    m = len(win)
+    if m > DP_STATE_CAP:
+        raise BudgetExceeded(f"dp state count {m} exceeds cap {DP_STATE_CAP}")
+    narrow = len(key) * tab.span <= 2**31  # column steps: always
+    back = np.multiply(par.take(win), tab.span, dtype=np.int32 if narrow else np.int64)
+    back += rank.take(win)
+    # the layer's m states, in prefix order, then padding copies of state
+    # 0 whose weight leaves them no entry
+    key = np.empty(m + -m % _PAD, key.dtype)
+    ck.take(win, out=key[:m])
+    key[m:] = key[0]
+    w = np.empty(len(key), np.int32)
+    cw.take(win, out=w[:m])
+    w[m:] = limit + 1
+    return key, w, back
+
+
+def _unwind(steps: list, back: list[np.ndarray], pos: int) -> bytes:
+    """The labels, column-major, of the prefix ending in state `pos` of the
+    last layer; back[i] holds the back-pointers of the layer steps[i] made."""
+    labels = []
+    for tab, b in zip(reversed(steps), reversed(back)):
+        pos, rank = divmod(int(b[pos]), tab.span)
+        labels.append(tab.labels(rank))
+    return b"".join(reversed(labels))
+
+
+def _sweep(tables: _Tables, steps: list, bound: list[np.ndarray],
+           prune: int) -> tuple[tuple[int, bytes] | None, int]:
     """One pass over the steps that carries every seam, dropping each
     candidate whose weight plus cost-to-go bound exceeds `prune`.
 
@@ -567,105 +637,32 @@ def _sweep(tables: _Tables, steps: list, bound: list[np.ndarray], prune: int,
     """
     k = tables.k
     nl = len(tables.alg.labels)
-    R = tables.R
-    WR = tables.windows * R
+    WR = tables.windows * tables.R
     key_bound = tables.seams * WR
     pair = np.arange(tables.width)
     key = np.zeros(1, tables.keys)  # no seam label yet, the empty window
     w = np.zeros(1, np.int32)
-    # per layer: parent position * L * L + lo * L + li, or after a landing
-    # step parent position * span + the path's position in the table
-    back: list[np.ndarray] = []
+    back: list[np.ndarray] = []  # per layer: parent position * span + rank
     explored = 0
     for c, tab in enumerate(steps):
-        landing = isinstance(tab, _Landing)
-        width = tab.nw.shape[1]
-        # the least weight each entry adds up to the last column (_INF when
-        # it is illegal: nw = -1 reads the bound's last slot)
-        cost = tab.cost(bound[c + 1])
         # columns 0..k-1 write seam digits: (a0, bs[0]) = (lo, li), bs[c] = li
         writes = pair * WR if c == 0 else pair % nl * WR if c < k else None
-        ks, ws, idxs = [], [], []
-        for start in range(0, len(key), _BLOCK):
-            kb = key[start:start + _BLOCK]
-            wb = w[start:start + _BLOCK]
-            rest = kb % WR
-            wid, res = np.divmod(rest, R)
-            rows = tab.row_of[wid]
-            if rows.min() < 0:
-                bad = int(wid[rows.argmin()])
-                raise InternalError(f"dp met window {bad} off the frontier of step {c}")
-            legal = cost.take(rows, axis=0)
-            # <= : a labeling of weight `prune` must keep all its prefixes
-            legal = np.less_equal(legal, (prune - wb)[:, None])
-            if tab.seam_bit is not None:  # closing window: legal under the state's seam
-                legal &= (tab.mask.take(rows, axis=0) & tab.seam_bit[kb // WR][:, None]) != 0
-            pos = np.flatnonzero(legal)
-            if len(pos) % _PAD:  # copies of the last candidate lose every tie to it
-                pos = np.concatenate((pos, np.full(-len(pos) % _PAD, pos[-1])))
-            par = pos // width
-            j = pos - par * width
-            base = kb - rest  # seam code * WR
-            if writes is not None:
-                base *= nl
-            if tab.op is None:
-                base += res
-            cell = rows[par].astype(np.intp)
-            cell *= width
-            cell += j
-            ck = tab.nw.ravel()[cell].astype(tables.keys)
-            ck *= R
-            ck += base[par]
-            if tab.op is not None:
-                cell = res[par]
-                cell *= width
-                cell += j
-                ck += tab.op.ravel()[cell]
-            if writes is not None:
-                ck += writes[j]
-            ks.append(ck)
-            if landing:  # candidates in (parent position, path rank) order
-                ws.append(wb[par] + tab.w.ravel()[cell])
-                idxs.append((par + start) * tab.span + tab.rank.ravel()[cell])
-            else:
-                ws.append(wb[par] + tables.dw[j])
-                idxs.append(pos + start * width)
-        ck, cw, idx = (a[0] if len(a) == 1 else np.concatenate(a) for a in (ks, ws, idxs))
-        if len(ck) == 0:
+        # the least weight each entry adds up to the last column (_INF when
+        # it is illegal: nw = -1 reads the bound's last slot)
+        layer = _step(tables, tab, tab.cost(bound[c + 1]), writes, key, w, prune, key_bound)
+        if layer is None:
             return None, explored
-        win = _winners(ck, cw, prune + 1, key_bound)
-        # the layer's m states, in prefix order, then padding copies of state
-        # 0 whose weight leaves them no legal pair
-        m = len(win)
-        key = np.empty(m + -m % _PAD, tables.keys)
-        ck.take(win, out=key[:m])
-        key[m:] = key[0]
-        w = np.empty(len(key), np.int32)
-        cw.take(win, out=w[:m])
-        w[m:] = prune + 1
-        back.append(idx[win] if landing else idx[win].astype(np.int32))
-        explored += m
-        if m > state_cap:
-            raise BudgetExceeded(f"dp state count {m} exceeds cap {state_cap}")
-    closed = np.flatnonzero(key[:m] % R == 0)  # every wrap residual met
+        key, w, b = layer
+        back.append(b)
+        explored += len(b)
+    closed = np.flatnonzero(key[:len(b)] % tables.R == 0)  # every wrap residual met
     if len(closed) == 0:
         return None, explored
     pos = int(closed[np.argmin(w[closed])])  # the first: lex-smallest labeling
-    weight = int(w[pos])
-    labels = []  # per step, last first
-    for tab, b in zip(reversed(steps), reversed(back)):
-        if isinstance(tab, _Landing):
-            pos, rank = divmod(int(b[pos]), tab.span)
-            labels.append(tab.transfer.path(tab.m, rank))
-        else:
-            pos, chunk = divmod(int(b[pos]), tables.width)
-            labels.append(bytes(divmod(chunk, nl)))
-    return (weight, b"".join(reversed(labels))), explored
+    return (int(w[pos]), _unwind(steps, back, pos)), explored
 
 
-def solve_cycle(
-    n: int, k: int, kind: str, state_cap: int = DP_STATE_CAP
-) -> tuple[int, bytes, int]:
+def solve_cycle(n: int, k: int, kind: str) -> tuple[int, bytes, int]:
     """Minimum weight over the cyclic column structure of P(n, k).
 
     Returns (optimum, witness label bytes in vertex order, states explored).
@@ -678,7 +675,7 @@ def solve_cycle(
     # bound[0][0] is a lower bound on the optimum, and the all-ones labeling
     # is always valid at weight 2n
     for prune in range(int(bound[0][0]), 2 * n + 1):
-        found, kept = _sweep(tables, steps, bound, prune, state_cap)
+        found, kept = _sweep(tables, steps, bound, prune)
         explored += kept
         if found is not None:
             return (*found, explored)

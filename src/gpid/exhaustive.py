@@ -26,6 +26,15 @@ from .labeling import kind_of
 
 SIZE_GATES = {"domination": 16, "italian": 16, "rainbow2": 12}
 
+# Rows per block of `iter_valid_labelings`, which feeds the audit kernels:
+# one vertex of a block is a 32 KiB run, so the per-vertex arrays a kernel
+# makes stay in cache.
+BLOCK_ROWS = 1 << 15
+
+# Rows per block of `exhaustive_minimum`, which counts the rows of every
+# block it examines: this size fixes the `explored` count it reports.
+MINIMUM_BLOCK_ROWS = 1 << 20
+
 
 def label_block(num_vertices: int, base: int, start: int, stop: int) -> np.ndarray:
     """Digits of indices start..stop-1 as a (stop-start, num_vertices) array.
@@ -150,10 +159,9 @@ def iter_valid_labelings(
     g: PetersenGraph,
     kind: str,
     weight_cap: int | None = None,
-    chunk: int = 1 << 20,
 ) -> Iterator[np.ndarray]:
     """Yield arrays of valid labelings (optionally weight-capped), in
-    ascending lexicographic order across yields.
+    ascending lexicographic order across yields, at most BLOCK_ROWS a yield.
 
     Each array is the (rows, vertices) transpose of a vertex-major block.
     Raises BudgetExceeded when the instance is beyond the size gate for
@@ -162,15 +170,13 @@ def iter_valid_labelings(
     _check_gate(g, kind)
     kd = kind_of(kind)
     hi = g.num_vertices * max(kd.weight) if weight_cap is None else weight_cap
-    for labels in _rows_by_weight(g.num_vertices, kind, 0, hi, chunk):
+    for labels in _rows_by_weight(g.num_vertices, kind, 0, hi, BLOCK_ROWS):
         mask = validity_mask(labels, g, kind)
         if mask.any():
             yield labels.T.compress(mask, axis=1).T
 
 
-def exhaustive_minimum(
-    g: PetersenGraph, kind: str, chunk: int = 1 << 20
-) -> tuple[int, tuple[int, ...], int]:
+def exhaustive_minimum(g: PetersenGraph, kind: str) -> tuple[int, tuple[int, ...], int]:
     """Globally optimal weight by exhaustive search over weight classes.
 
     Returns (optimum, witness label vector, labelings examined).  Weight
@@ -184,7 +190,7 @@ def exhaustive_minimum(
     _check_gate(g, kind)
     examined = 0
     for w in range(g.num_vertices * max(kd.weight) + 1):
-        for labels in _rows_by_weight(g.num_vertices, kind, w, w, chunk):
+        for labels in _rows_by_weight(g.num_vertices, kind, w, w, MINIMUM_BLOCK_ROWS):
             examined += labels.shape[0]
             mask = validity_mask(labels, g, kind)
             if mask.any():

@@ -35,7 +35,7 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from .errors import FormatError, InvalidParameters, NotA2RDF
-from .graph import PetersenGraph, build_petersen
+from .graph import PetersenGraph, build_petersen, require_admissible
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ class _Assignment:
     _tokens: ClassVar[tuple]  # the JSON form of each label
 
     def __post_init__(self):
+        require_admissible(self.n, self.k)
         if len(self.values) != 2 * self.n:
             raise InvalidParameters(
                 f"expected {2 * self.n} values for n={self.n}, got {len(self.values)}"

@@ -12,7 +12,7 @@ from gpid import (
     validate_idf,
     weight,
 )
-from gpid import audit
+from gpid import audit, exhaustive
 from gpid.audit import (
     bagging_certificate,
     check_column_lemma,
@@ -296,8 +296,9 @@ def test_kernels_agree_on_row_major_and_vertex_major_blocks():
     assert _same(audit._column_lemma(rows), audit._column_lemma(np.asfortranarray(rows)))
 
 
-def test_enumerated_blocks_are_vertex_major():
-    blocks = list(iter_valid_labelings(build_petersen(6, 1), "italian", chunk=1 << 12))
+def test_enumerated_blocks_are_vertex_major(monkeypatch):
+    monkeypatch.setattr(exhaustive, "BLOCK_ROWS", 1 << 12)
+    blocks = list(iter_valid_labelings(build_petersen(6, 1), "italian"))
     assert len(blocks) > 1
     assert all(b.T.flags.c_contiguous and b.dtype == np.uint8 for b in blocks)
 
@@ -306,7 +307,7 @@ def test_findings_sweep_pinned_uncapped():
     """Pinned from the row-major kernels:
     python -c "from gpid.audit import sweep_findings; print(sweep_findings(6))"
     """
-    assert 3**12 > 10 * audit.BLOCK_ROWS  # the sweep crosses more than ten blocks
+    assert 3**12 > 10 * exhaustive.BLOCK_ROWS  # the sweep crosses more than ten blocks
     sweep = sweep_findings(6)
     assert sweep.labelings_checked == 358105
     assert sweep.hypothesis_counts == {
@@ -320,7 +321,7 @@ def test_column_lemma_sweep_pinned_uncapped():
     """Pinned from the row-major kernels:
     python -c "from gpid.audit import sweep_column_lemma; print(sweep_column_lemma(6))"
     """
-    assert 3**12 > 10 * audit.BLOCK_ROWS
+    assert 3**12 > 10 * exhaustive.BLOCK_ROWS
     sweep = sweep_column_lemma(6)
     assert (sweep.labelings_checked, sweep.counterexamples) == (348393, 0)
 

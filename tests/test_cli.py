@@ -68,7 +68,7 @@ def test_value_skips_inadmissible_pairs_in_a_range(capsys):
 
 def test_value_k_range(capsys):
     code, out, _ = run_cli(
-        capsys, "value", "--n", "12", "--k-range", "1..2", "--format", "csv"
+        capsys, "value", "--n", "12", "--k", "1..2", "--format", "csv"
     )
     assert code == 0
     rows = out.strip().splitlines()[1:]
@@ -239,6 +239,15 @@ def test_console_entry_point():
     assert "9 (exact" in proc.stdout
 
 
+@pytest.fixture
+def inputs(monkeypatch, tmp_path):
+    """A 2 x 3 label matrix, and the JSON of a labeling of P(3,5), which is
+    undefined, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "matrix.txt").write_text("1 0 1\n0 1 0\n")
+    (tmp_path / "undefined.json").write_text('{"n": 3, "k": 5, "values": [1, 0, 0, 1, 1, 0]}')
+
+
 @pytest.mark.parametrize("argv", [
     ["value", "--n", "7", "--k", "3", "--mod", "0=1"],
     ["value", "--n", "7", "--k", "3", "--mod", "5"],
@@ -257,18 +266,31 @@ def test_console_entry_point():
     ["construct", "--n", "5", "--k", "0"],
     ["construct", "--n", "5", "--k", "-1"],
     ["construct", "--n", "5", "--k", "3"],
+    ["render", "--in", "matrix.txt", "--from-matrix"],
+    ["render", "--in", "matrix.txt", "--from-matrix", "--n", "3", "--k", "5"],
+    ["render", "--in", "undefined.json"],
 ])
-def test_bad_input_is_a_one_line_usage_error(capsys, argv):
+def test_bad_input_is_a_one_line_usage_error(capsys, inputs, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "--in", "matrix.txt", "--from-matrix", "--n", "3", "--k", "5"],
+    ["render", "--in", "undefined.json"],
+])
+def test_labelings_of_undefined_graphs_are_refused(capsys, inputs, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "P(n,k) requires n >= 3, k >= 1, 2k < n; got n=3, k=5" in err
+
+
 def test_unsound_solver_output_is_an_internal_error(capsys, monkeypatch):
     from gpid import dp, solver
 
-    def corrupted(n, k, kind, state_cap=dp.DP_STATE_CAP):
+    def corrupted(n, k, kind):
         return n, bytes(2 * n), 0  # all zeros: not a valid labeling
 
     monkeypatch.setattr(dp, "solve_cycle", corrupted)

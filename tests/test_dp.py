@@ -252,9 +252,9 @@ def test_pinned(kind, n, k, optimum, digest, unbounded, explored):
     tables = dp._tables(kind, k)
     steps, _ = dp._plan(tables, n)
     free = _no_bound(tables, steps)
-    (weight, seq), _ = dp._sweep(tables, steps, free, optimum, dp.DP_STATE_CAP)
+    (weight, seq), _ = dp._sweep(tables, steps, free, optimum)
     assert (weight, hashlib.sha256(seq).hexdigest()[:16]) == (optimum, digest)
-    found, _ = dp._sweep(tables, steps, free, optimum - 1, dp.DP_STATE_CAP)
+    found, _ = dp._sweep(tables, steps, free, optimum - 1)
     assert found is None
 
 
@@ -511,12 +511,13 @@ def test_transfer_table_rows_match_brute_force(kind, k):
     assert len(transfer.back) == 4
     nl = len(tables.alg.labels)
     for m in range(1, 5):
-        landing = transfer.landing(m)
+        landing = dp._Landing(transfer, m)
         for s, start in enumerate(transfer.starts.tolist()):
             row = [i for i in range(landing.nw.shape[1]) if landing.nw[s, i] >= 0]
             got = {}
             for i in row:
-                labels = transfer.path(m, int(landing.rank[s, i]))
+                rank = int(landing.rank[s, i])
+                labels = dp._unwind([transfer.tab] * m, transfer.back[:m], rank)
                 pairs = tuple(lo * nl + li for lo, li in zip(labels[::2], labels[1::2]))
                 got[int(landing.nw[s, i])] = (int(landing.w[s, i]), pairs)
             assert got == _brute_paths(tables, start, m), (m, start)
@@ -524,6 +525,48 @@ def test_transfer_table_rows_match_brute_force(kind, k):
             ranks = [int(landing.rank[s, i]) for i in row]
             assert ranks == sorted(ranks)
             assert [got[int(landing.nw[s, i])][1] for i in row] == sorted(got[t][1] for t in got)
+    dp._tables.cache_clear()
+
+
+# |frontier at column 2k| per (kind, k)
+FRONTIER_2K = {
+    ("domination", 1): 7, ("domination", 2): 19, ("domination", 3): 52,
+    ("italian", 1): 19, ("italian", 2): 85, ("italian", 3): 391,
+    ("rainbow2", 1): 35, ("rainbow2", 2): 213, ("rainbow2", 3): 1392,
+}
+
+
+@pytest.mark.parametrize("kind,k", list(FRONTIER_2K))
+def test_the_middle_map_takes_the_frontier_at_2k_onto_itself(kind, k):
+    # so the rows built for the starts are every row the transfer table reads
+    tables = dp._tables(kind, k)
+    n = 3 * k + 2  # columns 0..2k-1 have the same signatures for every such n
+    frontier = np.zeros(1, np.int64)
+    for c in range(2 * k):
+        tab = tables.rows_for(*dp._column(c, n, k), frontier)
+        frontier = dp._distinct(tab.nw[tab.row_of[frontier]], tables.windows)
+    assert len(frontier) == FRONTIER_2K[kind, k]
+    middle = tables.rows_for((2 * k, -1, False), (), frontier)
+    assert (middle.row_of[frontier] >= 0).all()
+    image = dp._distinct(middle.nw[middle.row_of[frontier]], tables.windows)
+    assert np.array_equal(image, frontier)
+
+
+@pytest.mark.parametrize("kind,k", GATED)
+def test_growing_a_transfer_table_builds_no_row(kind, k, monkeypatch):
+    dp._tables.cache_clear()
+    tables = dp._tables(kind, k)
+    dp._plan(tables, 3 * k + 2)  # builds the table, grown to m = 2
+    built = {sig: len(tab.nw) for sig, tab in tables.rows.items()}
+
+    def refuse(*args):
+        raise AssertionError("a transfer table step built a row")
+
+    monkeypatch.setattr(dp._Tables, "rows_for", refuse)
+    monkeypatch.setattr(dp._Tables, "_build", refuse)
+    landing = dp._Landing(tables._transfer, 200)
+    assert len(tables._transfer.back) == 200 and len(landing.back) == 200
+    assert {sig: len(tab.nw) for sig, tab in tables.rows.items()} == built
     dp._tables.cache_clear()
 
 
@@ -537,7 +580,7 @@ def test_the_transfer_step_is_gated_by_its_layer_size(kind, k, gated):
     steps, bound = dp._plan(tables, n)
     landings = [step for step in steps if isinstance(step, dp._Landing)]
     assert len(steps) == (3 * k + 1 if gated else n) and len(bound) == len(steps) + 1
-    assert [step.m for step in landings] == ([n - 3 * k] if gated else [])
+    assert [len(step.back) for step in landings] == ([n - 3 * k] if gated else [])
     assert (tables._transfer is not False) == gated
     # one middle column is an ordinary column step on either side
     assert not any(isinstance(step, dp._Landing) for step in dp._plan(tables, 3 * k + 1)[0])
@@ -564,11 +607,12 @@ def test_result_does_not_depend_on_table_warmth():
     assert dp.solve_cycle(11, 2, "italian") == cold
 
 
-def test_state_cap():
-    with pytest.raises(BudgetExceeded):
-        dp.solve_cycle(9, 3, "italian", state_cap=10)
-    with pytest.raises(BudgetExceeded):  # through the transfer step
-        dp.solve_cycle(20, 1, "rainbow2", state_cap=10)
+def test_state_cap(monkeypatch):
+    monkeypatch.setattr(dp, "DP_STATE_CAP", 10)
+    with pytest.raises(BudgetExceeded, match="exceeds cap 10"):
+        dp.solve_cycle(9, 3, "italian")
+    with pytest.raises(BudgetExceeded, match="exceeds cap 10"):  # through the transfer step
+        dp.solve_cycle(20, 1, "rainbow2")
 
 
 def test_sort_key_overflow_is_refused(monkeypatch):
@@ -700,5 +744,5 @@ def test_a_landing_state_off_the_table_is_an_internal_error():
     landing = next(step for step in steps if isinstance(step, dp._Landing))
     landing.row_of = np.full_like(landing.row_of, -1)
     with pytest.raises(InternalError, match="off the frontier"):
-        dp._sweep(tables, steps, bound, 2 * 10, dp.DP_STATE_CAP)
+        dp._sweep(tables, steps, bound, 2 * 10)
     dp._tables.cache_clear()

@@ -58,12 +58,13 @@ def _brute_minimum(g, kind):
 
 @pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("n,k", SMALL)
-def test_valid_labelings_match_the_full_scan(kind, n, k):
+def test_valid_labelings_match_the_full_scan(kind, n, k, monkeypatch):
     g = build_petersen(n, k)
     opt = _brute_minimum(g, kind)[0]
     chunk = max(7, len(KINDS[kind].labels) ** g.num_vertices // 40)  # many blocks
+    monkeypatch.setattr(exhaustive, "BLOCK_ROWS", chunk)
     for cap in (None, 0, opt, opt + 1):
-        blocks = list(iter_valid_labelings(g, kind, cap, chunk=chunk))
+        blocks = list(iter_valid_labelings(g, kind, cap))
         assert all(0 < len(b) <= chunk for b in blocks)
         got = np.concatenate(blocks) if blocks else np.empty((0, g.num_vertices), np.uint8)
         assert np.array_equal(got, _brute_valid(g, kind, cap)), (cap, chunk)

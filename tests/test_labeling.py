@@ -118,7 +118,7 @@ def test_rainbow_to_idf_exhaustive_small(n, k):
     g = build_petersen(n, k)
     adj = oracle_adjacency(n, k)
     total = 0
-    for block in iter_valid_labelings(g, "rainbow2", chunk=1 << 18):
+    for block in iter_valid_labelings(g, "rainbow2"):
         out = rainbow_rows_to_idf(g, block)
         rainbow_weight = (block & 1).sum(axis=1) + ((block >> 1) & 1).sum(axis=1)
         assert (out.sum(axis=1) == rainbow_weight).all()
@@ -140,7 +140,7 @@ def test_rainbow_to_idf_exhaustive_vectorized(n, k):
     g = build_petersen(n, k)
     pop = np.array([0, 1, 1, 2], dtype=np.uint8)
     total = 0
-    for block in iter_valid_labelings(g, "rainbow2", chunk=1 << 19):
+    for block in iter_valid_labelings(g, "rainbow2"):
         converted = pop[block]
         assert validity_mask(converted, g, "italian").all()
         rainbow_weight = (block & 1).sum(axis=1) + ((block >> 1) & 1).sum(axis=1)
