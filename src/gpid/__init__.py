@@ -2,90 +2,9 @@
 
 Exact solvers (exhaustive, cyclic profile DP, branch and bound),
 explicit periodic constructions, closed-form value oracles, and
-executable certificate machinery for P(n, k).
+executable certificate machinery for P(n, k).  The `gpid` command
+(`gpid.cli`) is the front end; the names live in the modules that
+define them.
 """
 
-from .graph import PetersenGraph, ColumnView, build_petersen, column, neighbors
-from .labeling import (
-    Labeling,
-    RainbowLabeling,
-    ValidationReport,
-    column_weights,
-    edge_classes,
-    parse_matrix,
-    rainbow_to_idf,
-    render_matrix,
-    validate_2rdf,
-    validate_dominating,
-    validate_idf,
-    weight,
-)
-from .constructions import (
-    ConstructionResult,
-    PatternBlock,
-    Unavailable,
-    construct_pn1,
-    construct_pn2,
-    construct_pnk,
-    rotate_columns,
-    tail_h,
-)
-from .solver import (
-    BoundsOnly,
-    SolveResult,
-    degree_lower_bound,
-    solve_branch_and_bound,
-    solve_dp,
-    solve_exhaustive,
-)
-from .formulas import (
-    FormulaResult,
-    domination_value,
-    italian_graph_predicate,
-    italian_value,
-    rainbow2_value,
-    relation_report,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "PetersenGraph",
-    "ColumnView",
-    "build_petersen",
-    "column",
-    "neighbors",
-    "Labeling",
-    "RainbowLabeling",
-    "ValidationReport",
-    "column_weights",
-    "edge_classes",
-    "parse_matrix",
-    "rainbow_to_idf",
-    "render_matrix",
-    "validate_2rdf",
-    "validate_dominating",
-    "validate_idf",
-    "weight",
-    "ConstructionResult",
-    "PatternBlock",
-    "Unavailable",
-    "construct_pn1",
-    "construct_pn2",
-    "construct_pnk",
-    "rotate_columns",
-    "tail_h",
-    "BoundsOnly",
-    "SolveResult",
-    "degree_lower_bound",
-    "solve_branch_and_bound",
-    "solve_dp",
-    "solve_exhaustive",
-    "FormulaResult",
-    "domination_value",
-    "italian_graph_predicate",
-    "italian_value",
-    "rainbow2_value",
-    "relation_report",
-    "__version__",
-]

@@ -28,19 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exhaustive
-from .errors import InvalidParameters, WrongFamily
+from .errors import WrongFamily
 from .graph import build_petersen
-from .labeling import (
-    EdgeClasses,
-    Labeling,
-    column_weights,
-    edge_classes,
-    validate_idf,
-    weight,
-)
+from .labeling import EdgeClasses, Labeling, column_weights, edge_classes, weight
+
+# The P(n,k) family each audit target applies to: k by target name.
+TARGET_K = {"discharge": 2, "findings": 2, "bagging": 1, "column-lemma": 1}
 
 
-def _require_k(f: Labeling, k: int, what: str) -> None:
+def _require_k(f: Labeling, target: str, what: str) -> None:
+    k = TARGET_K[target]
     if f.k != k:
         raise WrongFamily(f"{what} applies to P(n,{k}) only, got k={f.k}")
 
@@ -84,22 +81,22 @@ def _charges(
 # Residual floors in tenths: findings 2..8 bind the residual total;
 # finding 1 binds every per-vertex charge (at 0.4).
 _FINDING_FLOORS = {2: 0, 3: 2, 4: 4, 5: 4, 6: 6, 7: 8, 8: 10}
-_FINDING_DESCRIPTIONS = {
-    1: "every vertex keeps charge >= 0.4",
-    2: "a zero vertex with two 1-neighbors forces residual >= 0",
-    3: "a zero vertex with three 1-neighbors forces residual >= 0.2",
-    4: "a 2-labeled vertex forces residual >= 0.4",
-    5: "an edge inside V1 forces residual >= 0.4",
-    6: "a zero vertex with one 1- and one 2-neighbor forces residual >= 0.6",
-    7: "a zero vertex with two 1- and one 2-neighbor forces residual >= 0.8",
-    8: "an edge between V1 and V2 forces residual >= 1",
-}
 
 
 def _findings(
     labels: np.ndarray, adj: np.ndarray, edges: np.ndarray
 ) -> tuple[dict, dict]:
-    """Per-row hypothesis and conclusion masks of findings 1..8 on P(n,2)."""
+    """Per-row hypothesis and conclusion masks of findings 1..8 on P(n,2):
+
+    1. every vertex keeps charge >= 0.4;
+    2. a zero vertex with two 1-neighbors forces residual >= 0;
+    3. a zero vertex with three 1-neighbors forces residual >= 0.2;
+    4. a 2-labeled vertex forces residual >= 0.4;
+    5. an edge inside V1 forces residual >= 0.4;
+    6. a zero vertex with one 1- and one 2-neighbor forces residual >= 0.6;
+    7. a zero vertex with two 1- and one 2-neighbor forces residual >= 0.8;
+    8. an edge between V1 and V2 forces residual >= 1.
+    """
     lt = labels.T
     ones, twos, charge = (a.T for a in _charges(labels, adj))
     is0, is1, is2 = lt == 0, lt == 1, lt == 2
@@ -133,7 +130,7 @@ class ColumnLemmaReport:
 
 def check_column_lemma(f: Labeling) -> ColumnLemmaReport:
     """For every column of weight 0, the two adjacent columns must sum to >= 4."""
-    _require_k(f, 1, "the column lemma")
+    _require_k(f, "column-lemma", "the column lemma")
     zero, breach = _column_lemma(_rows(f))
     zeros = tuple(np.flatnonzero(zero[0]).tolist())
     bad = tuple(np.flatnonzero(breach[0]).tolist())
@@ -176,21 +173,6 @@ class BagCertificate:
             and self.implied_bound <= self.weight
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "weight": self.weight,
-            "bags": [sorted(b) for b in self.bags],
-            "counts": list(self.counts),
-            "marks": list(self.marks),
-            "conflicts": [list(c) for c in self.conflicts],
-            "lemma_breaches": list(self.lemma_breaches),
-            "stranded_zero_columns": list(self.stranded_zero_columns),
-            "implied_bound": self.implied_bound,
-            "accounting_ok": self.accounting_ok,
-            "consistent": self.consistent,
-        }
-
 
 def bagging_certificate(f: Labeling) -> BagCertificate:
     """Run the four marking passes and account for the implied bound.
@@ -200,7 +182,7 @@ def bagging_certificate(f: Labeling) -> BagCertificate:
     2*m1 + 3*m2 + 2*m3 + 2*m4 + m5 = n holds and no zero-weight column is
     left unmarked.
     """
-    _require_k(f, 1, "the bagging certificate")
+    _require_k(f, "bagging", "the bagging certificate")
     n = f.n
     w = [cw.w for cw in column_weights(f)]
     marks = [0] * n
@@ -281,10 +263,6 @@ class DischargeLedger:
         """Total charge telescopes to the labeling weight (any labeling)."""
         return self.total_charge_tenths == 10 * self.weight
 
-    @property
-    def min_charge_tenths(self) -> int:
-        return min(self.charge_tenths)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -302,7 +280,7 @@ class DischargeLedger:
 def discharge(f: Labeling) -> DischargeLedger:
     """Compute the charge ledger; validity of f is not required for the
     telescoping identity, only for the per-vertex floor."""
-    _require_k(f, 2, "the discharge ledger")
+    _require_k(f, "discharge", "the discharge ledger")
     adj = np.array(f.graph().adjacency, dtype=np.int64)
     charges = _charges(_rows(f), adj)[2][0].tolist()
     residuals = [value - 4 for value in charges]
@@ -314,67 +292,6 @@ def discharge(f: Labeling) -> DischargeLedger:
         total_charge_tenths=sum(charges),
         total_residual_tenths=sum(residuals),
         edge_classes=edge_classes(f),
-    )
-
-
-def threshold_check(n: int) -> int:
-    """ceil(4n/5) - 4n/5 in integer tenths (2 when n = 1 mod 5, 4 when
-    n = 2 mod 5, the residues the lower-bound argument names)."""
-    if n < 1:
-        raise InvalidParameters(f"n must be positive, got {n}")
-    return 10 * (-(-4 * n // 5)) - 8 * n
-
-
-# ---------------------------------------------------------------------------
-# Findings
-
-
-@dataclass(frozen=True)
-class FindingResult:
-    index: int
-    description: str
-    hypothesis: bool
-    conclusion: bool | None  # None when the hypothesis is vacuous
-
-    @property
-    def ok(self) -> bool:
-        return (not self.hypothesis) or bool(self.conclusion)
-
-
-@dataclass(frozen=True)
-class FindingsReport:
-    n: int
-    weight: int
-    residual_total_tenths: int
-    results: tuple[FindingResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def triggered(self) -> tuple[int, ...]:
-        return tuple(r.index for r in self.results if r.hypothesis)
-
-
-def check_findings(f: Labeling) -> FindingsReport:
-    """Evaluate findings 1..8 on a valid IDF of P(n,2)."""
-    _require_k(f, 2, "the findings table")
-    if not validate_idf(f).valid:
-        raise InvalidParameters("findings are stated for valid IDFs only")
-    g = f.graph()
-    hyp, concl = _findings(
-        _rows(f),
-        np.array(g.adjacency, dtype=np.int64),
-        np.array(g.edges(), dtype=np.int64),
-    )
-    results = tuple(
-        FindingResult(i, _FINDING_DESCRIPTIONS[i], bool(hyp[i][0]),
-                      bool(concl[i][0]) if hyp[i][0] else None)
-        for i in range(1, 9)
-    )
-    w = weight(f)
-    return FindingsReport(
-        n=f.n, weight=w, residual_total_tenths=10 * w - 8 * f.n, results=results
     )
 
 
@@ -398,7 +315,7 @@ class FindingsSweep:
 def sweep_findings(n: int, weight_cap: int | None = None) -> FindingsSweep:
     """Check findings 1..8 on every valid IDF of P(n,2) (optionally capped
     by weight).  Vectorized; intended for desk-scale n."""
-    g = build_petersen(n, 2)
+    g = build_petersen(n, TARGET_K["findings"])
     adj = np.array(g.adjacency, dtype=np.int64)
     edges = np.array(g.edges(), dtype=np.int64)
     hyp_counts = {i: 0 for i in range(1, 9)}
@@ -435,7 +352,7 @@ class DischargeSweep:
 def sweep_discharge(n: int, weight_cap: int | None = None) -> DischargeSweep:
     """Check the telescoping identity and the per-vertex charge floor over
     every valid IDF of P(n,2) up to the weight cap."""
-    g = build_petersen(n, 2)
+    g = build_petersen(n, TARGET_K["discharge"])
     adj = np.array(g.adjacency, dtype=np.int64)
     total = 0
     id_bad = 0
@@ -459,7 +376,7 @@ def random_identity_check(n: int, samples: int, seed: int = 0) -> int:
     """Count identity failures over random (not necessarily valid)
     labelings of P(n,2); the telescoping holds for every labeling, so the
     expected count is zero."""
-    g = build_petersen(n, 2)
+    g = build_petersen(n, TARGET_K["discharge"])
     adj = np.array(g.adjacency, dtype=np.int64)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 3, size=(samples, g.num_vertices), dtype=np.uint8)
@@ -482,7 +399,7 @@ class ColumnLemmaSweep:
 
 def sweep_column_lemma(n: int, weight_cap: int | None = None) -> ColumnLemmaSweep:
     """Check the column lemma over every valid IDF of P(n,1)."""
-    g = build_petersen(n, 1)
+    g = build_petersen(n, TARGET_K["column-lemma"])
     total = 0
     bad = 0
     for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap):
@@ -509,7 +426,7 @@ class BaggingSweep:
 def sweep_bagging(n: int, optimal_weight: int | None = None) -> BaggingSweep:
     """Certify every optimal IDF on P(n,1): consistent bags, implied bound
     equal to n.  `optimal_weight` defaults to n (the known optimum)."""
-    g = build_petersen(n, 1)
+    g = build_petersen(n, TARGET_K["bagging"])
     target = n if optimal_weight is None else optimal_weight
     checked = 0
     inconsistent = 0
@@ -518,7 +435,7 @@ def sweep_bagging(n: int, optimal_weight: int | None = None) -> BaggingSweep:
     for block in exhaustive.iter_valid_labelings(g, "italian", target):
         w = block.sum(axis=1, dtype=np.int64)
         for row in block[w == target]:
-            f = Labeling(n, 1, tuple(int(x) for x in row))
+            f = Labeling(n, g.k, tuple(int(x) for x in row))
             cert = bagging_certificate(f)
             checked += 1
             if not cert.consistent:

@@ -53,8 +53,15 @@ _FORMULAS = {
 
 _VALUE_COLUMNS = ["n", "k", "invariant", "method", "kind", "value", "lo", "hi", "provenance"]
 
-# P(n,k) family each audit target applies to
-_AUDIT_K = {"discharge": 2, "findings": 2, "bagging": 1, "column-lemma": 1}
+# The optional flags each audit target reads.  Each mode reads at most
+# one of them (--labeling checks one labeling instead of sweeping, and
+# --enumerate-optimal sets the weight cap), so two given together are refused.
+_AUDIT_FLAGS = {
+    "discharge": ("--enumerate-optimal", "--weight-cap", "--labeling"),
+    "findings": ("--enumerate-optimal", "--weight-cap"),
+    "bagging": ("--weight-cap",),
+    "column-lemma": ("--weight-cap", "--labeling"),
+}
 
 
 def _parse_int(text: str, flag: str) -> int:
@@ -225,30 +232,45 @@ def cmd_solve(args) -> int:
 # audit
 
 
-def _load_labeling(path: str) -> Labeling:
+def _load_labeling(path: str, n: int) -> Labeling:
+    """The labeling of an `audit --labeling` run, which must be on P(n, .)."""
     with open(path) as fh:
-        return labeling_from_json(fh.read())
+        f = labeling_from_json(fh.read())
+    if f.n != n:
+        raise InvalidParameters(f"--n {n} does not match the labeling's n={f.n}")
+    return f
 
 
 def cmd_audit(args) -> int:
     n = _parse_int(args.n, "--n")
-    if args.k is not None and _parse_int(args.k, "--k") != _AUDIT_K[args.target]:
-        raise GpidError(
-            f"audit {args.target} applies to P(n,{_AUDIT_K[args.target]}) only, "
-            f"got --k {args.k}"
+    k = audit.TARGET_K[args.target]
+    if args.k is not None and _parse_int(args.k, "--k") != k:
+        raise GpidError(f"audit {args.target} applies to P(n,{k}) only, got --k {args.k}")
+    flags = {
+        "--enumerate-optimal": args.enumerate_optimal,
+        "--weight-cap": args.weight_cap is not None,
+        "--labeling": args.labeling is not None,
+    }
+    given = [flag for flag, on in flags.items() if on]
+    unread = [flag for flag in given if flag not in _AUDIT_FLAGS[args.target]]
+    if unread:
+        raise InvalidParameters(f"audit {args.target} does not take {unread[0]}")
+    if len(given) > 1:
+        raise InvalidParameters(
+            f"audit {args.target}: {given[0]} and {given[1]} exclude each other"
         )
     ok = True
     lines: list[str] = []
     rows: list[list] = []
     header: list[str] = []
     if args.target == "discharge":
-        if args.labeling:
-            ledger = audit.discharge(_load_labeling(args.labeling))
+        if args.labeling is not None:
+            ledger = audit.discharge(_load_labeling(args.labeling, n))
             _emit(args.out, json.dumps(ledger.to_json_dict(), indent=2, sort_keys=True) + "\n")
             return EXIT_OK if ledger.identity_ok else EXIT_VIOLATION
         cap = args.weight_cap
         if args.enumerate_optimal:
-            cap = solve_dp(n, 2, "italian").optimum
+            cap = solve_dp(n, k, "italian").optimum
         sweep = audit.sweep_discharge(n, weight_cap=cap)
         ok = sweep.ok
         header = ["n", "weight_cap", "labelings", "identity_failures", "floor_failures"]
@@ -262,7 +284,7 @@ def cmd_audit(args) -> int:
     elif args.target == "findings":
         cap = args.weight_cap
         if args.enumerate_optimal:
-            cap = solve_dp(n, 2, "italian").optimum
+            cap = solve_dp(n, k, "italian").optimum
         sweep = audit.sweep_findings(n, weight_cap=cap)
         ok = sweep.ok
         header = ["n", "finding", "hypotheses", "violations"]
@@ -288,8 +310,8 @@ def cmd_audit(args) -> int:
             f"{sweep.inconsistent} inconsistent, {sweep.wrong_bound} with bound != n"
         ]
     elif args.target == "column-lemma":
-        if args.labeling:
-            rep = audit.check_column_lemma(_load_labeling(args.labeling))
+        if args.labeling is not None:
+            rep = audit.check_column_lemma(_load_labeling(args.labeling, n))
             ok = rep.holds
             lines = [f"column lemma: holds={rep.holds} counterexamples={list(rep.counterexamples)}"]
             header = ["n", "holds", "counterexamples"]
@@ -320,14 +342,16 @@ def cmd_audit(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.from_matrix and (args.n is None or args.k is None):
+        raise InvalidParameters("--from-matrix requires --n and --k")
+    if not args.from_matrix and (args.n is not None or args.k is not None):
+        raise InvalidParameters("--n and --k are read with --from-matrix only")
     if args.infile:
         with open(args.infile) as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
     if args.from_matrix:
-        if args.n is None or args.k is None:
-            raise InvalidParameters("--from-matrix requires --n and --k")
         f = parse_matrix(text, _parse_int(args.n, "--n"), _parse_int(args.k, "--k"))
         _emit(args.out, labeling_to_json(f) + "\n")
     else:

@@ -11,7 +11,6 @@ never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import InvalidParameters
 from .formulas import ceil_div
@@ -19,18 +18,6 @@ from .graph import require_admissible
 from .labeling import Labeling, validate_idf, weight
 
 Column = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PatternBlock:
-    """A column-major pattern block and how often it tiles."""
-
-    columns: tuple[Column, ...]
-    repeat: Union[int, str] = 1
-
-    @property
-    def block_weight(self) -> int:
-        return sum(a + b for a, b in self.columns)
 
 
 @dataclass(frozen=True)
@@ -177,7 +164,7 @@ def _case_block(k: int) -> tuple[str, tuple[Column, ...], int]:
     return "kmod5=4", cols, 4 * k + 1
 
 
-def tail_h(k: int) -> PatternBlock:
+def tail_h(k: int) -> tuple[Column, ...]:
     """The k-column closing block: inner row all 1, outer row 1,0,0 repeating.
 
     Weight is ceil(4k/3) for every k >= 4.
@@ -190,7 +177,7 @@ def tail_h(k: int) -> PatternBlock:
         cols = cols + ((1, 1),)
     elif k % 3 == 2:
         cols = cols + ((1, 1), (0, 1))
-    return PatternBlock(columns=cols, repeat=1)
+    return cols
 
 
 def construct_pnk(n: int, k: int) -> ConstructionResult:
@@ -211,18 +198,7 @@ def construct_pnk(n: int, k: int) -> ConstructionResult:
         claimed = block_weight * (n // period)
         return _result(n, k, case + ",periodic", claimed, cols)
     prefix = [block[c % period] for c in range(n - k)]
-    tail = tail_h(k)
-    cols = prefix + list(tail.columns)
+    cols = prefix + list(tail_h(k))
     claimed = ceil_div(block_weight * (n - k), period) + ceil_div(4 * k, 3)
     return _result(n, k, case + ",tail", claimed, cols)
 
-
-def rotate_columns(f: Labeling, shift: int) -> Labeling:
-    """Shift every column index by `shift` (mod n), preserving the pairing."""
-    n = f.n
-    values = [0] * (2 * n)
-    for i in range(n):
-        j = (i + shift) % n
-        values[2 * j] = f.values[2 * i]
-        values[2 * j + 1] = f.values[2 * i + 1]
-    return Labeling(n, f.k, tuple(values))

@@ -9,10 +9,6 @@ class InvalidParameters(GpidError, ValueError):
     """Arguments outside the admissible family (e.g. 2k >= n)."""
 
 
-class OutOfRange(GpidError, IndexError):
-    """Vertex or column index outside the graph."""
-
-
 class FormatError(GpidError, ValueError):
     """Malformed matrix text or serialized labeling."""
 

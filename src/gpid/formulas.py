@@ -2,8 +2,8 @@
 
 Each entry returns a ``FormulaResult`` tagged with the family it came
 from.  Exact entries are integers; the open k >= 4 cases return an
-integer bound pair plus the exact rational upper-bound expression for
-auditing.  k = 3 Italian values are known elsewhere but not carried
+integer bound pair, whose upper end is the ceiling of the exact rational
+``pnk_upper_bound_expression``.  k = 3 Italian values are known elsewhere but not carried
 here, so they come back as kind="external"; families with no published
 formula come back as kind="unknown" rather than an extrapolation.
 """
@@ -24,21 +24,6 @@ class FormulaResult:
     lo: int | None
     hi: int | None
     theorem: str
-    exact_rational: Fraction | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "theorem": self.theorem}
-        if self.kind == "exact":
-            out["value"] = self.value
-        elif self.kind == "bounds":
-            out["lo"] = self.lo
-            out["hi"] = self.hi
-        if self.exact_rational is not None:
-            out["exact_rational"] = [
-                self.exact_rational.numerator,
-                self.exact_rational.denominator,
-            ]
-        return out
 
 
 def _exact(value: int, theorem: str) -> FormulaResult:
@@ -77,7 +62,6 @@ def italian_value(n: int, k: int) -> FormulaResult:
         -(-4 * n // 5),
         ceil_div(expr.numerator, expr.denominator),
         "italian-pnk-bound",
-        exact_rational=expr,
     )
 
 

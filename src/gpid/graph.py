@@ -10,11 +10,10 @@ its spoke partner.  Requiring 2k < n keeps the graph simple and 3-regular.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidParameters, OutOfRange
+from .errors import InvalidParameters
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,6 @@ class PetersenGraph:
     def num_vertices(self) -> int:
         return 2 * self.n
 
-    @property
-    def num_edges(self) -> int:
-        return 3 * self.n
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted ascending."""
         out = []
@@ -42,22 +37,6 @@ class PetersenGraph:
                     out.append((u, v))
         out.sort()
         return out
-
-
-@dataclass(frozen=True)
-class ColumnView:
-    """Spoke pair (outer, inner) of one column."""
-
-    index: int
-    vertices: tuple[int, int]
-
-    @property
-    def outer(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def inner(self) -> int:
-        return self.vertices[1]
 
 
 # Entries kept by each result cache (graphs here; exhaustive and DP results
@@ -100,31 +79,3 @@ def build_petersen(n: int, k: int) -> PetersenGraph:
             tuple(sorted((2 * ((i + k) % n) + 1, 2 * ((i - k) % n) + 1, outer)))
         )
     return PetersenGraph(n=n, k=k, adjacency=tuple(adj))
-
-
-def neighbors(g: PetersenGraph, v: int) -> set[int]:
-    """Open neighborhood of vertex v."""
-    if not 0 <= v < g.num_vertices:
-        raise OutOfRange(f"vertex id {v} outside 0..{g.num_vertices - 1}")
-    return set(g.adjacency[v])
-
-
-def column(g: PetersenGraph, i: int) -> ColumnView:
-    """Column i as its spoke pair (v_{2i}, v_{2i+1})."""
-    if not 0 <= i < g.n:
-        raise OutOfRange(f"column index {i} outside 0..{g.n - 1}")
-    return ColumnView(index=i, vertices=(2 * i, 2 * i + 1))
-
-
-def export_edge_list(g: PetersenGraph) -> str:
-    """Edge-list text: one `u v` pair per line, pairs sorted ascending."""
-    return "\n".join(f"{u} {v}" for u, v in g.edges()) + "\n"
-
-
-def graph_descriptor(g: PetersenGraph) -> dict:
-    """JSON-ready descriptor of the graph."""
-    return {"n": g.n, "k": g.k, "vertices": g.num_vertices, "edges": g.num_edges}
-
-
-def export_descriptor_json(g: PetersenGraph) -> str:
-    return json.dumps(graph_descriptor(g), sort_keys=True)

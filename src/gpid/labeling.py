@@ -75,13 +75,6 @@ class Labeling(_Assignment):
     _bad_label = "labels must be 0, 1 or 2"
     _tokens = (0, 1, 2)
 
-    def level_sets(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        """(V_0, V_1, V_2): vertices labeled 0, 1, 2."""
-        sets = ([], [], [])
-        for v, val in enumerate(self.values):
-            sets[val].append(v)
-        return tuple(frozenset(s) for s in sets)  # type: ignore[return-value]
-
 
 @dataclass(frozen=True)
 class RainbowLabeling(_Assignment):

@@ -179,28 +179,8 @@ def greedy_labeling(g: PetersenGraph, kind: str) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def repair_idf(g: PetersenGraph, values) -> tuple[int, ...]:
-    """Raise labels until the Italian condition holds everywhere.
-
-    Deterministic: one pass in id order labels 1 each uncovered 0-vertex.
-    Labels only rise, so a bump never uncovers a vertex already passed;
-    the result is the one of bumping the lowest-id violating vertex
-    until none is left.
-    """
-    kd = kind_of("italian")
-    combine = kd.combine
-    vals = list(values)
-    for v, (a, b, c) in enumerate(g.adjacency):
-        if vals[v] == 0 and combine(combine(vals[a], vals[b]), vals[c]) < kd.need:
-            vals[v] = 1
-    return tuple(vals)
-
-
 def solve_branch_and_bound(
-    g: PetersenGraph,
-    kind: str,
-    budget: int = 200_000,
-    initial: tuple[int, ...] | None = None,
+    g: PetersenGraph, kind: str, budget: int = 200_000
 ) -> SolveResult | BoundsOnly:
     """DFS over vertices in id order, labels tried ascending, each label
     tested before it is applied.
@@ -217,8 +197,7 @@ def solve_branch_and_bound(
     searched below and undone.
     `budget` counts labels tested; on exhaustion the result degrades to
     BoundsOnly with lo = the unconditional kind floor and hi = the
-    incumbent's weight.  An `initial` labeling, when given, seeds the
-    incumbent and must be valid for the kind.
+    incumbent's weight.  The first incumbent is the greedy labeling.
     """
     kd = kind_of(kind)
     adj = g.adjacency
@@ -233,18 +212,7 @@ def solve_branch_and_bound(
     no_gain = (0,) * len(labels)
     last = [max(nbrs) for nbrs in adj]
 
-    if initial is None:
-        best_vals = greedy_labeling(g, kind)
-    else:
-        best_vals = tuple(initial)
-        if len(best_vals) != nv or not set(best_vals) <= set(labels):
-            raise InvalidParameters(f"initial must be {nv} {kind} labels from {labels}")
-        try:
-            _witness(g, kd, best_vals)
-        except InternalError:
-            raise InvalidParameters(
-                f"initial is not a valid {kind} labeling of P({g.n},{g.k})"
-            ) from None
+    best_vals = greedy_labeling(g, kind)
     best_w = sum(wt[v] for v in best_vals)
 
     vals = [-1] * nv

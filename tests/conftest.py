@@ -87,6 +87,6 @@ def oracle_connected(adj: list[set[int]]) -> bool:
 
 @pytest.fixture(scope="session")
 def p62():
-    from gpid import build_petersen
+    from gpid.graph import build_petersen
 
     return build_petersen(6, 2)

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from gpid import audit, checks
+from gpid import audit, checks, exhaustive
 from gpid.cli import main
 from gpid.constructions import ConstructionResult
 from gpid.labeling import Labeling, validate_idf
@@ -21,7 +21,7 @@ PINNED = {
     "thm-2.3": (True, 14, "all exact"),
     "thm-3.3": (True, 8, "all valid at ceil(4n/5)"),
     "thm-3.6": (True, 16, "dp matches formula"),
-    "thm-4.1": (True, 400, "0 constructions needed the incumbent fallback"),
+    "thm-4.1": (True, 400, "all valid within the open-case bound"),
     "oracle-eq": (True, 30, "dp = exhaustive everywhere"),
     "cited-formulas": (True, 50, "formulas match dp"),
     "discharge": (True, 12587, "identity and floor hold"),
@@ -47,7 +47,7 @@ def test_every_check_is_pinned():
 
 @pytest.mark.parametrize("kwargs,expected", [
     (dict(only=["thm-4.1"], n_max=70, k_max=13),
-     [("thm-4.1", True, 534, "0 constructions needed the incumbent fallback")]),
+     [("thm-4.1", True, 534, "all valid within the open-case bound")]),
     # the sweeps take no range: n_max leaves them at their defaults
     (dict(only=["discharge", "findings", "bagging"], n_max=12),
      [("discharge", *PINNED["discharge"]), ("findings", *PINNED["findings"]),
@@ -65,6 +65,13 @@ def test_override_flags_list_the_checks_they_apply_to():
         "thm-2.3", "thm-3.3", "thm-3.6", "thm-4.1", "cited-formulas", "classification",
     ]
     assert checks.checks_taking("k_max") == ["thm-4.1"]
+
+
+def test_oracle_eq_covers_the_exhaustive_size_gates(monkeypatch):
+    """The 30 instances are those within `exhaustive.SIZE_GATES`: a
+    2-rainbow gate of 2n <= 10 drops P(6,1) and P(6,2)."""
+    monkeypatch.setitem(exhaustive.SIZE_GATES, "rainbow2", 10)
+    assert checks.check_oracle_equivalence().instances == PINNED["oracle-eq"][1] - 2
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +166,9 @@ def test_criterion_04_pnk_exact_family(monkeypatch):
 
 
 def test_criterion_05_pnk_bound_sweep(monkeypatch):
-    """k = 4..12, n <= 60: every construction respects the open-case bound,
-    an invalid one is covered by the branch-and-bound incumbent, and one
-    over the bound fails the check."""
+    """k = 4..12, n <= 60: every construction is valid and respects the
+    open-case bound; an invalid one fails the check, and so does one over
+    the bound."""
     seen = []
     monkeypatch.setattr(checks, "pnk_upper_bound_expression",
                         recording(seen, checks.pnk_upper_bound_expression))
@@ -175,7 +182,7 @@ def test_criterion_05_pnk_bound_sweep(monkeypatch):
         return dataclasses.replace(c, valid=False) if (n, k) == (9, 4) else c
     monkeypatch.setattr(checks, "construct_pnk", invalid_at_9_4)
     result = checks.check_thm_4_1()
-    assert (result.ok, result.detail) == (True, "1 constructions needed the incumbent fallback")
+    assert (result.ok, result.detail) == (False, f"failures: {[('invalid', 9, 4)]}")
 
     expr = checks.pnk_upper_bound_expression(30, 6)
     cap = checks.ceil_div(expr.numerator, expr.denominator)

@@ -3,31 +3,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpid import (
-    Labeling,
-    build_petersen,
-    construct_pn1,
-    construct_pn2,
-    solve_dp,
-    validate_idf,
-    weight,
-)
 from gpid import audit, exhaustive
 from gpid.audit import (
     bagging_certificate,
     check_column_lemma,
-    check_findings,
     discharge,
     random_identity_check,
     sweep_bagging,
     sweep_column_lemma,
     sweep_discharge,
     sweep_findings,
-    threshold_check,
 )
-from gpid.errors import InvalidParameters, WrongFamily
+from gpid.constructions import construct_pn1, construct_pn2
+from gpid.errors import WrongFamily
 from gpid.exhaustive import iter_valid_labelings, validity_mask
-from gpid.labeling import KINDS
+from gpid.graph import build_petersen
+from gpid.labeling import KINDS, Labeling, validate_idf, weight
+from gpid.solver import solve_dp
 
 
 def columns_labeling(n, k, cols):
@@ -150,7 +142,7 @@ def test_discharge_pn2_15_has_zero_residual():
     assert led.total_charge_tenths == 10 * 12
     assert led.total_residual_tenths == 0
     assert led.identity_ok
-    assert led.min_charge_tenths >= 4
+    assert min(led.charge_tenths) >= 4
 
 
 def test_discharge_weight_7_on_p72():
@@ -170,45 +162,35 @@ def test_discharge_random_identity():
     assert random_identity_check(12, 2000, seed=7) == 0
 
 
-def test_threshold_examples():
-    assert threshold_check(6) == 2
-    assert threshold_check(7) == 4
-    assert threshold_check(10) == 0
-    assert threshold_check(8) == 6
-    assert threshold_check(9) == 8
-    with pytest.raises(InvalidParameters):
-        threshold_check(0)
-
-
 # ---------------------------------------------------------------------------
 # findings
 
 
+def findings_of(f):
+    """Findings 1..8 on one labeling, as {index: (hypothesis, conclusion)}:
+    the sweep kernel run on a one-row block."""
+    g = f.graph()
+    hyp, concl = audit._findings(
+        np.array([f.values], dtype=np.uint8),
+        np.array(g.adjacency, dtype=np.int64),
+        np.array(g.edges(), dtype=np.int64),
+    )
+    return {i: (bool(hyp[i][0]), bool(concl[i][0])) for i in range(1, 9)}
+
+
 def test_findings_with_a_two_label():
-    f = Labeling(6, 2, (2,) * 12)
-    rep = check_findings(f)
-    by_index = {r.index: r for r in rep.results}
-    assert by_index[4].hypothesis and by_index[4].conclusion
-    assert rep.ok
+    found = findings_of(Labeling(6, 2, (2,) * 12))
+    assert found[4] == (True, True)
+    assert all(c for h, c in found.values() if h)
 
 
 def test_findings_vacuous_without_twos_or_e11():
     f = construct_pn2(15).labeling
-    rep = check_findings(f)
-    by_index = {r.index: r for r in rep.results}
+    found = findings_of(f)
     for idx in (4, 5, 8):
-        assert not by_index[idx].hypothesis
-        assert by_index[idx].conclusion is None
-        assert by_index[idx].ok
-    assert rep.ok
-    assert rep.residual_total_tenths == 0
-
-
-def test_findings_requires_validity():
-    with pytest.raises(InvalidParameters):
-        check_findings(Labeling(6, 2, (0,) * 12))
-    with pytest.raises(WrongFamily):
-        check_findings(construct_pn1(6).labeling)
+        assert not found[idx][0]
+    assert all(c for h, c in found.values() if h)
+    assert discharge(f).total_residual_tenths == 0
 
 
 def test_findings_sweep_small():
@@ -235,9 +217,9 @@ def test_scalar_findings_and_discharge_match_the_sweep():
         for row in block:
             f = Labeling(6, 2, tuple(int(x) for x in row))
             rows += 1
-            for idx in check_findings(f).triggered():
-                counts[idx] += 1
-            assert discharge(f).min_charge_tenths >= 4
+            for idx, (hypothesis, _) in findings_of(f).items():
+                counts[idx] += hypothesis
+            assert min(discharge(f).charge_tenths) >= 4
     assert rows == 984
     assert counts == P62_CAP7_HYPOTHESES
 
@@ -249,9 +231,6 @@ def test_discharge_sweep_small():
 
 
 def test_certificate_json_dumps():
-    cert = bagging_certificate(construct_pn1(5).labeling)
-    d = cert.to_json_dict()
-    assert d["n"] == 5 and isinstance(d["bags"], list)
     led = discharge(construct_pn2(10).labeling)
     d = led.to_json_dict()
     assert d["identity_ok"] is True

@@ -1,4 +1,4 @@
-"""Pinned outputs of branch and bound, `gpid.solve_branch_and_bound`.
+"""Pinned outputs of branch and bound, `gpid.solver.solve_branch_and_bound`.
 
 Each row is (kind, n, k, "exact" or "bounds", (optimum,) or (lo, hi),
 nodes explored, sha256(witness JSON)[:16]) at budget 50 000, where the
@@ -8,7 +8,8 @@ residual demands through the kind table (commit d96603e), with
 
     PYTHONPATH=src python - <<'PY'
     import hashlib, json
-    from gpid import build_petersen, solve_branch_and_bound
+    from gpid.graph import build_petersen
+    from gpid.solver import solve_branch_and_bound
     for kind in ("italian", "domination", "rainbow2"):
         for n, k in ((9, 4), (13, 6), (21, 4)):
             r = solve_branch_and_bound(build_petersen(n, k), kind, budget=50_000)
@@ -25,9 +26,10 @@ so the search order, the cut, the greedy incumbent and the witness must
 match that search exactly.
 
 `_reference_bnb` below is the search that applied every label before
-testing it (commit 00a8850), kept verbatim; `test_matches_reference` and
-`test_matches_reference_from_initial` compare the JSON of both, byte for
-byte, over a grid of kinds, sizes, budgets and `initial` labelings.
+testing it (commit 00a8850), kept verbatim but for its `initial` labeling
+parameter, which the search no longer takes; `test_matches_reference`
+compares the JSON of both, byte for byte, over a grid of kinds, sizes and
+budgets.
 """
 
 import hashlib
@@ -35,9 +37,7 @@ import json
 
 import pytest
 
-from gpid import build_petersen, construct_pnk, solve_branch_and_bound
-from gpid.errors import InvalidParameters
-from gpid.graph import PetersenGraph
+from gpid.graph import PetersenGraph, build_petersen
 from gpid.labeling import kind_of
 from gpid.solver import (
     BoundsOnly,
@@ -46,7 +46,7 @@ from gpid.solver import (
     _witness,
     greedy_labeling,
     kind_floor,
-    repair_idf,
+    solve_branch_and_bound,
 )
 
 PINNED = [
@@ -66,7 +66,6 @@ def _reference_bnb(
     g: PetersenGraph,
     kind: str,
     budget: int = 200_000,
-    initial: tuple[int, ...] | None = None,
 ) -> SolveResult | BoundsOnly:
     """DFS over vertices in id order, labels tried ascending.
 
@@ -76,8 +75,7 @@ def _reference_bnb(
     the unmet demand of an open or 0-labeled vertex being the weight of
     its residual.  `budget` counts label assignments; on exhaustion the
     result degrades to BoundsOnly with lo = the unconditional kind floor
-    and hi = the incumbent's weight.  An `initial` labeling, when given,
-    seeds the incumbent and must be valid for the kind.
+    and hi = the incumbent's weight.
     """
     kd = kind_of(kind)
     adj = g.adjacency
@@ -86,11 +84,7 @@ def _reference_bnb(
     red = kd.reduce
     divisor = _unit_cover(kd)
 
-    if initial is not None:
-        _witness(g, kd, initial)
-        best_vals = tuple(initial)
-    else:
-        best_vals = greedy_labeling(g, kind)
+    best_vals = greedy_labeling(g, kind)
     best_w = sum(wt[v] for v in best_vals)
 
     vals = [-1] * nv
@@ -180,9 +174,9 @@ def test_bnb_pinned(kind, n, k, status, values, explored, digest):
 BUDGETS = (1, 7, 2000)
 
 
-def _same(g, kind, budget, initial=None):
-    got = solve_branch_and_bound(g, kind, budget=budget, initial=initial)
-    want = _reference_bnb(g, kind, budget=budget, initial=initial)
+def _same(g, kind, budget):
+    got = solve_branch_and_bound(g, kind, budget=budget)
+    want = _reference_bnb(g, kind, budget=budget)
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
@@ -194,29 +188,3 @@ def test_matches_reference(kind, k):
         for budget in BUDGETS:
             _same(g, kind, budget)
 
-
-@pytest.mark.parametrize("k", range(4, 9))
-def test_matches_reference_from_initial(k):
-    for n in range(2 * k + 1, 26):
-        g = build_petersen(n, k)
-        initial = repair_idf(g, construct_pnk(n, k).labeling.values)
-        for budget in BUDGETS:
-            _same(g, "italian", budget, initial)
-
-
-@pytest.mark.parametrize(
-    "kind,initial",
-    [
-        ("italian", (0,) * 18),  # all zeros dominate nothing
-        ("domination", (0,) * 18),
-        ("rainbow2", (0,) * 18),
-        ("italian", (1,) * 17),  # wrong length
-        ("domination", (1,) * 17),
-        ("italian", (3,) * 18),  # out of range
-        ("domination", (2,) * 18),
-        ("rainbow2", (4,) * 18),
-    ],
-)
-def test_bad_initial_is_invalid_parameters(kind, initial):
-    with pytest.raises(InvalidParameters, match="initial"):
-        solve_branch_and_bound(build_petersen(9, 4), kind, budget=10, initial=initial)

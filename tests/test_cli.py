@@ -241,11 +241,14 @@ def test_console_entry_point():
 
 @pytest.fixture
 def inputs(monkeypatch, tmp_path):
-    """A 2 x 3 label matrix, and the JSON of a labeling of P(3,5), which is
-    undefined, in the working directory."""
+    """A 2 x 3 label matrix, the JSON of a labeling of P(3,5), which is
+    undefined, and of labelings of P(6,2) and P(4,1), in the working
+    directory."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "matrix.txt").write_text("1 0 1\n0 1 0\n")
     (tmp_path / "undefined.json").write_text('{"n": 3, "k": 5, "values": [1, 0, 0, 1, 1, 0]}')
+    (tmp_path / "p62.json").write_text('{"n": 6, "k": 2, "values": [2, 0, 0, 1, 1, 0, 0, 2, 0, 0, 1, 1]}')
+    (tmp_path / "p41.json").write_text('{"n": 4, "k": 1, "values": [1, 0, 0, 1, 1, 0, 0, 1]}')
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,12 +272,28 @@ def inputs(monkeypatch, tmp_path):
     ["render", "--in", "matrix.txt", "--from-matrix"],
     ["render", "--in", "matrix.txt", "--from-matrix", "--n", "3", "--k", "5"],
     ["render", "--in", "undefined.json"],
+    # flags the mode never reads
+    ["audit", "findings", "--n", "6", "--labeling", "p62.json"],
+    ["audit", "bagging", "--n", "6", "--enumerate-optimal", "--labeling", "p62.json"],
+    ["audit", "column-lemma", "--n", "6", "--enumerate-optimal"],
+    ["audit", "discharge", "--n", "6", "--enumerate-optimal", "--weight-cap", "3"],
+    ["audit", "discharge", "--n", "6", "--labeling", "p62.json", "--weight-cap", "3"],
+    ["audit", "discharge", "--n", "9", "--labeling", "p62.json"],
+    ["audit", "column-lemma", "--n", "5", "--labeling", "p41.json"],
+    ["render", "--in", "p62.json", "--n", "9", "--k", "4"],
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, inputs, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_audit_reads_a_labeling_of_the_given_n(capsys, inputs):
+    code, out, _ = run_cli(capsys, "audit", "discharge", "--n", "6", "--labeling", "p62.json")
+    assert code == 0 and json.loads(out)["identity_ok"] is True
+    code, out, _ = run_cli(capsys, "audit", "column-lemma", "--n", "4", "--labeling", "p41.json")
+    assert (code, out) == (0, "column lemma: holds=True counterexamples=[]\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,18 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from gpid import (
-    build_petersen,
-    construct_pnk,
+from gpid.constructions import construct_pnk
+from gpid.errors import InvalidParameters
+from gpid.formulas import (
     domination_value,
     italian_graph_predicate,
     italian_value,
+    pnk_upper_bound_expression,
     rainbow2_value,
     relation_report,
-    solve_dp,
 )
-from gpid.errors import InvalidParameters
-from gpid.formulas import pnk_upper_bound_expression
+from gpid.solver import solve_dp
 
 
 def test_italian_value_examples():
@@ -34,7 +33,6 @@ def test_italian_value_bounds_case():
     assert r.kind == "bounds"
     assert r.lo == -(-4 * 23 // 5)
     expr = pnk_upper_bound_expression(23, 7)
-    assert r.exact_rational == expr
     assert r.hi == -((-expr.numerator) // expr.denominator)
     assert r.lo <= r.hi
 
@@ -116,11 +114,3 @@ def test_exact_rational_is_kept_reduced():
     assert isinstance(expr, Fraction)
     assert expr == Fraction(4 * 16, 5) * Fraction(23, 22) + Fraction(34, 3)
 
-
-def test_result_json():
-    d = italian_value(23, 7).to_json_dict()
-    assert d["kind"] == "bounds" and "lo" in d and "hi" in d and "exact_rational" in d
-    d = italian_value(9, 1).to_json_dict()
-    assert d == {"kind": "exact", "theorem": "italian-pn1", "value": 9}
-    g = build_petersen(23, 7)
-    assert g.n == 23  # formulas and graphs agree on admissibility

@@ -1,24 +1,10 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
-from gpid import (
-    build_petersen,
-    column,
-    domination_value,
-    italian_value,
-    neighbors,
-    rainbow2_value,
-)
 from gpid.dp import solve_cycle
-from gpid.errors import InvalidParameters, OutOfRange
-from gpid.graph import (
-    export_descriptor_json,
-    export_edge_list,
-    graph_descriptor,
-    is_admissible,
-)
+from gpid.errors import InvalidParameters
+from gpid.formulas import domination_value, italian_value, rainbow2_value
+from gpid.graph import build_petersen, is_admissible
 
 from conftest import oracle_adjacency, oracle_connected, oracle_girth
 
@@ -26,14 +12,13 @@ from conftest import oracle_adjacency, oracle_connected, oracle_girth
 def test_p62_figure_adjacency(p62):
     assert p62.num_vertices == 12
     assert all(len(nbrs) == 3 for nbrs in p62.adjacency)
-    assert neighbors(p62, 1) == {5, 9, 0}
-    assert neighbors(p62, 0) == {2, 10, 1}
+    assert p62.adjacency[1] == (0, 5, 9)
+    assert p62.adjacency[0] == (1, 2, 10)
 
 
 def test_smallest_case_is_the_prism():
     g = build_petersen(3, 1)
     assert g.num_vertices == 6
-    assert g.num_edges == 9
     assert len(g.edges()) == 9
 
 
@@ -45,7 +30,7 @@ def test_p52_girth_five():
 
 def test_p41_inner_vertex_neighbors():
     g = build_petersen(4, 1)
-    assert neighbors(g, 3) == {1, 5, 2}
+    assert g.adjacency[3] == (1, 2, 5)
 
 
 @pytest.mark.parametrize(
@@ -53,18 +38,20 @@ def test_p41_inner_vertex_neighbors():
     [(6, 2, 0, (0, 1)), (6, 2, 5, (10, 11)), (5, 2, 3, (6, 7))],
 )
 def test_column_views(n, k, i, expected):
+    """Column i is the spoke (v_{2i}, v_{2i+1}): an outer and an inner
+    vertex adjacent to each other."""
     g = build_petersen(n, k)
-    view = column(g, i)
-    assert view.vertices == expected
-    assert (view.outer, view.inner) == expected
+    outer, inner = expected
+    assert (outer, inner) == (2 * i, 2 * i + 1)
+    assert inner in g.adjacency[outer] and outer in g.adjacency[inner]
 
 
 def test_columns_partition_vertices():
+    """The columns (v_{2i}, v_{2i+1}) hold every vertex once, each a spoke."""
     g = build_petersen(7, 3)
-    seen = set()
-    for i in range(g.n):
-        seen.update(column(g, i).vertices)
-    assert seen == set(range(g.num_vertices))
+    spokes = [(2 * i, 2 * i + 1) for i in range(g.n)]
+    assert sorted(v for spoke in spokes for v in spoke) == list(range(g.num_vertices))
+    assert set(spokes) <= set(g.edges())
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3), (9, 4), (30, 14)])
@@ -97,7 +84,7 @@ def test_column_locality(nk):
     n, k = nk
     g = build_petersen(n, k)
     for i in range(n):
-        outer, inner = column(g, i).vertices
+        outer, inner = 2 * i, 2 * i + 1
         outer_cols = {(u // 2 - i) % n for u in g.adjacency[outer] if u % 2 == 0}
         assert outer_cols == {1, n - 1} or (n == 3 and outer_cols == {1, 2})
         inner_cols = {(u // 2 - i) % n for u in g.adjacency[inner] if u % 2 == 1}
@@ -122,26 +109,11 @@ def test_invalid_parameters(n, k):
         assert str(exc.value) == message
 
 
-def test_out_of_range():
-    g = build_petersen(5, 2)
-    with pytest.raises(OutOfRange):
-        neighbors(g, 10)
-    with pytest.raises(OutOfRange):
-        column(g, 5)
-
-
 def test_edge_list_export():
     g = build_petersen(3, 1)
-    text = export_edge_list(g)
-    lines = text.strip().splitlines()
-    assert len(lines) == 9
-    pairs = [tuple(map(int, line.split())) for line in lines]
+    pairs = g.edges()
+    assert len(pairs) == 9
     assert pairs == sorted(pairs)
     assert all(u < v for u, v in pairs)
     assert (0, 1) in pairs and (0, 2) in pairs
-
-
-def test_descriptor_json():
-    g = build_petersen(6, 2)
-    assert graph_descriptor(g) == {"n": 6, "k": 2, "vertices": 12, "edges": 18}
-    assert json.loads(export_descriptor_json(g))["edges"] == 18
+    assert len(build_petersen(6, 2).edges()) == 18

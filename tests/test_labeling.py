@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gpid import (
+from gpid.constructions import construct_pn1, construct_pn2
+from gpid.errors import FormatError, InvalidParameters, NotA2RDF
+from gpid.exhaustive import iter_valid_labelings
+from gpid.graph import build_petersen
+from gpid.labeling import (
     Labeling,
     RainbowLabeling,
-    build_petersen,
     column_weights,
-    construct_pn1,
-    construct_pn2,
     edge_classes,
+    labeling_from_json,
+    labeling_to_json,
     parse_matrix,
+    rainbow_rows_to_idf,
     rainbow_to_idf,
     render_matrix,
     validate_2rdf,
@@ -20,9 +24,6 @@ from gpid import (
     validate_idf,
     weight,
 )
-from gpid.errors import FormatError, InvalidParameters, NotA2RDF
-from gpid.exhaustive import iter_valid_labelings
-from gpid.labeling import labeling_from_json, labeling_to_json, rainbow_rows_to_idf
 
 from conftest import oracle_adjacency, oracle_is_2rdf, oracle_is_dominating, oracle_is_idf
 
@@ -225,14 +226,6 @@ def test_weight_is_column_sum(nkv):
     f = Labeling(n, k, tuple(values))
     assert weight(f) == sum(cw.w for cw in column_weights(f))
     assert labeling_from_json(labeling_to_json(f)) == f
-
-
-def test_level_sets_partition():
-    f = construct_pn2(15).labeling
-    v0, v1, v2 = f.level_sets()
-    assert v0 | v1 | v2 == set(range(30))
-    assert len(v0) + len(v1) + len(v2) == 30
-    assert weight(f) == len(v1) + 2 * len(v2)
 
 
 def test_labeling_validation():

@@ -1,24 +1,18 @@
-import random
-
 import pytest
 
-from gpid import (
+from gpid.constructions import construct_pn2
+from gpid.errors import BudgetExceeded, InvalidParameters
+from gpid.graph import build_petersen
+from gpid.labeling import validate_2rdf, validate_dominating, validate_idf, weight
+from gpid.solver import (
     BoundsOnly,
     SolveResult,
-    build_petersen,
-    construct_pn2,
-    construct_pnk,
     degree_lower_bound,
+    greedy_labeling,
     solve_branch_and_bound,
     solve_dp,
     solve_exhaustive,
-    validate_2rdf,
-    validate_dominating,
-    validate_idf,
-    weight,
 )
-from gpid.errors import BudgetExceeded, InvalidParameters
-from gpid.solver import greedy_labeling, repair_idf
 
 from conftest import oracle_adjacency, oracle_is_2rdf, oracle_is_idf
 
@@ -102,13 +96,13 @@ def test_bnb_exact_small():
 
 
 def test_bnb_seeded_certifies_p15_7():
-    c = construct_pnk(15, 7)
+    """Seeded with its greedy incumbent (weight 15), the search closes at
+    the degree bound 12 within the budget."""
     g = build_petersen(15, 7)
-    r = solve_branch_and_bound(g, "italian", budget=5000, initial=c.labeling.values)
-    if isinstance(r, SolveResult):
-        assert r.optimum == 12
-    else:
-        assert r.lo == 12 and r.hi == 12
+    r = solve_branch_and_bound(g, "italian", budget=50_000)
+    assert isinstance(r, SolveResult)
+    assert r.optimum == 12 == degree_lower_bound(g)
+    assert sum(greedy_labeling(g, "italian")) == 15
 
 
 def test_bnb_budget_zero_degenerates_to_bounds():
@@ -160,43 +154,6 @@ def test_greedy_labelings_are_valid():
             assert all(v in chosen or chosen & adj[v] for v in range(18))
         else:
             assert oracle_is_2rdf(adj, vals)
-
-
-def test_repair_fixes_arbitrary_labelings():
-    g = build_petersen(9, 4)
-    adj = oracle_adjacency(9, 4)
-    repaired = repair_idf(g, (0,) * 18)
-    assert oracle_is_idf(adj, repaired)
-    already = construct_pnk(20, 8).labeling.values
-    assert repair_idf(build_petersen(20, 8), already) == already
-
-
-def _repair_idf_by_rescan(g, values):
-    """repair_idf as first written: bump the lowest-id violating vertex to
-    1 and rescan from vertex 0, until no vertex violates."""
-    adj = g.adjacency
-    vals = list(values)
-    while True:
-        bumped = False
-        for v in range(g.num_vertices):
-            if vals[v] == 0:
-                a, b, c = adj[v]
-                if vals[a] + vals[b] + vals[c] < 2:
-                    vals[v] = 1
-                    bumped = True
-                    break
-        if not bumped:
-            return tuple(vals)
-
-
-def test_repair_matches_the_rescanning_reference():
-    rng = random.Random(5)
-    graphs = [build_petersen(n, k) for n in range(3, 13) for k in range(1, (n - 1) // 2 + 1)]
-    for _ in range(400):
-        g = rng.choice(graphs)
-        weights = rng.choice(((1, 1, 1), (6, 2, 1), (12, 1, 1)))  # sparse rows need repair
-        values = tuple(rng.choices((0, 1, 2), weights, k=g.num_vertices))
-        assert repair_idf(g, values) == _repair_idf_by_rescan(g, values)
 
 
 def test_result_json_shapes():
