@@ -260,6 +260,7 @@ def cmd_audit(args) -> int:
             f"audit {args.target}: {given[0]} and {given[1]} exclude each other"
         )
     ok = True
+    sweep = None  # a sweep over labelings, which must check at least one
     lines: list[str] = []
     rows: list[list] = []
     header: list[str] = []
@@ -297,10 +298,15 @@ def cmd_audit(args) -> int:
             f"violations {sum(sweep.violation_counts.values())}"
         ]
     elif args.target == "bagging":
-        target_w = None
+        # the sweep certifies the IDFs of weight exactly the cap as optimal
         if args.weight_cap is not None:
-            target_w = args.weight_cap
-        sweep = audit.sweep_bagging(n, optimal_weight=target_w)
+            optimum = solve_dp(n, k, "italian").optimum
+            if args.weight_cap != optimum:
+                raise InvalidParameters(
+                    f"audit bagging: --weight-cap {args.weight_cap} is not the "
+                    f"optimum {optimum} of P({n},{k})"
+                )
+        sweep = audit.sweep_bagging(n, optimal_weight=args.weight_cap)
         ok = sweep.ok
         header = ["n", "labelings", "inconsistent", "wrong_bound", "conflicts"]
         rows = [[n, sweep.labelings_checked, sweep.inconsistent, sweep.wrong_bound,
@@ -327,6 +333,10 @@ def cmd_audit(args) -> int:
             ]
     else:  # pragma: no cover - argparse restricts choices
         raise GpidError(f"unknown audit target {args.target}")
+    if sweep is not None and sweep.labelings_checked == 0:
+        raise InvalidParameters(
+            f"audit {args.target}: no valid IDF of P({n},{k}) has weight at most {args.weight_cap}"
+        )
     if args.format == "csv":
         _emit(args.out, _csv_text(header, rows))
     elif args.format == "json":

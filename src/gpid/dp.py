@@ -48,25 +48,26 @@ residual code.
 Transfer step.  Columns 2k..n-k-1 (the middle) share one signature, which
 reads no seam label and updates no residual: each applies the same
 (min,+) map to the window alone, and that map takes the frontier at
-column 2k onto itself.  For each (kind, k) a transfer table holds, for
-every window s of that frontier (a start) and every window t that m
-middle columns reach from it, the least weight of a path of m pairs from
-s to t, the lexicographically first path of that weight, and that path's
-rank among the paths from s.  Its layers are layers of a pass, keyed with
-the start's index as the seam code: layer m is m layer steps (below)
-over the middle rows from one state per start, under a limit above every
-path weight, so nothing is pruned.  It grows to the largest m asked for
-and keeps only the back-pointers of its older layers.  With two or more
-middle columns a pass then takes 3k + 1 steps: the 2k opening columns,
-one landing step that crosses the m = n - 3k middle columns by joining
-each state with its window's row of layer m, and the k closing
-columns.  The table is used only where its layers are small: a layer
-holds at most |frontier at 2k|^2 (start, window) pairs, and the landing
-step is taken where that is at most _TRANSFER_LAYER = 2,048.  That is the
-case for domination k = 1 and 2, Italian k = 1 and 2-rainbow k = 1 (49
-to 1,225 pairs), not for domination k = 3 (2,704) or Italian k = 2
-(7,225), where the pruned column steps are as fast or faster; those
-cases advance one middle column per step.
+column 2k onto itself.  Over the F windows of that frontier (the starts)
+it is one F x F matrix A: A[s, t] is the least weight of a pair from s to
+t, and the smallest such pair on a tie.  Crossing the m = n - 3k middle
+columns is then the power A^m, with, for each (s, t), the least weight
+of a path of m pairs, the lexicographically first path of that weight
+and its rank among the paths from s.  For each (kind, k) a transfer
+table caches A^(2^i) by (min,+) squaring, each entry with the midpoint
+of its path, and composes A^m from the set bits of m: a product picks,
+for each (s, t), the midpoint of least total weight and then of least
+rank of its first half, and ranks the result by the ranks of its two
+halves (`_Power`).  With two or more middle columns a pass then takes
+3k + 1 steps: the 2k opening columns, one landing step that crosses the
+middle by joining each state with its window's row of A^m, and the k
+closing columns.  The landing step is taken only where A is small: it
+holds at most F times |frontier one column later| (start, window) pairs,
+and the step is taken where that is at most _TRANSFER_LAYER = 2,048.
+That is the case for domination k = 1 and 2, Italian k = 1 and 2-rainbow
+k = 1 (F = 7, 19, 19 and 35), not for domination k = 3 (2,704) or
+Italian k = 2 (7,225), where the pruned column steps are as fast or
+faster; those cases advance one middle column per step.
 
 Before the search, two walks over the steps prepare it.  The forward
 walk follows the frontier: the windows that some seam can reach from the
@@ -81,9 +82,10 @@ window.
 Search.  The search deepens a weight limit `prune`: it starts at
 `bound[0][0]`, a lower bound on the optimum, and adds one after each
 pass over the steps that closes no state.  A pass advances each layer by
-one layer step, `_step`, which works in blocks of parent states: it
-gathers the rows of a block into a (block, L * L) grid of candidates (a
-landing step: a (block, row length) grid of the windows of layer m),
+one layer step, `_step` (the transfer table takes none: its powers are
+matrix products), which works in blocks of parent states: it gathers
+the rows of a block into a (block, L * L) grid of candidates (a landing
+step: a (block, row length) grid of the windows A^m reaches),
 keeps those whose weight plus the bound of their new window is at most
 `prune` (and, in the closing window, that are legal under their seam),
 and then takes a group-min over the new state integers of the whole
@@ -96,18 +98,19 @@ the optimum.
 
 Ties.  States keep backpointers (parent position, rank) instead of label
 prefixes, where the rank of a column's entry is its pair lo * L + li and
-that of a landing step's entry is its path's position in layer m.  All
-prefixes in a layer have the same length, the layer is kept in prefix
-order and a row lists its entries by rank, so comparing two candidate
-prefixes is comparing (parent position, rank), which is the order in
-which a step gathers them; legal candidates are kept in that order, and
-the group-min takes the smallest weight and then the first candidate.
-One unwinder follows the backpointers and asks each step for the labels
-of a rank: a pair for a column, and for a landing step its path, which
-it unwinds from the table's layers.  A state's completions do not
-depend on the prefix that reached it, so the first closing state of
-least weight in the last layer ends the lexicographically smallest
-optimal labeling over all seams, with or without the transfer step.
+that of a landing step's entry is its path's position among the paths
+of A^m, row after row.  All prefixes in a layer have the same length,
+the layer is kept in prefix order and a row lists its entries by rank,
+so comparing two candidate prefixes is comparing (parent position,
+rank), which is the order in which a step gathers them; legal candidates
+are kept in that order, and the group-min takes the smallest weight and
+then the first candidate.  One unwinder follows the backpointers and
+asks each step for the labels of a rank: a pair for a column, and for a
+landing step its path, which it expands through the midpoints of the
+table's powers.  A state's completions do not depend on the prefix that
+reached it, so the first closing state of least weight in the last layer
+ends the lexicographically smallest optimal labeling over all seams,
+with or without the transfer step.
 `explored` counts the states of the layers a pass materialises (opening
 columns, landing step, closing columns, or every column where no landing
 step is taken), summed over passes.
@@ -269,7 +272,7 @@ class _Tables:
 
     def transfer(self, starts: np.ndarray) -> _Transfer | None:
         """The transfer table of the middle columns from `starts`, the
-        frontier at column 2k, or None when its layers would hold more than
+        frontier at column 2k, or None when its matrix would hold more than
         _TRANSFER_LAYER (start, window) pairs: |starts| times the frontier
         one middle column later, which stays the same up to column n - k.
         Columns 0..2k-1 have the same signatures for every n with two or
@@ -367,86 +370,145 @@ def _distinct(wids: np.ndarray, windows: int) -> np.ndarray:
     return np.flatnonzero(seen[:-1])
 
 
-class _Transfer:
-    """Least-weight paths over the middle columns of one (kind, k), from
-    each window of the frontier at column 2k (a start).
+class _Power:
+    """A (min,+) power A^m of the middle map over the starts of a transfer
+    table (the frontier at column 2k), indexed by start index.
 
-    Layer m holds a state for each (start, window t) that m middle columns
-    join, keyed as in a pass with the start's index as its seam code and
-    residual 0, with the least weight of such a path and, as its
-    back-pointer, the lexicographically first one.  Layer 0 is the
-    identity and each later layer a `_step` over the middle rows, so a
-    layer is in prefix order: a start's states are contiguous and ordered
-    by their paths.  The table grows to the largest m asked for and keeps
-    the keys and weights of its last layer only; `layer` replays an older
-    one from the back-pointers.
+    `w[s, t]` is the least weight of m middle pairs from start s to start
+    t (_INF: no path), and `rank[s, t]` the position of the
+    lexicographically first such path among the paths of row s (F, the
+    number of starts: no path).  A path is recorded by its pair where m =
+    1 (`pair`), and otherwise by the start where it passes from the path
+    of the power `left` to that of the power `right` (`mid`).
+    """
+
+    def __init__(self, w: np.ndarray, rank: np.ndarray, pair=None, mid=None,
+                 left: _Power | None = None, right: _Power | None = None) -> None:
+        self.w, self.rank = w, rank
+        self.pair, self.mid, self.left, self.right = pair, mid, left, right
+
+    def __matmul__(self, other: _Power) -> _Power:
+        """self ⊗ other: for each (s, t) the midpoint u of least total
+        weight, then least rank of the path s -> u.  A least path splits
+        into least halves, the lexicographically first into first halves,
+        and paths through distinct midpoints differ in their first half, so
+        this is the least and lexicographically first path of the product;
+        it ranks by (rank of s -> u, rank of u -> t)."""
+        F = len(self.w)
+        first = self.w * F + self.rank  # s -> u by weight, then rank
+        then = other.w * F
+        mid = np.empty((F, F), np.intp)
+        # (s, u, t) keys in blocks of rows of at most 64 KiB: numpy takes a
+        # larger array from mmap (above 128 KiB) and faults it in afresh
+        rows = max(1, 2**13 // F**2)
+        for s in range(0, F, rows):
+            mid[s:s + rows] = (first[s:s + rows, :, None] + then).argmin(axis=1)
+        s, t = np.arange(F)[:, None], np.arange(F)[None, :]
+        best = first[s, mid] + then[mid, t]
+        reach = best < _INF * F
+        order = np.where(reach, self.rank[s, mid] * F + other.rank[mid, t], F * F)
+        return _Power(np.where(reach, best // F, _INF), _ranks(order, reach),
+                      mid=mid, left=self, right=other)
+
+    def pairs(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The pairs of the path from each start of `s` to the start of
+        `t` at the same position, one row per path."""
+        if self.mid is None:
+            return self.pair[s, t][:, None]
+        u = self.mid[s, t]
+        if self.left is self.right:  # a square: expand both halves at once
+            both = self.left.pairs(np.concatenate((s, u)), np.concatenate((u, t)))
+            return np.hstack(np.split(both, 2))
+        return np.hstack((self.left.pairs(s, u), self.right.pairs(u, t)))
+
+
+def _ranks(order: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The position of each entry of its row in ascending `order` (whose
+    unreachable entries sort last), and F where it is unreachable."""
+    F = len(order)
+    rank = np.empty((F, F), np.int64)
+    np.put_along_axis(rank, order.argsort(axis=1), np.arange(F)[None, :], axis=1)
+    rank[~reach] = F
+    return rank
+
+
+class _Transfer:
+    """The (min,+) powers of the middle map of one (kind, k) over the
+    frontier at column 2k (its starts), which that map takes onto itself.
+
+    `powers[i]` is A^(2^i); A is built from the middle rows (the least
+    weight pair from s to t, the smallest such pair on a tie), and each
+    further power is the square of the last.  `power(m)` multiplies the
+    powers of the set bits of m, first squaring up to the highest one.
     """
 
     def __init__(self, tables: _Tables, starts: np.ndarray, tab: _Rows) -> None:
         self.tables = tables
         self.starts = starts
-        self.tab = tab  # the rows of the middle signature
         self.start_of = np.full(tables.windows, -1, tables.ids)
         self.start_of[starts] = np.arange(len(starts))
-        self.key_bound = len(starts) * tables.windows * tables.R
-        key = (np.arange(len(starts)) * tables.windows + starts) * tables.R
-        self.key = key.astype(np.int32 if self.key_bound < 2**31 else np.int64)
-        self.w = np.zeros(len(key), np.int32)
-        self.back: list[np.ndarray] = []  # back[j - 1]: the back-pointers of layer j
-        h = np.zeros(tables.windows + 1, np.int32)
-        h[-1] = _INF  # no bound: an entry costs its weight, no entry _INF
-        self.cost = tab.cost(h)  # the middle map reaches no row built later
+        F = len(starts)
+        width = tables.width
+        rows = tab.row_of[starts]
+        nw = tab.nw[rows]
+        s, j = np.nonzero(nw >= 0)
+        t = self.start_of[nw[s, j]]
+        bad = starts[rows < 0].tolist() + nw[s[t < 0], j[t < 0]].tolist()
+        if bad:
+            raise InternalError(f"dp met window {bad[0]} off the frontier of its step")
+        key = np.full((F, F), _INF * width, np.int64)
+        np.minimum.at(key, (s, t), tables.dw[j].astype(np.int64) * width + j)
+        reach = key < _INF * width
+        w = np.where(reach, key // width, _INF)
+        pair = key % width
+        self.powers = [_Power(w, _ranks(np.where(reach, pair, width), reach), pair=pair)]
 
-    def layer(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The start index, window and weight of each state of layer m."""
-        while len(self.back) < m:
-            limit = int(self.w.max()) + int(self.tables.dw.max())  # prunes nothing
-            key, w, back = _step(self.tables, self.tab, self.cost, None, self.key, self.w,
-                                 limit, self.key_bound)
-            self.key, self.w = key[:len(back)], w[:len(back)]
-            self.back.append(back)
-        if m == len(self.back):
-            start, target = np.divmod(self.key // self.tables.R, self.tables.windows)
-            return start, target, self.w
-        start, target = np.arange(len(self.starts)), self.starts
-        w = np.zeros(len(start), np.int32)
-        for back in self.back[:m]:
-            par, rank = np.divmod(back, self.tab.span)
-            start = start[par]
-            target = self.tab.nw[self.tab.row_of[target[par]], rank]
-            w = w[par] + self.tables.dw[rank]
-        return start, target, w
+    def power(self, m: int) -> _Power:
+        """A^m, for m >= 1."""
+        while 1 << len(self.powers) <= m:
+            self.powers.append(self.powers[-1] @ self.powers[-1])
+        out = None
+        for i, p in enumerate(self.powers):
+            if m >> i & 1:
+                out = p if out is None else out @ p
+        return out
 
 
 class _Landing(_Step):
-    """The m middle columns as one step of a pass.
+    """The m middle columns as one step of a pass, read off A^m.
 
-    Row `row_of[w]` belongs to start w; entry [row, i] holds the i-th
-    window t that m middle columns reach from it (`nw`, -1 past the end),
-    in the order of their paths, the least path weight (`w`) and, as its
-    rank, the position of the path in layer m of the table.
+    Row `row_of[w]` belongs to start w; entry [row, i] holds the window t
+    that the i-th path from it reaches (`nw`, -1 past the end), the paths
+    in lexicographic order, the least path weight (`w`) and, as its rank,
+    the path's position among the paths of all rows, row after row.
     """
 
     def __init__(self, transfer: _Transfer, m: int) -> None:
-        start, target, w = transfer.layer(m)  # start ascends
-        col = np.arange(len(start)) - np.searchsorted(start, start)
-        shape = (len(transfer.starts), int(col.max()) + 1)
+        self.power = power = transfer.power(m)
+        reach = power.w < _INF
+        count = reach.sum(axis=1)
+        self.offset = np.cumsum(count) - count  # the rank of each row's first path
+        s, t = np.nonzero(reach)
+        col = power.rank[s, t]
+        shape = (len(count), int(count.max()))
         self.row_of = transfer.start_of
         self.nw = np.full(shape, -1, transfer.tables.ids)
-        self.nw[start, col] = target
+        self.nw[s, col] = transfer.starts[t]
         self.w = np.zeros(shape, np.int32)
-        self.w[start, col] = w
+        self.w[s, col] = power.w[s, t]
         self.rank = np.zeros(shape, np.int32)
-        self.rank[start, col] = np.arange(len(start))
-        self.span = len(start)  # states of layer m
-        self.middle = [transfer.tab] * m
-        self.back = transfer.back[:m]
+        self.rank[s, col] = self.offset[s] + col
+        self.span = int(count.sum())
+        self.nl = len(transfer.tables.alg.labels)
 
     def labels(self, rank: int) -> bytes:
-        return _unwind(self.middle, self.back, rank)
+        s = int(np.searchsorted(self.offset, rank, "right")) - 1
+        t = self.row_of[self.nw[s, rank - self.offset[s]]]
+        pairs = self.power.pairs(np.array([s]), np.array([t]))[0]
+        return np.stack(divmod(pairs, self.nl), 1).astype(np.uint8).tobytes()
 
 
-# The largest transfer table layer, in (start, window) pairs, for which the
+# The largest transfer matrix, in (start, window) pairs, for which the
 # middle columns are crossed in one landing step (module docstring).
 _TRANSFER_LAYER = 2048
 
@@ -454,7 +516,7 @@ _TRANSFER_LAYER = 2048
 @lru_cache(maxsize=None)
 def _tables(kind: str, k: int) -> _Tables:
     # bounded: one entry per (kind, k), each at most windows x signatures
-    # rows and one transfer table of at most _TRANSFER_LAYER states a layer
+    # rows and one transfer table of log2(largest m) + 1 F x F powers
     return _Tables(KINDS[kind], k)
 
 
@@ -506,8 +568,7 @@ _PACK_LIMIT = 2**63
 
 # A layer is expanded in blocks of _BLOCK parent states, so that its
 # (states, L * L) grids of candidates stay small; only the legal candidates
-# of a block are kept.  A transfer table's layers (at most 1,225 states in
-# the gated cases) take one block each.
+# of a block are kept.
 _BLOCK = 2048
 
 # Layers and the legal candidates of a block are padded to a multiple of

@@ -477,28 +477,28 @@ def test_transfer_step_matches_the_per_column_engine(kind, k):
 
 
 @pytest.mark.parametrize("kind,k", GATED)
-@pytest.mark.parametrize("n", [200, 97])  # the table shrinks back to m = 97 - 3k
+@pytest.mark.parametrize("n", [200, 97])  # m = n - 3k composes several powers
 def test_transfer_step_matches_the_per_column_engine_on_long_cycles(kind, k, n):
     assert dp.solve_cycle(n, k, kind)[:2] == _per_column_cycle(n, k, kind)
 
 
 def _brute_paths(tables, start, m):
     """{window: (weight, pairs)} of the lightest, then lexicographically
-    first, path of m middle pairs from window `start`, by enumeration."""
+    first, path of m middle pairs from window `start`, one middle column at
+    a time over whole paths: such a path's first m - 1 pairs are the
+    lightest, then lexicographically first, path to the window they reach
+    (enumerating every path is out of reach: 2-rainbow k = 1 has 3.5e9 of
+    7 pairs)."""
     tab = tables.rows[(2 * tables.k, -1, False)]
-    best = {}
-
-    def walk(window, weight, pairs):
-        if len(pairs) == m:
-            if window not in best or weight < best[window][0]:
-                best[window] = (weight, pairs)
-            return
-        row = tab.nw[tab.row_of[window]]
-        for j in range(tables.width):  # ascending pairs: paths in lexicographic order
-            if row[j] >= 0:
-                walk(int(row[j]), weight + int(tables.dw[j]), pairs + (j,))
-
-    walk(start, 0, ())
+    best = {start: (0, ())}
+    for _ in range(m):
+        step = {}
+        for window, (weight, pairs) in best.items():
+            for j, new in enumerate(tab.nw[tab.row_of[window]].tolist()):
+                path = (weight + int(tables.dw[j]), pairs + (j,))
+                if new >= 0 and (new not in step or path < step[new]):
+                    step[new] = path
+        best = step
     return best
 
 
@@ -506,25 +506,26 @@ def _brute_paths(tables, start, m):
 def test_transfer_table_rows_match_brute_force(kind, k):
     dp._tables.cache_clear()
     tables = dp._tables(kind, k)
-    dp.solve_cycle(3 * k + 4, k, kind)  # grows the table to m = 4
+    dp._plan(tables, 3 * k + 2)  # builds the table
     transfer = tables._transfer
-    assert len(transfer.back) == 4
     nl = len(tables.alg.labels)
-    for m in range(1, 5):
+    for m in range(1, 8):  # odd m > 1 multiplies several powers
         landing = dp._Landing(transfer, m)
+        ranks = []
         for s, start in enumerate(transfer.starts.tolist()):
             row = [i for i in range(landing.nw.shape[1]) if landing.nw[s, i] >= 0]
             got = {}
             for i in row:
                 rank = int(landing.rank[s, i])
-                labels = dp._unwind([transfer.tab] * m, transfer.back[:m], rank)
+                labels = landing.labels(rank)
                 pairs = tuple(lo * nl + li for lo, li in zip(labels[::2], labels[1::2]))
                 got[int(landing.nw[s, i])] = (int(landing.w[s, i]), pairs)
+                ranks.append(rank)
             assert got == _brute_paths(tables, start, m), (m, start)
-            # a row lists its windows in the order of their paths, ranked
-            ranks = [int(landing.rank[s, i]) for i in row]
-            assert ranks == sorted(ranks)
+            # a row lists its windows in the order of their paths
             assert [got[int(landing.nw[s, i])][1] for i in row] == sorted(got[t][1] for t in got)
+        # ranked by path, row after row
+        assert ranks == list(range(landing.span)), m
     dp._tables.cache_clear()
 
 
@@ -556,7 +557,7 @@ def test_the_middle_map_takes_the_frontier_at_2k_onto_itself(kind, k):
 def test_growing_a_transfer_table_builds_no_row(kind, k, monkeypatch):
     dp._tables.cache_clear()
     tables = dp._tables(kind, k)
-    dp._plan(tables, 3 * k + 2)  # builds the table, grown to m = 2
+    dp._plan(tables, 3 * k + 2)  # builds the table, A^1 and A^2
     built = {sig: len(tab.nw) for sig, tab in tables.rows.items()}
 
     def refuse(*args):
@@ -565,7 +566,8 @@ def test_growing_a_transfer_table_builds_no_row(kind, k, monkeypatch):
     monkeypatch.setattr(dp._Tables, "rows_for", refuse)
     monkeypatch.setattr(dp._Tables, "_build", refuse)
     landing = dp._Landing(tables._transfer, 200)
-    assert len(tables._transfer.back) == 200 and len(landing.back) == 200
+    assert len(landing.labels(landing.span - 1)) == 2 * 200
+    assert len(tables._transfer.powers) <= 8  # A^1 .. A^128: 200 has 8 bits
     assert {sig: len(tab.nw) for sig, tab in tables.rows.items()} == built
     dp._tables.cache_clear()
 
@@ -580,20 +582,23 @@ def test_the_transfer_step_is_gated_by_its_layer_size(kind, k, gated):
     steps, bound = dp._plan(tables, n)
     landings = [step for step in steps if isinstance(step, dp._Landing)]
     assert len(steps) == (3 * k + 1 if gated else n) and len(bound) == len(steps) + 1
-    assert [len(step.back) for step in landings] == ([n - 3 * k] if gated else [])
+    assert len(landings) == gated
+    for step in landings:  # it crosses the n - 3k middle columns
+        assert len(step.labels(0)) == 2 * (n - 3 * k)
     assert (tables._transfer is not False) == gated
     # one middle column is an ordinary column step on either side
     assert not any(isinstance(step, dp._Landing) for step in dp._plan(tables, 3 * k + 1)[0])
 
 
-def test_transfer_table_keeps_only_back_pointers_of_older_layers():
-    # n = 9 after n = 40 replays layer 6 from the back-pointers
+def test_transfer_table_results_do_not_depend_on_the_order_of_n():
+    # n = 9 after n = 40 composes A^6 from powers cached up to A^32; n = 40
+    # after n = 9 squares further from A^4
     dp._tables.cache_clear()
-    replayed = [dp.solve_cycle(n, 1, "rainbow2") for n in (40, 9)]
-    transfer = dp._tables("rainbow2", 1)._transfer
-    assert len(transfer.back) == 37 and len(transfer.key) == len(transfer.back[-1])
+    long_first = [dp.solve_cycle(n, 1, "rainbow2") for n in (40, 9)]
+    assert len(dp._tables("rainbow2", 1)._transfer.powers) == 6
     dp._tables.cache_clear()
-    assert [dp.solve_cycle(n, 1, "rainbow2") for n in (9, 40)] == replayed[::-1]
+    short_first = [dp.solve_cycle(n, 1, "rainbow2") for n in (9, 40)]
+    assert short_first == long_first[::-1]
     dp._tables.cache_clear()
 
 
@@ -607,22 +612,37 @@ def test_result_does_not_depend_on_table_warmth():
     assert dp.solve_cycle(11, 2, "italian") == cold
 
 
+def _refused_at_a_landing_step(monkeypatch, n, k, kind, match):
+    """Solve P(n, k) and check that the layer step that refuses it with
+    `match` is a landing step."""
+    steps = []
+    step = dp._step
+
+    def record(tables, tab, *args):
+        steps.append(tab)
+        return step(tables, tab, *args)
+
+    monkeypatch.setattr(dp, "_step", record)
+    with pytest.raises(BudgetExceeded, match=match):
+        dp.solve_cycle(n, k, kind)
+    assert isinstance(steps[-1], dp._Landing)
+
+
 def test_state_cap(monkeypatch):
     monkeypatch.setattr(dp, "DP_STATE_CAP", 10)
     with pytest.raises(BudgetExceeded, match="exceeds cap 10"):
         dp.solve_cycle(9, 3, "italian")
-    with pytest.raises(BudgetExceeded, match="exceeds cap 10"):  # through the transfer step
-        dp.solve_cycle(20, 1, "rainbow2")
+    # the first pass keeps 1 and 4 states in columns 0 and 1, then 16
+    _refused_at_a_landing_step(monkeypatch, 20, 1, "rainbow2", "exceeds cap 10")
 
 
 def test_sort_key_overflow_is_refused(monkeypatch):
     monkeypatch.setattr(dp, "_PACK_LIMIT", 1000)
     with pytest.raises(BudgetExceeded, match="int64 sort keys"):
         dp.solve_cycle(9, 2, "italian")
-    dp._tables.cache_clear()  # the transfer table is built, and refused, afresh
-    with pytest.raises(BudgetExceeded, match="int64 sort keys"):
-        dp.solve_cycle(20, 1, "rainbow2")
-    dp._tables.cache_clear()
+    # packed keys reach 2^25 before the landing step of the second pass, 2^27 there
+    monkeypatch.setattr(dp, "_PACK_LIMIT", 2**26)
+    _refused_at_a_landing_step(monkeypatch, 20, 1, "rainbow2", "int64 sort keys")
 
 
 def test_public_shape():

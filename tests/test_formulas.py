@@ -109,6 +109,18 @@ def test_formula_vs_dp_spot():
         assert domination_value(n, k).value == solve_dp(n, k, "domination").optimum
 
 
+@pytest.mark.parametrize("kind,k,formula", [
+    ("domination", 1, domination_value),
+    ("italian", 1, italian_value),
+    ("domination", 2, domination_value),
+    ("rainbow2", 1, rainbow2_value),
+])
+def test_formula_vs_dp_on_long_cycles(kind, k, formula):
+    # the four (kind, k) whose middle columns the DP crosses in one step
+    for n in [*range(1000, 1011), 4999, 5000]:
+        assert formula(n, k).value == solve_dp(n, k, kind).optimum, n
+
+
 def test_exact_rational_is_kept_reduced():
     expr = pnk_upper_bound_expression(23, 7)
     assert isinstance(expr, Fraction)
