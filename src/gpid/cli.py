@@ -22,7 +22,7 @@ from functools import cache
 from . import audit, checks
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
 from .errors import GpidError, InternalError, InvalidParameters
-from .formulas import domination_value, italian_value, rainbow2_value
+from .formulas import VALUES
 from .graph import build_petersen, is_admissible, require_admissible
 from .labeling import (
     KINDS,
@@ -45,11 +45,7 @@ EXIT_USAGE = 2
 EXIT_UNAVAILABLE = 3
 EXIT_INTERNAL = 4
 
-_FORMULAS = {
-    "italian": italian_value,
-    "domination": domination_value,
-    "rainbow2": rainbow2_value,
-}
+_FORMULAS = VALUES  # under its earlier name: perfbench/layers.py wraps its entries
 
 _VALUE_COLUMNS = ["n", "k", "invariant", "method", "kind", "value", "lo", "hi", "provenance"]
 
@@ -124,7 +120,7 @@ def _value_row(n: int, k: int, invariant: str, method: str, budget: int) -> dict
     """One `value` row.  `auto` takes the formula when it is exact or k >= 4,
     and the DP otherwise."""
     if method in ("formula", "auto"):
-        f = _FORMULAS[invariant](n, k)
+        f = VALUES[invariant](n, k)
         if method == "formula" or f.kind == "exact" or k > 3:
             cells = ("formula", f.kind, f.value, f.lo, f.hi, f.theorem)
             return dict(zip(_VALUE_COLUMNS, (n, k, invariant, *cells)))

@@ -43,7 +43,7 @@ the seam labelings under which the pair is legal.  A pair of columns
 new window id is not -1; in the closing window the state's seam code picks
 the bit.  A residual update depends only on the signature and the pair, so
 each signature holds one map from (residual code, pair) to the next
-residual code.
+residual code, built from one (digit, pair) table per residual slot.
 
 Transfer step.  Columns 2k..n-k-1 (the middle) share one signature, which
 reads no seam label and updates no residual: each applies the same
@@ -77,11 +77,15 @@ step's frontier is the windows its table row reaches.  The backward walk
 computes the cost-to-go bound `bound[i][w]`, the least weight of the
 columns of steps i.. from window w under any seam, residuals ignored; at
 a landing step it is the least path weight plus the bound of the path's
-window.
+window.  It also gives each step its entry costs, the weight of every
+entry plus the bound of its new window, which every pass reads as they
+are.
 
 Search.  The search deepens a weight limit `prune`: it starts at
-`bound[0][0]`, a lower bound on the optimum, and adds one after each
-pass over the steps that closes no state.  A pass advances each layer by
+`bound[0][0]`, a lower bound on the optimum, or at the caller's `first`
+where that is higher (solver.solve_dp passes the closed-form value where
+one is exact), and adds one after each pass over the steps that closes
+no state.  A pass advances each layer by
 one layer step, `_step` (the transfer table takes none: its powers are
 matrix products), which works in blocks of parent states: it gathers
 the rows of a block into a (block, L * L) grid of candidates (a landing
@@ -94,7 +98,9 @@ share a window and so a bound: pruning removes whole groups and never
 changes a group's winner.  Only a weight plus bound strictly above
 `prune` is dropped, so every prefix of a labeling of weight `prune`
 survives, and the first pass that closes a state has `prune` equal to
-the optimum.
+the optimum.  A pass at any limit at or above the optimum returns the
+same optimum and witness (pruning never changes a winner), and one below
+it closes nothing, so `first` changes the passes made and nothing else.
 
 Ties.  States keep backpointers (parent position, rank) instead of label
 prefixes, where the rank of a column's entry is its pair lo * L + li and
@@ -150,13 +156,14 @@ def _column(c: int, n: int, k: int) -> tuple[tuple[int, int, bool], tuple[int, .
     return (min(c, 2 * k), max(late, -1), last), reads
 
 
-def _residual_ops(sig: tuple[int, int, bool], k: int, alg: Kind, lo: int, li: int):
-    """The residual update of pair (lo, li) under signature `sig`, as
-    (slot, new demand indexed by old demand) steps on distinct slots."""
+def _residual_ops(sig: tuple[int, int, bool], k: int, alg: Kind) -> list:
+    """The residual update of every pair (lo, li) under `sig`, as (slot,
+    new demand [old demand, lo * L + li]) steps on distinct slots."""
     cc, late, last = sig
-    red = alg.reduce
-    by_lo = tuple(row[lo] for row in red)
-    by_li = tuple(row[li] for row in red)
+    red = np.array(alg.reduce)  # [demand, label]
+    lo, li = np.divmod(np.arange(len(alg.labels) ** 2), len(alg.labels))
+    by_lo, by_li = red[:, lo], red[:, li]
+    kept = np.arange(len(red))[:, None]  # the demand of an untouched slot
     ops = []
     if k <= cc < 2 * k:  # column c-k's inner vertex wraps to bs[c-k]
         ops.append((1 + cc - k, by_li))
@@ -166,10 +173,10 @@ def _residual_ops(sig: tuple[int, int, bool], k: int, alg: Kind, lo: int, li: in
         ops.append((1 + late, by_li))
         if last:
             ops.append((0, by_lo))
-    if li == 0 and cc < k:  # a wrap inner vertex's demand is created
-        ops.append((1 + cc, (red[alg.need][lo],) * len(red)))
-    if lo == 0 and cc == 0:  # so is a0's
-        ops.append((0, (red[alg.need][li],) * len(red)))
+    if cc < k:  # a wrap inner vertex's demand is created where li = 0
+        ops.append((1 + cc, np.where(li == 0, red[alg.need, lo], kept)))
+    if cc == 0:  # so is a0's where lo = 0
+        ops.append((0, np.where(lo == 0, red[alg.need, li], kept)))
     return ops
 
 
@@ -186,9 +193,9 @@ class _Step:
 
     op = mask = seam_bit = None
 
-    def cost(self, h: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """The weight of each entry of `rows` plus `h` of its new window."""
-        return self.w[rows] + h[self.nw[rows]]
+    def cost(self, h: np.ndarray) -> np.ndarray:
+        """The weight of each entry plus `h` of its new window."""
+        return self.w + h[self.nw]
 
 
 class _Rows(_Step):
@@ -214,8 +221,7 @@ class _Rows(_Step):
         self.w, self.rank = (grid[:0] for grid in self.grids)
         self.mask = np.empty((0, width), np.uint16) if reads else None
         if sig[0] < 2 * tables.k or sig[1] >= 0:
-            labels = tables.alg.labels
-            self.op = np.stack([tables.op_map(sig, lo, li) for lo in labels for li in labels], 1)
+            self.op = tables.op_table(sig)
         if sig[1] >= 0:
             codes = np.arange(tables.seams)
             v = 0
@@ -286,15 +292,18 @@ class _Tables:
             raise InternalError("dp met a frontier at column 2k other than its transfer table's")
         return self._transfer or None
 
-    def op_map(self, sig: tuple, lo: int, li: int) -> np.ndarray:
-        """The residual code that follows each code under pair (lo, li)."""
-        codes = np.arange(self.R, dtype=np.int32)
-        out = codes.copy()
-        for slot, demand in _residual_ops(sig, self.k, self.alg, lo, li):
-            unit = self.base**slot
-            d = (codes // unit) % self.base
-            out += (np.array(demand, np.int32)[d] - d) * unit
-        return out
+    def op_table(self, sig: tuple) -> np.ndarray:
+        """op[code, lo * L + li]: the residual code that follows each code
+        under each pair.  A code's digits change independently, so it is
+        the code plus one (digit, pair) table of changes per slot, summed
+        over the digits by broadcasting, most significant slot outermost."""
+        change = np.zeros((self.k + 1, self.base, self.width), np.int32)
+        for slot, new in _residual_ops(sig, self.k, self.alg):
+            change[slot] = (new - np.arange(self.base)[:, None]) * self.base**slot
+        table = change[0]
+        for slot in range(1, self.k + 1):
+            table = (change[slot][:, None] + table).reshape(-1, self.width)
+        return np.arange(self.R, dtype=np.int32)[:, None] + table
 
     def rows_for(self, sig: tuple, reads: tuple[int, ...], wids: np.ndarray) -> _Rows:
         """The rows of signature `sig` (reading seam positions `reads`),
@@ -520,9 +529,11 @@ def _tables(kind: str, k: int) -> _Tables:
     return _Tables(KINDS[kind], k)
 
 
-def _plan(tables: _Tables, n: int) -> tuple[list[_Rows | _Landing], list[np.ndarray]]:
+def _plan(tables: _Tables, n: int) -> tuple[list[_Rows | _Landing], list[np.ndarray],
+                                           list[np.ndarray]]:
     """The steps of a pass over P(n, k), each built for its whole frontier,
-    and the cost-to-go bound before each step and after the last.
+    the cost-to-go bound before each step and after the last, and the
+    entry costs of each step (`_cost_to_go`).
 
     A step is one column, or, with two or more middle columns and a
     transfer table inside its gate, the middle columns 2k..n-k-1 at once.
@@ -543,23 +554,35 @@ def _plan(tables: _Tables, n: int) -> tuple[list[_Rows | _Landing], list[np.ndar
         steps.append(step)
         fronts.append(frontier)
         frontier = _distinct(step.nw[step.row_of[frontier]], tables.windows)
-    return steps, _cost_to_go(tables, steps, fronts)
+    # a pass takes limits up to 2n, the weight of the all-ones labeling
+    return (steps, *_cost_to_go(tables, steps, fronts, 2 * n))
 
 
-def _cost_to_go(tables: _Tables, steps: list, fronts: list[np.ndarray]) -> list[np.ndarray]:
+def _cost_to_go(tables: _Tables, steps: list, fronts: list[np.ndarray],
+                top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """bound[i][w]: the least weight of the columns of steps i.. from
     window w under any seam, residuals ignored (a lower bound on every
     completion); _INF off the frontier and in the last slot, which an
-    illegal pair (nw = -1) reads.  The last bound is zero on every window."""
+    illegal pair (nw = -1) reads.  The last bound is zero on every window.
+
+    costs[i]: the weight of each entry of step i plus the bound of its new
+    window, over all the step's rows, capped at top + 1, where `top` is the
+    largest limit a pass takes (so an illegal entry costs top + 1).  It
+    depends on the plan only, so every pass reads it as it is; int16 where
+    the cap allows, which halves what the plan holds.
+    """
     h = np.zeros(tables.windows + 1, np.int32)
     h[-1] = _INF
     bound = [h]
+    costs = []
+    narrow = np.int16 if top < 2**15 - 1 else np.int32
     for step, front in zip(reversed(steps), reversed(fronts)):
-        cost = step.cost(h, step.row_of[front]).min(axis=1)
+        cost = step.cost(h)
+        costs.append(np.minimum(cost, top + 1).astype(narrow))
         h = np.full(tables.windows + 1, _INF, np.int32)
-        h[front] = np.minimum(cost, _INF)
+        h[front] = np.minimum(cost[step.row_of[front]].min(axis=1), _INF)
         bound.append(h)
-    return bound[::-1]
+    return bound[::-1], costs[::-1]
 
 
 # Group-min sort keys pack (key, weight, position) as bit fields of one
@@ -625,7 +648,7 @@ def _step(tables: _Tables, tab: _Step, cost: np.ndarray, writes: np.ndarray | No
             raise InternalError(f"dp met window {bad} off the frontier of its step")
         legal = cost.take(rows, axis=0)
         # <= : a labeling of weight `limit` must keep all its prefixes
-        legal = np.less_equal(legal, (limit - wb)[:, None])
+        legal = np.less_equal(legal, (limit - wb).astype(cost.dtype)[:, None])
         if tab.seam_bit is not None:  # closing window: legal under the state's seam
             legal &= (tab.mask.take(rows, axis=0) & tab.seam_bit[kb // WR][:, None]) != 0
         pos = np.flatnonzero(legal)
@@ -688,10 +711,11 @@ def _unwind(steps: list, back: list[np.ndarray], pos: int) -> bytes:
     return b"".join(reversed(labels))
 
 
-def _sweep(tables: _Tables, steps: list, bound: list[np.ndarray],
+def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray],
            prune: int) -> tuple[tuple[int, bytes] | None, int]:
     """One pass over the steps that carries every seam, dropping each
-    candidate whose weight plus cost-to-go bound exceeds `prune`.
+    candidate whose weight plus the entry cost of its step (`costs`, from
+    `_cost_to_go`) exceeds `prune`.
 
     Returns ((weight, witness) of the lexicographically smallest closing
     labeling of least weight, or None when no state closes; states kept).
@@ -705,12 +729,10 @@ def _sweep(tables: _Tables, steps: list, bound: list[np.ndarray],
     w = np.zeros(1, np.int32)
     back: list[np.ndarray] = []  # per layer: parent position * span + rank
     explored = 0
-    for c, tab in enumerate(steps):
+    for c, (tab, cost) in enumerate(zip(steps, costs)):
         # columns 0..k-1 write seam digits: (a0, bs[0]) = (lo, li), bs[c] = li
         writes = pair * WR if c == 0 else pair % nl * WR if c < k else None
-        # the least weight each entry adds up to the last column (_INF when
-        # it is illegal: nw = -1 reads the bound's last slot)
-        layer = _step(tables, tab, tab.cost(bound[c + 1]), writes, key, w, prune, key_bound)
+        layer = _step(tables, tab, cost, writes, key, w, prune, key_bound)
         if layer is None:
             return None, explored
         key, w, b = layer
@@ -723,20 +745,22 @@ def _sweep(tables: _Tables, steps: list, bound: list[np.ndarray],
     return (int(w[pos]), _unwind(steps, back, pos)), explored
 
 
-def solve_cycle(n: int, k: int, kind: str) -> tuple[int, bytes, int]:
+def solve_cycle(n: int, k: int, kind: str, first: int = 0) -> tuple[int, bytes, int]:
     """Minimum weight over the cyclic column structure of P(n, k).
 
+    The deepening starts at `first` where that is above the cost-to-go
+    bound (at most 2n); it changes only the work done, never the result.
     Returns (optimum, witness label bytes in vertex order, states explored).
     """
     kind_of(kind)  # rejects an unknown kind
     require_admissible(n, k)
     tables = _tables(kind, k)
-    steps, bound = _plan(tables, n)
+    steps, bound, costs = _plan(tables, n)
     explored = 0
     # bound[0][0] is a lower bound on the optimum, and the all-ones labeling
     # is always valid at weight 2n
-    for prune in range(int(bound[0][0]), 2 * n + 1):
-        found, kept = _sweep(tables, steps, bound, prune)
+    for prune in range(max(int(bound[0][0]), min(first, 2 * n)), 2 * n + 1):
+        found, kept = _sweep(tables, steps, costs, prune)
         explored += kept
         if found is not None:
             return (*found, explored)

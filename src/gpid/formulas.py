@@ -91,6 +91,15 @@ def domination_value(n: int, k: int) -> FormulaResult:
     return FormulaResult("unknown", None, None, None, "domination-unknown")
 
 
+# The closed form of each kind, looked up by `value` and by the DP's
+# deepening seed (solver.solve_dp) at call time.
+VALUES = {
+    "italian": italian_value,
+    "domination": domination_value,
+    "rainbow2": rainbow2_value,
+}
+
+
 @dataclass(frozen=True)
 class ItalianGraphVerdict:
     is_italian: bool | None

@@ -5,7 +5,9 @@ Three routes with overlapping domains keep each other honest:
 
 * ``solve_exhaustive`` -- exhaustive search by ascending weight class,
   gated to tiny instances; the oracle everything else is compared against.
-* ``solve_dp``         -- cyclic profile dynamic program, exact for k <= 3.
+* ``solve_dp``         -- cyclic profile dynamic program, exact for k <= 3;
+  its deepening starts at the kind's closed form (``formulas.VALUES``)
+  where that is exact, which saves passes and cannot change a result.
 * ``solve_branch_and_bound`` -- depth-first search with a charge-counting
   cut; each label is tested against the cut and the neighbors' demands
   before anything is written, and only surviving labels are applied.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import dp, exhaustive
+from . import dp, exhaustive, formulas
 from .errors import InternalError, InvalidParameters
 from .graph import CACHE_SIZE, PetersenGraph, build_petersen
 from .labeling import (  # the validators are called by name, see _witness
@@ -134,12 +136,17 @@ def _solve_exhaustive_cached(n: int, k: int, kind: str) -> SolveResult:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def solve_dp(n: int, k: int, kind: str) -> SolveResult:
-    """Exact optimum via the cyclic profile DP; supported for k <= 3."""
+    """Exact optimum via the cyclic profile DP; supported for k <= 3.
+
+    The DP's deepening starts at the kind's closed form where that is
+    exact; a wrong closed form costs passes, never a wrong optimum."""
     kd = kind_of(kind)
     if k > 3:
         raise InvalidParameters(f"dp solver supports k <= 3, got k={k}")
     g = build_petersen(n, k)
-    opt, seq, explored = dp.solve_cycle(n, k, kind)
+    f = formulas.VALUES[kind](n, k)
+    first = f.value if f.kind == "exact" else 0
+    opt, seq, explored = dp.solve_cycle(n, k, kind, first)
     witness = _witness(g, kd, seq, opt)
     return SolveResult(kind, n, k, opt, witness, "dp", explored)
 

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from gpid import audit, checks, exhaustive
+from gpid import audit, checks, dp, exhaustive, formulas, solver
 from gpid.cli import main
 from gpid.constructions import ConstructionResult
 from gpid.labeling import Labeling, validate_idf
@@ -109,30 +109,88 @@ def findings(labelings, violations):
     return audit.FindingsSweep(6, None, labelings, counts, {**counts, 3: violations})
 
 
+def off_by(real, off):  # every exact closed form off by `off`
+    def planted(n, k):
+        f = real(n, k)
+        if f.kind != "exact":
+            return f
+        return dataclasses.replace(f, value=f.value + off, lo=f.lo + off, hi=f.hi + off)
+    return planted
+
+
+def patched(owner, name, plant):
+    return lambda monkeypatch: monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+
+
+def closed_forms_off_by(off):
+    """A wrong closed form of every kind, where the checks read it and where
+    the DP starts its deepening (solver.solve_dp reads formulas.VALUES)."""
+    def plant(monkeypatch):
+        for kind, real in list(formulas.VALUES.items()):
+            monkeypatch.setitem(formulas.VALUES, kind, off_by(real, off))
+            monkeypatch.setattr(checks, real.__name__, off_by(real, off))
+    return plant
+
+
 FAULTS = {
-    "dp-off-by-one": (checks, "solve_dp", dp_off_by_one,
+    "dp-off-by-one": (patched(checks, "solve_dp", dp_off_by_one),
                       ["thm-2.3", "thm-3.6", "oracle-eq", "cited-formulas", "classification"]),
-    "predicate-values": (checks, "italian_graph_predicate", predicate_values_off_by_one,
+    "predicate-values": (patched(checks, "italian_graph_predicate", predicate_values_off_by_one),
                          ["classification"]),
-    "pn2-invalid": (checks, "construct_pn2", all_zero_pn2, ["thm-3.3"]),
-    "findings-violation": (audit, "sweep_findings", returning(findings(5, 1)), ["findings"]),
-    "findings-empty": (audit, "sweep_findings", returning(findings(0, 0)), ["findings"]),
-    "discharge-empty": (audit, "sweep_discharge",
-                        returning(audit.DischargeSweep(6, None, 0, 0, 0)), ["discharge"]),
-    "bagging-empty": (audit, "sweep_bagging",
-                      returning(audit.BaggingSweep(6, 0, 0, 0, 0)), ["bagging"]),
+    "pn2-invalid": (patched(checks, "construct_pn2", all_zero_pn2), ["thm-3.3"]),
+    "findings-violation": (patched(audit, "sweep_findings", returning(findings(5, 1))),
+                           ["findings"]),
+    "findings-empty": (patched(audit, "sweep_findings", returning(findings(0, 0))),
+                       ["findings"]),
+    "discharge-empty": (patched(audit, "sweep_discharge",
+                                returning(audit.DischargeSweep(6, None, 0, 0, 0))),
+                        ["discharge"]),
+    "bagging-empty": (patched(audit, "sweep_bagging",
+                              returning(audit.BaggingSweep(6, 0, 0, 0, 0))), ["bagging"]),
+    "formula-plus-one": (closed_forms_off_by(1), ["thm-3.6", "cited-formulas"]),
+    "formula-minus-one": (closed_forms_off_by(-1), ["thm-3.6", "cited-formulas"]),
 }
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_a_planted_fault_fails_the_checks_that_read_it(monkeypatch, capsys, fault):
-    owner, name, plant, affected = FAULTS[fault]
-    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
-    code = main(["verify-theorems", *(arg for i in affected for arg in ("--only", i))])
+    plant, affected = FAULTS[fault]
+    plant(monkeypatch)
+    solver.solve_dp.cache_clear()  # so that no check reads a result solved before the fault
+    try:
+        code = main(["verify-theorems", *(arg for i in affected for arg in ("--only", i))])
+    finally:
+        solver.solve_dp.cache_clear()
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert [line.split()[:2] for line in lines[:-1]] == [["✗", i] for i in affected]
     assert lines[-1] == "SOME CHECKS FAILED"
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_a_wrong_closed_form_changes_no_dp_result(monkeypatch, off):
+    grid = [(n, k, kind) for kind in formulas.VALUES for k in (1, 2) for n in (2 * k + 1, 10, 11)]
+    solver.solve_dp.cache_clear()
+    right = {key: solver.solve_dp(*key) for key in grid}
+    closed_forms_off_by(off)(monkeypatch)
+    firsts = {}
+    solve_cycle = dp.solve_cycle
+
+    def recorded(n, k, kind, first=0):
+        firsts[n, k, kind] = first
+        return solve_cycle(n, k, kind, first)
+
+    monkeypatch.setattr(dp, "solve_cycle", recorded)
+    solver.solve_dp.cache_clear()
+    try:
+        got = {key: solver.solve_dp(*key) for key in grid}
+    finally:
+        solver.solve_dp.cache_clear()
+    for key, r in right.items():
+        assert (got[key].optimum, got[key].witness) == (r.optimum, r.witness), key
+        # the DP was started at the wrong value wherever the form is exact
+        exact = formulas.VALUES[key[2]](*key[:2]).kind == "exact"
+        assert firsts[key] == (r.optimum + off if exact else 0), key
 
 
 # ---------------------------------------------------------------------------

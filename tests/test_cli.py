@@ -317,7 +317,7 @@ def test_labelings_of_undefined_graphs_are_refused(capsys, inputs, argv):
 def test_unsound_solver_output_is_an_internal_error(capsys, monkeypatch):
     from gpid import dp, solver
 
-    def corrupted(n, k, kind):
+    def corrupted(n, k, kind, first=0):
         return n, bytes(2 * n), 0  # all zeros: not a valid labeling
 
     monkeypatch.setattr(dp, "solve_cycle", corrupted)

@@ -39,7 +39,8 @@ below it, where no state may close.
 
 `_transitions` below is the scalar transition rule the engine's numpy
 table build replaced; `test_table_rows_match_the_scalar_rule` compares
-them entry by entry.  `_reference_cycle` is the per-seam engine that one
+them entry by entry, and `_op_per_pair` is the per-pair build of the
+residual maps that one broadcast per signature replaced.  `_reference_cycle` is the per-seam engine that one
 pass over all seams replaced; the reference grid compares their optima
 and witnesses on every instance with n <= 10.  `_per_column_cycle` is the
 engine before the transfer step (commit 51c4f88), which advances every
@@ -234,11 +235,11 @@ def _digest(result):
 
 
 def _no_bound(tables, steps):
-    """The cost-to-go bound set to zero on every window; the last slot, read
-    by an illegal pair, stays _INF."""
+    """The entry costs of the steps with the cost-to-go bound set to zero on
+    every window; the last slot, read by an illegal pair, stays _INF."""
     h = np.zeros(tables.windows + 1, np.int32)
     h[-1] = dp._INF
-    return [h] * (len(steps) + 1)
+    return [step.cost(h) for step in steps]
 
 
 @pytest.mark.parametrize(
@@ -250,7 +251,7 @@ def test_pinned(kind, n, k, optimum, digest, unbounded, explored):
     # the bound prunes states and changes nothing else: without it, one pass
     # at the optimum finds the same witness and one below it closes nothing
     tables = dp._tables(kind, k)
-    steps, _ = dp._plan(tables, n)
+    steps = dp._plan(tables, n)[0]
     free = _no_bound(tables, steps)
     (weight, seq), _ = dp._sweep(tables, steps, free, optimum)
     assert (weight, hashlib.sha256(seq).hexdigest()[:16]) == (optimum, digest)
@@ -262,6 +263,30 @@ def test_pinned(kind, n, k, optimum, digest, unbounded, explored):
                          ids=["-".join(map(str, row[:5])) for row in LONG_PINNED])
 def test_pinned_long(kind, n, k, optimum, digest, explored):
     assert _digest(dp.solve_cycle(n, k, kind)) == (optimum, digest, explored)
+
+
+SEEDED = [row[:5] for row in PINNED] + [row[:5] for row in LONG_PINNED[:2]]
+
+
+@pytest.mark.parametrize("kind,n,k,optimum,digest", SEEDED,
+                         ids=["-".join(map(str, row[:3])) for row in SEEDED])
+def test_the_first_limit_changes_only_the_work(kind, n, k, optimum, digest, monkeypatch):
+    # a pass at or above the optimum returns the optimum and the same
+    # witness, one below it closes nothing; started at the optimum the
+    # deepening makes a single pass
+    passes = []
+    sweep = dp._sweep
+
+    def counted(*args):
+        passes.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(dp, "_sweep", counted)
+    for first in (0, optimum - 1, optimum, optimum + 1, optimum + 2):
+        passes.clear()
+        assert _digest(dp.solve_cycle(n, k, kind, first))[:2] == (optimum, digest), first
+        if first == optimum:
+            assert passes == [optimum]
 
 
 # The engine before all seams shared one pass (commit db503db): one pass per
@@ -579,9 +604,10 @@ def test_growing_a_transfer_table_builds_no_row(kind, k, monkeypatch):
 def test_the_transfer_step_is_gated_by_its_layer_size(kind, k, gated):
     tables = dp._tables(kind, k)
     n = 3 * k + 6
-    steps, bound = dp._plan(tables, n)
+    steps, bound, costs = dp._plan(tables, n)
     landings = [step for step in steps if isinstance(step, dp._Landing)]
     assert len(steps) == (3 * k + 1 if gated else n) and len(bound) == len(steps) + 1
+    assert len(costs) == len(steps)
     assert len(landings) == gated
     for step in landings:  # it crosses the n - 3k middle columns
         assert len(step.labels(0)) == 2 * (n - 3 * k)
@@ -733,12 +759,82 @@ def test_table_rows_match_the_scalar_rule(kind, k, n_max):
     dp._tables.cache_clear()
 
 
+def _scalar_residual_ops(sig, k, alg, lo, li):
+    """The residual update of pair (lo, li) under `sig`, as (slot, new
+    demand indexed by old demand) steps, as the engine stated it per pair."""
+    cc, late, last = sig
+    red = alg.reduce
+    by_lo = tuple(row[lo] for row in red)
+    by_li = tuple(row[li] for row in red)
+    ops = []
+    if k <= cc < 2 * k:
+        ops.append((1 + cc - k, by_li))
+    if cc == 1:
+        ops.append((0, by_lo))
+    if late >= 0:
+        ops.append((1 + late, by_li))
+        if last:
+            ops.append((0, by_lo))
+    if li == 0 and cc < k:
+        ops.append((1 + cc, (red[alg.need][lo],) * len(red)))
+    if lo == 0 and cc == 0:
+        ops.append((0, (red[alg.need][li],) * len(red)))
+    return ops
+
+
+def _op_per_pair(tables, sig):
+    """The residual map of `sig` as it was built before the broadcast: one
+    pass over all residual codes per label pair."""
+    codes = np.arange(tables.R, dtype=np.int32)
+    columns = []
+    for lo, li in product(tables.alg.labels, repeat=2):
+        out = codes.copy()
+        for slot, demand in _scalar_residual_ops(sig, tables.k, tables.alg, lo, li):
+            unit = tables.base**slot
+            d = (codes // unit) % tables.base
+            out += (np.array(demand, np.int32)[d] - d) * unit
+        columns.append(out)
+    return np.stack(columns, 1)
+
+
+@pytest.mark.parametrize("kind", ["italian", "domination", "rainbow2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_residual_map_matches_the_per_pair_build(kind, k):
+    # n = 2k+1..3k+2 meets every signature of (kind, k): those of the
+    # dp-sweep benchmark list and more
+    dp._tables.cache_clear()
+    tables = dp._tables(kind, k)
+    for n in range(2 * k + 1, 3 * k + 3):
+        dp._plan(tables, n)
+    with_op = [sig for sig, tab in tables.rows.items() if tab.op is not None]
+    assert len(with_op) >= 2 * k
+    for sig in with_op:
+        op = tables.rows[sig].op
+        assert op.dtype == np.int32 and np.array_equal(op, _op_per_pair(tables, sig)), sig
+    dp._tables.cache_clear()
+
+
 @pytest.mark.parametrize("kind,n,k,optimum", [row[:4] for row in PINNED])
 def test_cost_to_go_bounds_the_optimum(kind, n, k, optimum):
     tables = dp._tables(kind, k)
-    steps, bound = dp._plan(tables, n)
+    steps, bound, costs = dp._plan(tables, n)
     assert len(bound) == len(steps) + 1 and not bound[-1][:-1].any()
     assert 0 <= bound[0][0] <= optimum
+    # the entry costs every pass reads are those of the bound after each
+    # step, capped above 2n, the largest limit of a pass
+    for i, (step, cost) in enumerate(zip(steps, costs)):
+        assert np.array_equal(cost, np.minimum(step.w + bound[i + 1][step.nw], 2 * n + 1)), i
+
+
+@pytest.mark.parametrize("n,dtype", [(16383, np.int16), (16384, np.int32)])
+def test_entry_costs_hold_the_cap_of_the_largest_limit(n, dtype):
+    # a pass's limit goes up to 2n, so an entry caps at 2n + 1: int16 holds
+    # it up to n = 16383 (2n + 1 = 32767)
+    tables = dp._tables("domination", 1)
+    costs = dp._plan(tables, n)[2]
+    assert {cost.dtype for cost in costs} == {np.dtype(dtype)}
+    assert max(int(cost.max()) for cost in costs) == 2 * n + 1  # an illegal entry
+    assert dp.solve_cycle(n, 1, "domination")[0] == -(-n // 2)
 
 
 def test_a_window_off_the_frontier_is_an_internal_error(monkeypatch):
@@ -760,9 +856,9 @@ def test_a_landing_state_off_the_table_is_an_internal_error():
     # a state whose window is not a start of the transfer table
     dp._tables.cache_clear()
     tables = dp._tables("domination", 1)
-    steps, bound = dp._plan(tables, 10)
+    steps, _, costs = dp._plan(tables, 10)
     landing = next(step for step in steps if isinstance(step, dp._Landing))
     landing.row_of = np.full_like(landing.row_of, -1)
     with pytest.raises(InternalError, match="off the frontier"):
-        dp._sweep(tables, steps, bound, 2 * 10)
+        dp._sweep(tables, steps, costs, 2 * 10)
     dp._tables.cache_clear()
