@@ -423,24 +423,23 @@ class BaggingSweep:
         return self.inconsistent == 0 and self.wrong_bound == 0
 
 
-def sweep_bagging(n: int, optimal_weight: int | None = None) -> BaggingSweep:
-    """Certify every optimal IDF on P(n,1): consistent bags, implied bound
-    equal to n.  `optimal_weight` defaults to n (the known optimum)."""
+def sweep_bagging(n: int) -> BaggingSweep:
+    """Certify every optimal IDF on P(n,1), of weight n: consistent bags,
+    implied bound equal to n."""
     g = build_petersen(n, TARGET_K["bagging"])
-    target = n if optimal_weight is None else optimal_weight
     checked = 0
     inconsistent = 0
     wrong_bound = 0
     conflicts = 0
-    for block in exhaustive.iter_valid_labelings(g, "italian", target):
+    for block in exhaustive.iter_valid_labelings(g, "italian", n):
         w = block.sum(axis=1, dtype=np.int64)
-        for row in block[w == target]:
+        for row in block[w == n]:
             f = Labeling(n, g.k, tuple(int(x) for x in row))
             cert = bagging_certificate(f)
             checked += 1
             if not cert.consistent:
                 inconsistent += 1
-            if cert.implied_bound != target:
+            if cert.implied_bound != n:
                 wrong_bound += 1
             conflicts += len(cert.conflicts)
     return BaggingSweep(

@@ -55,7 +55,7 @@ _VALUE_COLUMNS = ["n", "k", "invariant", "method", "kind", "value", "lo", "hi", 
 _AUDIT_FLAGS = {
     "discharge": ("--enumerate-optimal", "--weight-cap", "--labeling"),
     "findings": ("--enumerate-optimal", "--weight-cap"),
-    "bagging": ("--weight-cap",),
+    "bagging": (),
     "column-lemma": ("--weight-cap", "--labeling"),
 }
 
@@ -294,15 +294,7 @@ def cmd_audit(args) -> int:
             f"violations {sum(sweep.violation_counts.values())}"
         ]
     elif args.target == "bagging":
-        # the sweep certifies the IDFs of weight exactly the cap as optimal
-        if args.weight_cap is not None:
-            optimum = solve_dp(n, k, "italian").optimum
-            if args.weight_cap != optimum:
-                raise InvalidParameters(
-                    f"audit bagging: --weight-cap {args.weight_cap} is not the "
-                    f"optimum {optimum} of P({n},{k})"
-                )
-        sweep = audit.sweep_bagging(n, optimal_weight=args.weight_cap)
+        sweep = audit.sweep_bagging(n)
         ok = sweep.ok
         header = ["n", "labelings", "inconsistent", "wrong_bound", "conflicts"]
         rows = [[n, sweep.labelings_checked, sweep.inconsistent, sweep.wrong_bound,

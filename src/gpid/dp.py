@@ -34,16 +34,19 @@ numpy arrays in the order of their label prefixes.
 
 Tables.  Transitions come from tables keyed by the column signature
 `(min(c, 2k), c - (n - k) if that is >= 0, c == n - 1)`, which fixes
-everything a transition reads of c and n; the tables are therefore shared
-by every n and every seam, and filled lazily.  A row holds, for one window
-and each label pair (lo, li), the new window id and, where the column
-reads seam labels (columns 0..k-1 and the closing window), a bitmask of
-the seam labelings under which the pair is legal.  A pair of columns
-0..k-1 fixes the labels its column reads, so it is legal exactly where its
-new window id is not -1; in the closing window the state's seam code picks
-the bit.  A residual update depends only on the signature and the pair, so
-each signature holds one map from (residual code, pair) to the next
-residual code, built from one (digit, pair) table per residual slot.
+everything a transition reads of c and n; the tables are therefore
+shared by every n and every seam.  The signature of a column also fixes
+those of the columns before it, so every n meets it with the same
+frontier (the windows some seam reaches there), and its rows are built
+once, for that frontier.  A row holds, for one window and each label
+pair (lo, li), the new window id and, where the column reads seam labels
+(columns 0..k-1 and the closing window), a bitmask of the seam labelings
+under which the pair is legal.  A pair of columns 0..k-1 fixes the
+labels its column reads, so it is legal exactly where its new window id
+is not -1; in the closing window the state's seam code picks the bit.  A
+residual update depends only on the signature and the pair, so each
+signature holds one map from (residual code, pair) to the next residual
+code, built from one (digit, pair) table per residual slot.
 
 Transfer step.  Columns 2k..n-k-1 (the middle) share one signature, which
 reads no seam label and updates no residual: each applies the same
@@ -62,24 +65,26 @@ halves (`_Power`).  With two or more middle columns a pass then takes
 3k + 1 steps: the 2k opening columns, one landing step that crosses the
 middle by joining each state with its window's row of A^m, and the k
 closing columns.  The landing step is taken only where A is small: it
-holds at most F times |frontier one column later| (start, window) pairs,
-and the step is taken where that is at most _TRANSFER_LAYER = 2,048.
-That is the case for domination k = 1 and 2, Italian k = 1 and 2-rainbow
-k = 1 (F = 7, 19, 19 and 35), not for domination k = 3 (2,704) or
-Italian k = 2 (7,225), where the pruned column steps are as fast or
-faster; those cases advance one middle column per step.
+holds F x F (start, window) pairs, and `_plan` takes the step where F^2
+is at most _TRANSFER_LAYER = 2,048.  That is the case for domination k = 1
+and 2, Italian k = 1 and 2-rainbow k = 1 (F = 7, 19, 19 and 35), not for
+domination k = 3 (F^2 = 2,704) or Italian k = 2 (7,225), where the pruned
+column steps are as fast or faster; those cases advance one middle
+column per step.  The starts are the windows of the middle signature's
+rows, so the table is the same for every n.
 
 Before the search, two walks over the steps prepare it.  The forward
 walk follows the frontier: the windows that some seam can reach from the
-empty window.  It builds each column's missing rows for the whole
-frontier in one numpy pass over (window, lo, li, seam labeling); a landing
-step's frontier is the windows its table row reaches.  The backward walk
-computes the cost-to-go bound `bound[i][w]`, the least weight of the
-columns of steps i.. from window w under any seam, residuals ignored; at
-a landing step it is the least path weight plus the bound of the path's
-window.  It also gives each step its entry costs, the weight of every
-entry plus the bound of its new window, which every pass reads as they
-are.
+empty window.  When it first meets a signature it builds the signature's
+rows for the whole frontier in one numpy pass over (window, lo, li, seam
+labeling), and at every column it checks that the rows cover the
+frontier; a landing step's frontier is the windows its table row
+reaches.  The backward walk computes the cost-to-go bound `bound[i][w]`,
+the least weight of the columns of steps i.. from window w under any
+seam, residuals ignored; at a landing step it is the least path weight
+plus the bound of the path's window.  It also gives each step its entry
+costs, the weight of every entry plus the bound of its new window, which
+every pass reads as they are.
 
 Search.  The search deepens a weight limit `prune`: it starts at
 `bound[0][0]`, a lower bound on the optimum, or at the caller's `first`
@@ -140,20 +145,24 @@ ALGEBRAS = KINDS  # the kind records by name, under their earlier name
 _INF = 1 << 30  # cost-to-go of a window with no way to the last column
 
 
-def _column(c: int, n: int, k: int) -> tuple[tuple[int, int, bool], tuple[int, ...]]:
-    """Signature of column c and the seam positions it reads.
+def _column(c: int, n: int, k: int) -> tuple[int, int, bool]:
+    """Signature of column c: (min(c, 2k), c - (n - k) where that is >= 0
+    and -1 otherwise, whether c is the last column)."""
+    late = c - (n - k)
+    return min(c, 2 * k), max(late, -1), c == n - 1
+
+
+def _reads(sig: tuple[int, int, bool], k: int) -> tuple[int, ...]:
+    """The seam positions a column of signature `sig` reads.
 
     Seam position 0 is a0 and 1 + j is bs[j].  Columns 0..k-1 read their
     fixed labels, column 0 and the last column read a0, and the closing
     window reads the wrap neighbor of its inner vertex.  At most two
     positions are read, so a seam labeling of them has at most 16 values.
     """
-    late = c - (n - k)
-    last = c == n - 1
-    reads = ((0,) if c == 0 or last else ()) + ((1 + c,) if c < k else ())
-    if late >= 0:
-        reads += (1 + late,)
-    return (min(c, 2 * k), max(late, -1), last), reads
+    cc, late, last = sig
+    reads = ((0,) if cc == 0 or last else ()) + ((1 + cc,) if cc < k else ())
+    return reads + ((1 + late,) if late >= 0 else ())
 
 
 def _residual_ops(sig: tuple[int, int, bool], k: int, alg: Kind) -> list:
@@ -184,11 +193,13 @@ class _Step:
     """A step of a pass as `_step`, `_cost_to_go` and `_unwind` read it:
     one column (`_Rows`) or the middle columns at once (`_Landing`).
 
-    Entry [row_of[w], i] of window w leads to window `nw` (-1: none), adds
-    weight `w` and has `rank` in [0, span), a row's entries ascending by
-    rank; a state reached through it points back to parent position *
-    span + rank, and `labels(rank)` are the labels it decides.  `op`,
-    `mask` and `seam_bit` are those of `_Rows` (None: none).
+    The step has one row per window of `wids`, its frontier, in that order:
+    `row_of[w]` is the row of window w (-1: none).  Entry [row_of[w], i]
+    leads to window `nw` (-1: none), adds weight `w` and has `rank` in
+    [0, span), a row's entries ascending by rank; a state reached through it
+    points back to parent position * span + rank, and `labels(rank)` are
+    the labels it decides.  `op`, `mask` and `seam_bit` are those of
+    `_Rows` (None: none).
     """
 
     op = mask = seam_bit = None
@@ -199,7 +210,8 @@ class _Step:
 
 
 class _Rows(_Step):
-    """Transition rows of one signature, one row per window reached there.
+    """Transition rows of one signature for the windows of `wids`, the
+    frontier at its columns, which is the same for every n.
 
     Entry `[row, lo * L + li]` of `nw` is the id of the new window, or -1
     when the pair is illegal under every seam, and bit v of the same entry
@@ -211,15 +223,15 @@ class _Rows(_Step):
     `mask` that seam code s selects (None outside the closing window).
     """
 
-    def __init__(self, tables: _Tables, sig: tuple, reads: tuple[int, ...]) -> None:
-        width = tables.width
+    def __init__(self, tables: _Tables, sig: tuple, wids: np.ndarray) -> None:
+        reads = _reads(sig, tables.k)
         self.nl = L = len(tables.alg.labels)
-        self.span = width
-        self.grids = tables.grids
-        self.row_of = np.full(tables.windows, -1, tables.ids)  # -1: not built
-        self.nw = np.empty((0, width), tables.ids)
-        self.w, self.rank = (grid[:0] for grid in self.grids)
-        self.mask = np.empty((0, width), np.uint16) if reads else None
+        self.span = tables.width
+        self.wids = wids
+        self.row_of = np.full(tables.windows, -1, tables.ids)
+        self.row_of[wids] = np.arange(len(wids))
+        self.nw, self.mask = tables._build(sig, reads, wids)
+        self.w, self.rank = (grid[:len(wids)] for grid in tables.grids)
         if sig[0] < 2 * tables.k or sig[1] >= 0:
             self.op = tables.op_table(sig)
         if sig[1] >= 0:
@@ -231,13 +243,6 @@ class _Rows(_Step):
 
     def labels(self, rank: int) -> bytes:
         return bytes(divmod(rank, self.nl))
-
-    def extend(self, wids: np.ndarray, nw: np.ndarray, mask: np.ndarray | None) -> None:
-        self.row_of[wids] = np.arange(len(self.nw), len(self.nw) + len(wids))
-        self.nw = np.concatenate((self.nw, nw))
-        self.w, self.rank = (grid[:len(self.nw)] for grid in self.grids)
-        if self.mask is not None:
-            self.mask = np.concatenate((self.mask, mask))
 
 
 class _Tables:
@@ -274,23 +279,14 @@ class _Tables:
         self.grids = tuple(np.tile(row, (self.windows, 1)) for row in entries)
         self.reduce = np.array(alg.reduce)
         self.rows: dict[tuple, _Rows] = {}
-        self._transfer: _Transfer | bool | None = None  # None: gate not yet decided
+        self._transfer: _Transfer | None = None
 
-    def transfer(self, starts: np.ndarray) -> _Transfer | None:
-        """The transfer table of the middle columns from `starts`, the
-        frontier at column 2k, or None when its matrix would hold more than
-        _TRANSFER_LAYER (start, window) pairs: |starts| times the frontier
-        one middle column later, which stays the same up to column n - k.
-        Columns 0..2k-1 have the same signatures for every n with two or
-        more middle columns, so `starts` is too."""
+    def transfer(self, middle: _Rows) -> _Transfer:
+        """The transfer table of the middle columns, whose rows `middle`
+        are built for the frontier at column 2k."""
         if self._transfer is None:
-            sig = (2 * self.k, -1, False)
-            tab = self.rows_for(sig, (), starts)
-            size = len(starts) * len(_distinct(tab.nw[tab.row_of[starts]], self.windows))
-            self._transfer = size <= _TRANSFER_LAYER and _Transfer(self, starts, tab)
-        if self._transfer and not np.array_equal(starts, self._transfer.starts):
-            raise InternalError("dp met a frontier at column 2k other than its transfer table's")
-        return self._transfer or None
+            self._transfer = _Transfer(self, middle)
+        return self._transfer
 
     def op_table(self, sig: tuple) -> np.ndarray:
         """op[code, lo * L + li]: the residual code that follows each code
@@ -305,15 +301,13 @@ class _Tables:
             table = (change[slot][:, None] + table).reshape(-1, self.width)
         return np.arange(self.R, dtype=np.int32)[:, None] + table
 
-    def rows_for(self, sig: tuple, reads: tuple[int, ...], wids: np.ndarray) -> _Rows:
-        """The rows of signature `sig` (reading seam positions `reads`),
-        first built for the windows of `wids` that have none."""
+    def rows_for(self, sig: tuple, wids: np.ndarray) -> _Rows:
+        """The rows of signature `sig`, built for the windows of `wids` when
+        the signature is first met: the columns before a column have
+        signatures its own fixes, so every n meets it with one frontier."""
         tab = self.rows.get(sig)
         if tab is None:
-            tab = self.rows[sig] = _Rows(self, sig, reads)
-        missing = wids[tab.row_of[wids] < 0]
-        if len(missing):
-            tab.extend(missing, *self._build(sig, reads, missing))
+            tab = self.rows[sig] = _Rows(self, sig, wids)
         return tab
 
     def _build(self, sig: tuple, reads: tuple[int, ...], wids: np.ndarray):
@@ -451,19 +445,15 @@ class _Transfer:
     powers of the set bits of m, first squaring up to the highest one.
     """
 
-    def __init__(self, tables: _Tables, starts: np.ndarray, tab: _Rows) -> None:
+    def __init__(self, tables: _Tables, middle: _Rows) -> None:
         self.tables = tables
-        self.starts = starts
-        self.start_of = np.full(tables.windows, -1, tables.ids)
-        self.start_of[starts] = np.arange(len(starts))
-        F = len(starts)
+        self.starts, self.start_of = middle.wids, middle.row_of
+        F = len(self.starts)
         width = tables.width
-        rows = tab.row_of[starts]
-        nw = tab.nw[rows]
-        s, j = np.nonzero(nw >= 0)
-        t = self.start_of[nw[s, j]]
-        bad = starts[rows < 0].tolist() + nw[s[t < 0], j[t < 0]].tolist()
-        if bad:
+        s, j = np.nonzero(middle.nw >= 0)
+        t = self.start_of[middle.nw[s, j]]
+        bad = middle.nw[s[t < 0], j[t < 0]]
+        if len(bad):
             raise InternalError(f"dp met window {bad[0]} off the frontier of its step")
         key = np.full((F, F), _INF * width, np.int64)
         np.minimum.at(key, (s, t), tables.dw[j].astype(np.int64) * width + j)
@@ -500,7 +490,7 @@ class _Landing(_Step):
         s, t = np.nonzero(reach)
         col = power.rank[s, t]
         shape = (len(count), int(count.max()))
-        self.row_of = transfer.start_of
+        self.wids, self.row_of = transfer.starts, transfer.start_of
         self.nw = np.full(shape, -1, transfer.tables.ids)
         self.nw[s, col] = transfer.starts[t]
         self.w = np.zeros(shape, np.int32)
@@ -531,39 +521,41 @@ def _tables(kind: str, k: int) -> _Tables:
 
 def _plan(tables: _Tables, n: int) -> tuple[list[_Rows | _Landing], list[np.ndarray],
                                            list[np.ndarray]]:
-    """The steps of a pass over P(n, k), each built for its whole frontier,
-    the cost-to-go bound before each step and after the last, and the
-    entry costs of each step (`_cost_to_go`).
+    """The steps of a pass over P(n, k), the cost-to-go bound before each
+    step and after the last, and the entry costs of each step
+    (`_cost_to_go`).
 
-    A step is one column, or, with two or more middle columns and a
-    transfer table inside its gate, the middle columns 2k..n-k-1 at once.
+    A step is one column, or, with two or more middle columns and F^2 at
+    most _TRANSFER_LAYER for the F windows of the frontier at column 2k,
+    the middle columns 2k..n-k-1 at once.
     """
     k = tables.k
     frontier = np.zeros(1, np.int64)  # the empty window
     steps = []
-    fronts = []
     c = 0
     while c < n:
-        transfer = tables.transfer(frontier) if c == 2 * k and n - 3 * k >= 2 else None
-        if transfer is not None:
-            step = _Landing(transfer, n - 3 * k)
+        step = tables.rows_for(_column(c, n, k), frontier)
+        if c == 2 * k and n - 3 * k >= 2 and len(frontier) ** 2 <= _TRANSFER_LAYER:
+            step = _Landing(tables.transfer(step), n - 3 * k)
             c = n - k
         else:
-            step = tables.rows_for(*_column(c, n, k), frontier)
             c += 1
+        rows = step.row_of[frontier]
+        if rows.min() < 0:
+            bad = int(frontier[rows.argmin()])
+            raise InternalError(f"dp met window {bad} off the frontier of its step")
         steps.append(step)
-        fronts.append(frontier)
-        frontier = _distinct(step.nw[step.row_of[frontier]], tables.windows)
+        frontier = _distinct(step.nw[rows], tables.windows)
     # a pass takes limits up to 2n, the weight of the all-ones labeling
-    return (steps, *_cost_to_go(tables, steps, fronts, 2 * n))
+    return (steps, *_cost_to_go(tables, steps, 2 * n))
 
 
-def _cost_to_go(tables: _Tables, steps: list, fronts: list[np.ndarray],
+def _cost_to_go(tables: _Tables, steps: list,
                 top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """bound[i][w]: the least weight of the columns of steps i.. from
     window w under any seam, residuals ignored (a lower bound on every
-    completion); _INF off the frontier and in the last slot, which an
-    illegal pair (nw = -1) reads.  The last bound is zero on every window.
+    completion); _INF off the windows of step i and in the last slot, which
+    an illegal pair (nw = -1) reads.  The last bound is zero on every window.
 
     costs[i]: the weight of each entry of step i plus the bound of its new
     window, over all the step's rows, capped at top + 1, where `top` is the
@@ -576,11 +568,11 @@ def _cost_to_go(tables: _Tables, steps: list, fronts: list[np.ndarray],
     bound = [h]
     costs = []
     narrow = np.int16 if top < 2**15 - 1 else np.int32
-    for step, front in zip(reversed(steps), reversed(fronts)):
+    for step in reversed(steps):
         cost = step.cost(h)
         costs.append(np.minimum(cost, top + 1).astype(narrow))
         h = np.full(tables.windows + 1, _INF, np.int32)
-        h[front] = np.minimum(cost[step.row_of[front]].min(axis=1), _INF)
+        h[step.wids] = np.minimum(cost.min(axis=1), _INF)
         bound.append(h)
     return bound[::-1], costs[::-1]
 

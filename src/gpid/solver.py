@@ -83,9 +83,9 @@ class BoundsOnly:
         }
 
 
-def _witness(g: PetersenGraph, kd: Kind, values, optimum: int | None = None) -> Witness:
+def _witness(g: PetersenGraph, kd: Kind, values, optimum: int) -> Witness:
     """The kind's witness built from label values, after validating it and
-    checking that it weighs `optimum` (when given)."""
+    checking that it weighs `optimum`."""
     values = tuple(int(v) for v in values)
     witness = kd.witness(g.n, g.k, values)
     # By name at call time: wrappers installed on this module see the call.
@@ -93,7 +93,7 @@ def _witness(g: PetersenGraph, kd: Kind, values, optimum: int | None = None) -> 
     # a vertex set carries no graph; a labeling does
     report = validate(g, witness) if isinstance(witness, tuple) else validate(witness)
     w = sum(kd.weight[v] for v in values)
-    if not report.valid or (optimum is not None and w != optimum):
+    if not report.valid or w != optimum:
         raise InternalError(f"unsound witness for {kd.name} on P({g.n},{g.k})")
     return witness
 

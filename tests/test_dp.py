@@ -38,14 +38,16 @@ below) at the optimum, where it must find the pinned witness, and one
 below it, where no state may close.
 
 `_transitions` below is the scalar transition rule the engine's numpy
-table build replaced; `test_table_rows_match_the_scalar_rule` compares
-them entry by entry, and `_op_per_pair` is the per-pair build of the
-residual maps that one broadcast per signature replaced.  `_reference_cycle` is the per-seam engine that one
-pass over all seams replaced; the reference grid compares their optima
-and witnesses on every instance with n <= 10.  `_per_column_cycle` is the
-engine before the transfer step (commit 51c4f88), which advances every
-middle column on its own; it is compared with the engine on every kind,
-k = 1, 2 and n <= 40, and on n = 97 and 200 where the transfer step runs.
+table build replaced, and `_column_reads` the seam positions it reads;
+`test_table_rows_match_the_scalar_rule` compares them entry by entry,
+and `_op_per_pair` is the per-pair build of the residual maps that one
+broadcast per signature replaced.  `_reference_cycle` is the per-seam
+engine that one pass over all seams replaced; the reference grid
+compares their optima and witnesses on every instance with n <= 10.
+`_per_column_cycle` is the engine before the transfer step (commit
+51c4f88), which advances every middle column on its own; it is compared
+with the engine on every kind, k = 1, 2 and n <= 40, and on n = 97 and
+200 where the transfer step runs.
 """
 
 import hashlib
@@ -229,6 +231,18 @@ def _transitions(win, c, n, k, alg, a0, bs):
     return out
 
 
+def _column_reads(c, n, k):
+    """The seam positions `_transitions` reads at column c (0: a0, 1 + j:
+    bs[j]): a0 at column 0 and at the last column, bs[c] at columns
+    0..k-1, bs[c + k - n] in the closing window."""
+    reads = (0,) if c == 0 or c == n - 1 else ()
+    if c < k:
+        reads += (1 + c,)
+    if c >= n - k:
+        reads += (1 + c + k - n,)
+    return reads
+
+
 def _digest(result):
     opt, seq, explored = result
     return opt, hashlib.sha256(seq).hexdigest()[:16], explored
@@ -324,7 +338,6 @@ def _reference_cycle(n, k, kind, state_cap=dp.DP_STATE_CAP):
     labels = kind_of(kind).labels  # 0..L-1, so lo * L + li encodes a pair
     nl = len(labels)
     tables = dp._tables(kind, k)
-    columns = [dp._column(c, n, k) for c in range(n)]
     tabs, bound = _column_plan(tables, n)
     R = tables.R
     width = tables.width
@@ -339,7 +352,7 @@ def _reference_cycle(n, k, kind, state_cap=dp.DP_STATE_CAP):
         w = np.full(_REFERENCE_PAD, prune + 1, np.int32)  # padding: over the bound, no moves
         w[0] = 0
         back = []  # per layer: parent position * width + lo * nl + li
-        for c, (tab, (_, reads)) in enumerate(zip(tabs, columns)):
+        for c, tab in enumerate(tabs):
             wid, res = np.divmod(key, R)
             rows = tab.row_of[wid]
             if rows.min() < 0:
@@ -350,7 +363,7 @@ def _reference_cycle(n, k, kind, state_cap=dp.DP_STATE_CAP):
                 illegal = nw < 0
             else:
                 v = 0
-                for pos in reads:
+                for pos in _column_reads(c, n, k):
                     v = v * nl + seam[pos]
                 illegal = (tab.mask[rows] & (1 << v)) == 0
             w2 = w[:, None] + tables.dw
@@ -412,7 +425,7 @@ def _column_plan(tables, n):
     tabs, fronts = [], []
     reached = np.empty(tables.windows + 1, bool)
     for c in range(n):
-        tab = tables.rows_for(*dp._column(c, n, k), frontier)
+        tab = tables.rows_for(dp._column(c, n, k), frontier)
         tabs.append(tab)
         fronts.append(frontier)
         reached[:] = False
@@ -527,12 +540,11 @@ def _brute_paths(tables, start, m):
     return best
 
 
-@pytest.mark.parametrize("kind,k", GATED)
+@pytest.mark.parametrize("kind,k", GATED + [("domination", 3)])  # F = 52: not gated
 def test_transfer_table_rows_match_brute_force(kind, k):
-    dp._tables.cache_clear()
-    tables = dp._tables(kind, k)
-    dp._plan(tables, 3 * k + 2)  # builds the table
-    transfer = tables._transfer
+    tables = dp._Tables(dp.KINDS[kind], k)
+    dp._plan(tables, 3 * k + 2)  # builds the middle rows
+    transfer = tables.transfer(tables.rows[2 * k, -1, False])
     nl = len(tables.alg.labels)
     for m in range(1, 8):  # odd m > 1 multiplies several powers
         landing = dp._Landing(transfer, m)
@@ -551,7 +563,6 @@ def test_transfer_table_rows_match_brute_force(kind, k):
             assert [got[int(landing.nw[s, i])][1] for i in row] == sorted(got[t][1] for t in got)
         # ranked by path, row after row
         assert ranks == list(range(landing.span)), m
-    dp._tables.cache_clear()
 
 
 # |frontier at column 2k| per (kind, k)
@@ -569,13 +580,28 @@ def test_the_middle_map_takes_the_frontier_at_2k_onto_itself(kind, k):
     n = 3 * k + 2  # columns 0..2k-1 have the same signatures for every such n
     frontier = np.zeros(1, np.int64)
     for c in range(2 * k):
-        tab = tables.rows_for(*dp._column(c, n, k), frontier)
+        tab = tables.rows_for(dp._column(c, n, k), frontier)
         frontier = dp._distinct(tab.nw[tab.row_of[frontier]], tables.windows)
     assert len(frontier) == FRONTIER_2K[kind, k]
-    middle = tables.rows_for((2 * k, -1, False), (), frontier)
+    middle = tables.rows_for((2 * k, -1, False), frontier)
     assert (middle.row_of[frontier] >= 0).all()
     image = dp._distinct(middle.nw[middle.row_of[frontier]], tables.windows)
     assert np.array_equal(image, frontier)
+
+
+@pytest.mark.parametrize("kind,k", [(kind, k) for kind in ("italian", "domination", "rainbow2")
+                                    for k in (1, 2, 3, 4) if (kind, k) != ("rainbow2", 4)])
+def test_every_n_meets_a_signature_with_one_frontier(kind, k):
+    # the rows of a signature are built for the frontier of the first n that
+    # meets it; plans for n = 2k+1..3k+4, ascending and then descending on
+    # fresh tables, build the same rows and cover every later frontier
+    built = []
+    for ns in (range(2 * k + 1, 3 * k + 5), range(3 * k + 4, 2 * k, -1)):
+        tables = dp._Tables(dp.KINDS[kind], k)
+        for n in ns:
+            dp._plan(tables, n)
+        built.append({sig: tab.wids.tolist() for sig, tab in tables.rows.items()})
+    assert built[0] == built[1]
 
 
 @pytest.mark.parametrize("kind,k", GATED)
@@ -597,12 +623,13 @@ def test_growing_a_transfer_table_builds_no_row(kind, k, monkeypatch):
     dp._tables.cache_clear()
 
 
-@pytest.mark.parametrize("kind,k,gated", [
-    ("rainbow2", 1, True),  # 35 x 35 = 1,225 (start, window) pairs a layer
-    ("domination", 3, False),  # 52 x 52 = 2,704
-])
+# the matrix holds F x F (start, window) pairs: 1,225 for 2-rainbow k = 1
+# is crossed in one step, 2,704 for domination k = 3 is not
+@pytest.mark.parametrize("kind,k,gated", [(kind, k, F * F <= 2048)
+                                          for (kind, k), F in FRONTIER_2K.items()])
 def test_the_transfer_step_is_gated_by_its_layer_size(kind, k, gated):
-    tables = dp._tables(kind, k)
+    assert gated == ((kind, k) in GATED)
+    tables = dp._Tables(dp.KINDS[kind], k)
     n = 3 * k + 6
     steps, bound, costs = dp._plan(tables, n)
     landings = [step for step in steps if isinstance(step, dp._Landing)]
@@ -611,7 +638,7 @@ def test_the_transfer_step_is_gated_by_its_layer_size(kind, k, gated):
     assert len(landings) == gated
     for step in landings:  # it crosses the n - 3k middle columns
         assert len(step.labels(0)) == 2 * (n - 3 * k)
-    assert (tables._transfer is not False) == gated
+    assert (tables._transfer is not None) == gated
     # one middle column is an ordinary column step on either side
     assert not any(isinstance(step, dp._Landing) for step in dp._plan(tables, 3 * k + 1)[0])
 
@@ -729,14 +756,15 @@ def test_table_rows_match_the_scalar_rule(kind, k, n_max):
     tables = dp._tables(kind, k)
     column_of = {}
     for n in range(2 * k + 1, n_max + 1):
-        columns = [dp._column(c, n, k) for c in range(n)]
         dp._plan(tables, n)
-        for c, (sig, reads) in enumerate(columns):
-            column_of[sig] = (c, n, reads)
+        for c in range(n):
+            column_of[dp._column(c, n, k)] = (c, n)
     assert set(tables.rows) == set(column_of)
     checked = 0
     for sig, tab in tables.rows.items():
-        c, n, reads = column_of[sig]
+        c, n = column_of[sig]
+        reads = _column_reads(c, n, k)
+        assert dp._reads(sig, k) == reads, sig
         maps = {}
         for wid in np.flatnonzero(tab.row_of >= 0).tolist():
             row = tab.row_of[wid]
@@ -838,13 +866,13 @@ def test_entry_costs_hold_the_cap_of_the_largest_limit(n, dtype):
 
 
 def test_a_window_off_the_frontier_is_an_internal_error(monkeypatch):
-    # rows built for the first frontier window only: the column pass (and
-    # the transfer table, on domination k = 1) meets a window with no row
-    # and must not read another window's row
+    # rows built for the first frontier window only: the forward walk meets
+    # a window with no row, which the search would otherwise avoid (its
+    # cost-to-go stays _INF) and so return a heavier labeling
     dp._tables.cache_clear()
     build = dp._Tables.rows_for
     monkeypatch.setattr(dp._Tables, "rows_for",
-                        lambda self, sig, reads, wids: build(self, sig, reads, wids[:1]))
+                        lambda self, sig, wids: build(self, sig, wids[:1]))
     with pytest.raises(InternalError, match="off the frontier"):
         dp.solve_cycle(7, 2, "italian")
     with pytest.raises(InternalError, match="off the frontier"):
