@@ -107,16 +107,18 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # value
 
 
-def _solve(n: int, k: int, invariant: str, method: str, budget: int):
-    """Run one exact solver; only bnb can end in a BoundsOnly."""
+def _solve(n: int, k: int, invariant: str, method: str, budget: int | None):
+    """Run one exact solver; only bnb reads `budget` (None: its default)
+    and only bnb can end in a BoundsOnly."""
     if method == "dp":
         return solve_dp(n, k, invariant)
     if method == "exhaustive":
         return solve_exhaustive(build_petersen(n, k), invariant)
-    return solve_branch_and_bound(build_petersen(n, k), invariant, budget=budget)
+    limits = {} if budget is None else {"budget": budget}
+    return solve_branch_and_bound(build_petersen(n, k), invariant, **limits)
 
 
-def _value_row(n: int, k: int, invariant: str, method: str, budget: int) -> dict:
+def _value_row(n: int, k: int, invariant: str, method: str, budget: int | None) -> dict:
     """One `value` row.  `auto` takes the formula when it is exact or k >= 4,
     and the DP otherwise."""
     if method in ("formula", "auto"):
@@ -417,7 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("--method", default="auto",
                          choices=["auto", "formula", "dp", "exhaustive", "bnb"])
     p_value.add_argument("--mod", default=None, help="keep n with n %% m == r, as m=r")
-    p_value.add_argument("--budget", type=int, default=200_000)
+    p_value.add_argument("--budget", type=int, default=None,
+                         help="bnb node budget (default 200000); --method bnb only")
     p_value.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p_value.add_argument("--out", default=None)
     p_value.set_defaults(fn=cmd_value)
@@ -435,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--invariant", default="italian", choices=list(KINDS))
     p_solve.add_argument("--method", default="dp",
                          choices=["dp", "exhaustive", "bnb"])
-    p_solve.add_argument("--budget", type=int, default=200_000)
+    p_solve.add_argument("--budget", type=int, default=None,
+                         help="bnb node budget (default 200000); --method bnb only")
     p_solve.add_argument("--format", default="text", choices=["text", "json"])
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(fn=cmd_solve)
@@ -474,8 +478,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_bounds(args) -> None:
-    if getattr(args, "budget", 1) < 1:
-        raise InvalidParameters(f"--budget must be at least 1, got {args.budget}")
+    budget = getattr(args, "budget", None)
+    if budget is not None and args.method != "bnb":
+        raise InvalidParameters(f"--method {args.method} does not take --budget")
+    if budget is not None and budget < 1:
+        raise InvalidParameters(f"--budget must be at least 1, got {budget}")
     cap = getattr(args, "weight_cap", None)
     if cap is not None and cap < 0:
         raise InvalidParameters(f"--weight-cap must be >= 0, got {cap}")

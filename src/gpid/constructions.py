@@ -101,8 +101,7 @@ def construct_pn2(n: int) -> ConstructionResult | Unavailable:
     """Period-5 block for n = 0, 5 (mod 10), block plus 3-column tail for
     n = 8 (mod 10).  Other residues have no printed pattern; the exact
     solver supplies optimal labelings there instead."""
-    if n < 5:
-        raise InvalidParameters(f"P(n,2) requires n >= 5, got {n}")
+    require_admissible(n, 2)
     r = n % 10
     if r in (0, 5):
         cols = list(_PN2_5) * (n // 5)

@@ -198,11 +198,11 @@ class _Step:
     leads to window `nw` (-1: none), adds weight `w` and has `rank` in
     [0, span), a row's entries ascending by rank; a state reached through it
     points back to parent position * span + rank, and `labels(rank)` are
-    the labels it decides.  `op`, `mask` and `seam_bit` are those of
-    `_Rows` (None: none).
+    the labels it decides.  `op`, `mask`, `seam_bit` and `writes` are those
+    of `_Rows` (None: none).
     """
 
-    op = mask = seam_bit = None
+    op = mask = seam_bit = writes = None
 
     def cost(self, h: np.ndarray) -> np.ndarray:
         """The weight of each entry plus `h` of its new window."""
@@ -221,6 +221,10 @@ class _Rows(_Step):
     `op[code, lo * L + li]` is the residual code that follows `code` (None:
     the signature updates no residual).  `seam_bit[s]` is the bit of
     `mask` that seam code s selects (None outside the closing window).
+    `writes[lo * L + li]` holds the seam digits the pair appends, times
+    windows * R: columns 0..k-1 shift a state's seam code one digit left
+    and write (a0, bs[0]) = (lo, li) at column 0 and bs[c] = li at column c
+    (None: the signature writes none).
     """
 
     def __init__(self, tables: _Tables, sig: tuple, wids: np.ndarray) -> None:
@@ -234,6 +238,9 @@ class _Rows(_Step):
         self.w, self.rank = (grid[:len(wids)] for grid in tables.grids)
         if sig[0] < 2 * tables.k or sig[1] >= 0:
             self.op = tables.op_table(sig)
+        if sig[0] < tables.k:
+            pair = np.arange(self.span)
+            self.writes = (pair if sig[0] == 0 else pair % L) * tables.windows * tables.R
         if sig[1] >= 0:
             codes = np.arange(tables.seams)
             v = 0
@@ -268,7 +275,8 @@ class _Tables:
         self.pair_demand = np.array([p[1] for p in pairs])
         self.windows = len(pairs) ** (k + 1)
         self.ids = np.int16 if self.windows < 2**15 else np.int32
-        self.keys = np.int32 if self.seams * self.windows * self.R < 2**31 else np.int64
+        self.key_bound = self.seams * self.windows * self.R  # states lie below it
+        self.keys = np.int32 if self.key_bound < 2**31 else np.int64
         self.dw = np.array(
             [alg.weight[lo] + alg.weight[li] for lo in alg.labels for li in alg.labels],
             np.int32,
@@ -586,12 +594,6 @@ _PACK_LIMIT = 2**63
 # of a block are kept.
 _BLOCK = 2048
 
-# Layers and the legal candidates of a block are padded to a multiple of
-# _PAD entries.  numpy keeps up to seven freed blocks per byte size under
-# 1 KiB; arrays of every small size filled that cache with about 0.5 MB on
-# the dp-sweep benchmark, padded ones take a few sizes only.
-_PAD = 16
-
 
 def _winners(ck: np.ndarray, cw: np.ndarray, span: int, key_bound: int) -> np.ndarray:
     """Positions, ascending, of the candidates that win their state: the
@@ -617,13 +619,12 @@ def _winners(ck: np.ndarray, cw: np.ndarray, span: int, key_bound: int) -> np.nd
     return win
 
 
-def _step(tables: _Tables, tab: _Step, cost: np.ndarray, writes: np.ndarray | None,
-          key: np.ndarray, w: np.ndarray, limit: int, key_bound: int):
-    """Advance the layer (`key`, `w`, keys in [0, key_bound)) by step
-    `tab`, keeping the candidates whose weight plus the `cost` of their
-    entry is at most `limit`; `writes[lo * L + li]` is the seam digit a
-    column 0..k-1 writes (None: none).  Returns the new layer's keys and
-    weights, padded, and its back-pointers; None when it is empty.
+def _step(tables: _Tables, tab: _Step, cost: np.ndarray, key: np.ndarray,
+          w: np.ndarray, limit: int):
+    """Advance the layer (`key`, `w`) by step `tab`, keeping the candidates
+    whose weight plus the `cost` of their entry is at most `limit`.
+    Returns the new layer's keys, weights and back-pointers; None when it
+    is empty.
     """
     R = tables.R
     WR = tables.windows * R
@@ -644,12 +645,10 @@ def _step(tables: _Tables, tab: _Step, cost: np.ndarray, writes: np.ndarray | No
         if tab.seam_bit is not None:  # closing window: legal under the state's seam
             legal &= (tab.mask.take(rows, axis=0) & tab.seam_bit[kb // WR][:, None]) != 0
         pos = np.flatnonzero(legal)
-        if len(pos) % _PAD:  # copies of the last candidate lose every tie to it
-            pos = np.concatenate((pos, np.full(-len(pos) % _PAD, pos[-1])))
         par = pos // width
         j = np.subtract(pos, par * width, out=pos)  # pos is not read again
         base = kb - rest  # seam code * WR
-        if writes is not None:
+        if tab.writes is not None:
             base *= len(tables.alg.labels)
         if tab.op is None:
             base += res
@@ -664,8 +663,8 @@ def _step(tables: _Tables, tab: _Step, cost: np.ndarray, writes: np.ndarray | No
             cell *= width
             cell += j
             ck += tab.op.take(cell)
-        if writes is not None:
-            ck += writes.take(j)
+        if tab.writes is not None:
+            ck += tab.writes.take(j)
         ks.append(ck)
         if start:
             par += start
@@ -675,22 +674,14 @@ def _step(tables: _Tables, tab: _Step, cost: np.ndarray, writes: np.ndarray | No
                          for a in (ks, ws, pars, ranks))
     if len(ck) == 0:
         return None
-    win = _winners(ck, cw, limit + 1, key_bound)
+    win = _winners(ck, cw, limit + 1, tables.key_bound)
     m = len(win)
     if m > DP_STATE_CAP:
         raise BudgetExceeded(f"dp state count {m} exceeds cap {DP_STATE_CAP}")
     narrow = len(key) * tab.span <= 2**31  # column steps: always
     back = np.multiply(par.take(win), tab.span, dtype=np.int32 if narrow else np.int64)
     back += rank.take(win)
-    # the layer's m states, in prefix order, then padding copies of state
-    # 0 whose weight leaves them no entry
-    key = np.empty(m + -m % _PAD, key.dtype)
-    ck.take(win, out=key[:m])
-    key[m:] = key[0]
-    w = np.empty(len(key), np.int32)
-    cw.take(win, out=w[:m])
-    w[m:] = limit + 1
-    return key, w, back
+    return ck.take(win), cw.take(win), back
 
 
 def _unwind(steps: list, back: list[np.ndarray], pos: int) -> bytes:
@@ -712,25 +703,18 @@ def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray],
     Returns ((weight, witness) of the lexicographically smallest closing
     labeling of least weight, or None when no state closes; states kept).
     """
-    k = tables.k
-    nl = len(tables.alg.labels)
-    WR = tables.windows * tables.R
-    key_bound = tables.seams * WR
-    pair = np.arange(tables.width)
     key = np.zeros(1, tables.keys)  # no seam label yet, the empty window
     w = np.zeros(1, np.int32)
     back: list[np.ndarray] = []  # per layer: parent position * span + rank
     explored = 0
-    for c, (tab, cost) in enumerate(zip(steps, costs)):
-        # columns 0..k-1 write seam digits: (a0, bs[0]) = (lo, li), bs[c] = li
-        writes = pair * WR if c == 0 else pair % nl * WR if c < k else None
-        layer = _step(tables, tab, cost, writes, key, w, prune, key_bound)
+    for tab, cost in zip(steps, costs):
+        layer = _step(tables, tab, cost, key, w, prune)
         if layer is None:
             return None, explored
         key, w, b = layer
         back.append(b)
         explored += len(b)
-    closed = np.flatnonzero(key[:len(b)] % tables.R == 0)  # every wrap residual met
+    closed = np.flatnonzero(key % tables.R == 0)  # every wrap residual met
     if len(closed) == 0:
         return None, explored
     pos = int(closed[np.argmin(w[closed])])  # the first: lex-smallest labeling

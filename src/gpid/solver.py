@@ -120,18 +120,13 @@ def kind_floor(g: PetersenGraph, kind: str) -> int:
     return -(-kd.weight[kd.need] * g.num_vertices // _unit_cover(kd))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def solve_exhaustive(g: PetersenGraph, kind: str) -> SolveResult:
     """Global optimum by exhaustive search (tiny instances only)."""
-    kind_of(kind)  # an unknown kind is rejected before it reaches the cache
-    return _solve_exhaustive_cached(g.n, g.k, kind)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _solve_exhaustive_cached(n: int, k: int, kind: str) -> SolveResult:
-    g = build_petersen(n, k)
+    kd = kind_of(kind)
     opt, values, examined = exhaustive.exhaustive_minimum(g, kind)
-    witness = _witness(g, kind_of(kind), values, opt)
-    return SolveResult(kind, n, k, opt, witness, "exhaustive", examined)
+    witness = _witness(g, kd, values, opt)
+    return SolveResult(kind, g.n, g.k, opt, witness, "exhaustive", examined)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

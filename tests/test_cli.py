@@ -121,6 +121,16 @@ def test_solve_bnb_bounds(capsys):
     assert payload["lo"] <= payload["hi"]
 
 
+def test_budget_is_read_by_bnb_only(capsys):
+    # refused as a flag exhaustive never reads, before its value is checked
+    code, out, err = run_cli(capsys, "solve", "--n", "7", "--k", "2",
+                             "--method", "exhaustive", "--budget", "0")
+    assert (code, out, err) == (2, "", "error: --method exhaustive does not take --budget\n")
+    # without --budget, bnb runs at the solver's default budget
+    code, out, _ = run_cli(capsys, "value", "--n", "9", "--k", "4", "--method", "bnb")
+    assert (code, out) == (0, "italian P(9,4) = 8 (exact, bnb)\n")
+
+
 def test_audit_bagging(capsys):
     code, out, _ = run_cli(capsys, "audit", "bagging", "--n", "6", "--k", "1")
     assert code == 0
@@ -281,6 +291,10 @@ def inputs(monkeypatch, tmp_path):
     ["audit", "discharge", "--n", "9", "--labeling", "p62.json"],
     ["audit", "column-lemma", "--n", "5", "--labeling", "p41.json"],
     ["render", "--in", "p62.json", "--n", "9", "--k", "4"],
+    ["solve", "--n", "7", "--k", "2", "--method", "exhaustive", "--budget", "0"],
+    ["solve", "--n", "7", "--k", "2", "--method", "dp", "--budget", "5"],
+    ["value", "--n", "7", "--k", "2", "--budget", "5"],
+    ["value", "--n", "7", "--k", "2", "--method", "formula", "--budget", "5"],
     # bagging sweeps the optimal IDFs (weight n) and takes no cap, even the
     # optimum 6; and sweeps over no labeling
     ["audit", "bagging", "--n", "6", "--weight-cap", "7"],

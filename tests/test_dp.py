@@ -287,7 +287,8 @@ SEEDED = [row[:5] for row in PINNED] + [row[:5] for row in LONG_PINNED[:2]]
 def test_the_first_limit_changes_only_the_work(kind, n, k, optimum, digest, monkeypatch):
     # a pass at or above the optimum returns the optimum and the same
     # witness, one below it closes nothing; started at the optimum the
-    # deepening makes a single pass
+    # deepening makes a single pass (first = 0 is solve_cycle(n, k, kind),
+    # which test_pinned and test_pinned_long pin)
     passes = []
     sweep = dp._sweep
 
@@ -296,7 +297,7 @@ def test_the_first_limit_changes_only_the_work(kind, n, k, optimum, digest, monk
         return sweep(*args)
 
     monkeypatch.setattr(dp, "_sweep", counted)
-    for first in (0, optimum - 1, optimum, optimum + 1, optimum + 2):
+    for first in (optimum - 1, optimum, optimum + 1, optimum + 2):
         passes.clear()
         assert _digest(dp.solve_cycle(n, k, kind, first))[:2] == (optimum, digest), first
         if first == optimum:
@@ -890,3 +891,48 @@ def test_a_landing_state_off_the_table_is_an_internal_error():
     with pytest.raises(InternalError, match="off the frontier"):
         dp._sweep(tables, steps, costs, 2 * 10)
     dp._tables.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["italian", "domination", "rainbow2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_opening_rows_carry_the_seam_digits_they_write(kind, k):
+    # columns 0..k-1 write the seam labels: (a0, bs[0]) = (lo, li) at column
+    # 0, bs[c] = li at column c; no other step writes any
+    tables = dp._tables(kind, k)
+    L = len(tables.alg.labels)
+    pair = np.arange(L * L)
+    for n in range(2 * k + 1, 3 * k + 3):
+        steps = dp._plan(tables, n)[0]
+        sig_of = {id(tab): sig for sig, tab in tables.rows.items()}
+        writing = []
+        for step in steps:
+            sig = sig_of.get(id(step))  # None: a landing step
+            if sig is None or sig[0] >= k:
+                assert step.writes is None, (n, sig)
+                continue
+            writing.append(sig[0])
+            digits = pair if sig[0] == 0 else pair % L
+            np.testing.assert_array_equal(step.writes, digits * tables.windows * tables.R)
+        assert writing == list(range(k)), n
+
+
+@pytest.mark.parametrize("kind,optimum", [("italian", 8), ("domination", 6), ("rainbow2", 8)])
+def test_a_layer_holds_exactly_its_states(kind, optimum, monkeypatch):
+    # one pass at the optimum over P(9,2): each layer's keys and weights are
+    # as long as its back-pointers, one per state kept
+    layers = []
+    step = dp._step
+
+    def record(*args):
+        layer = step(*args)
+        layers.append(layer)
+        return layer
+
+    monkeypatch.setattr(dp, "_step", record)
+    tables = dp._tables(kind, 2)
+    steps, _, costs = dp._plan(tables, 9)
+    (weight, _), explored = dp._sweep(tables, steps, costs, optimum)
+    assert weight == optimum and len(layers) == len(steps)
+    for key, w, back in layers:
+        assert len(key) == len(w) == len(back)
+    assert explored == sum(len(back) for _, _, back in layers)

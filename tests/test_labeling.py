@@ -115,20 +115,25 @@ def test_rainbow_to_idf_alternating_columns_weight_n():
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (5, 1), (5, 2)])
 def test_rainbow_to_idf_exhaustive_small(n, k):
-    """Conversion of every valid 2RDF is a valid IDF of equal weight."""
+    """Conversion of every valid 2RDF is a valid IDF of equal weight.  Many
+    2RDFs convert to the same IDF (665,731 rows to 41,501 on P(5,1)), so
+    the oracle checks each distinct image once, found by its base-3 code."""
     g = build_petersen(n, k)
     adj = oracle_adjacency(n, k)
+    digit = 3 ** np.arange(2 * n)
     total = 0
+    images = []
     for block in iter_valid_labelings(g, "rainbow2"):
         out = rainbow_rows_to_idf(g, block)
         rainbow_weight = (block & 1).sum(axis=1) + ((block >> 1) & 1).sum(axis=1)
         assert (out.sum(axis=1) == rainbow_weight).all()
-        for values in out.tolist():
-            assert oracle_is_idf(adj, values)
+        images.append(np.unique(out @ digit))
         one = rainbow_to_idf(RainbowLabeling(n, k, tuple(block[-1].tolist())))
         assert one.values == tuple(out[-1].tolist())
         total += len(block)
     assert total > 0
+    for values in (np.unique(np.concatenate(images))[:, None] // digit % 3).tolist():
+        assert oracle_is_idf(adj, values)
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (6, 2)])

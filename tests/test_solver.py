@@ -173,7 +173,6 @@ def test_result_json_shapes():
 
 def test_result_caches_are_bounded():
     from gpid.graph import CACHE_SIZE
-    from gpid.solver import _solve_exhaustive_cached
 
-    for cached in (solve_dp, _solve_exhaustive_cached, build_petersen):
+    for cached in (solve_dp, solve_exhaustive, build_petersen):
         assert cached.cache_info().maxsize == CACHE_SIZE
