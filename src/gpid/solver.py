@@ -9,9 +9,11 @@ Three routes with overlapping domains keep each other honest:
   its deepening starts at the kind's closed form (``formulas.VALUES``)
   where that is exact, which saves passes and cannot change a result.
 * ``solve_branch_and_bound`` -- depth-first search with a charge-counting
-  cut; each label is tested against the cut and the neighbors' demands
-  before anything is written, and only surviving labels are applied.
-  Exact when it completes, otherwise certified bounds.
+  cut; each vertex carries one state code, and the labels a vertex can
+  take in its state, with their effects, come from a table built once per
+  state in each solve, so a node only adds, compares and writes.  Exact
+  when it completes or when the incumbent meets the kind floor,
+  otherwise certified bounds.
 
 All three read what a kind is (labels, weights, need, residual demand)
 from its record in ``labeling.KINDS``.  Every returned witness is built,
@@ -99,8 +101,8 @@ def _witness(g: PetersenGraph, kd: Kind, values, optimum: int) -> Witness:
 
 
 def degree_lower_bound(g: PetersenGraph) -> int:
-    """ceil(2|V| / (Delta + 2)) with Delta = 3, i.e. ceil(4n/5)."""
-    return -(-2 * g.num_vertices // 5)
+    """The Italian floor ceil(2|V| / (Delta + 2)) with Delta = 3, i.e. ceil(4n/5)."""
+    return kind_floor(g, "italian")
 
 
 def _unit_cover(kd: Kind) -> int:
@@ -181,87 +183,160 @@ def greedy_labeling(g: PetersenGraph, kind: str) -> tuple[int, ...]:
     return tuple(vals)
 
 
+# The status part of a vertex's state code in branch and bound,
+# residual * 3 + status; a positive vertex's residual no longer matters,
+# so its code is _POS.
+_OPEN, _ZERO, _POS = 0, 1, 2
+
+
+class _LabelTable(dict):
+    """The labels branch and bound lists at a vertex v, keyed by v's state
+    (pattern, codes of v's neighbors a, b, c, code of v), each state's
+    entry filled on first use.
+
+    Pattern bits 1, 2, 4 mark the neighbors whose demand v's label makes
+    final, bit 8 that v's own demand is final.  A label fails the cover
+    test when it leaves a final 0-labeled neighbor, or v itself labeled 0,
+    with demand left; it is counted but not listed.  Each listed label is
+    (labels tested up to and including it, the label, the new codes of
+    a, b, c and v, the change in the potential unit * weight + unmet
+    demand).
+    """
+
+    def __init__(self, kd: Kind):
+        super().__init__()
+        self.kd = kd
+        self.unit = _unit_cover(kd)
+
+    def __missing__(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        kd, unit = self.kd, self.unit
+        wt = kd.weight
+        pattern, *codes, code_v = key
+        rv = code_v // 3
+        listed = []
+        for tested, lab in enumerate(kd.labels, 1):
+            alive = not (lab == 0 and pattern & 8 and rv)
+            delta = unit * wt[lab] - (wt[rv] if lab else 0)
+            new = []
+            for bit, code in zip((1, 2, 4), codes):
+                r, status = divmod(code, 3)
+                if status == _POS:
+                    new.append(code)
+                    continue
+                r2 = kd.reduce[r][lab]
+                alive = alive and not (pattern & bit and status == _ZERO and r2)
+                delta += wt[r2] - wt[r]
+                new.append(r2 * 3 + status)
+            if alive:
+                listed.append((tested, lab, *new, _POS if lab else rv * 3 + _ZERO, delta))
+        self[key] = entry = tuple(listed)
+        return entry
+
+
 def solve_branch_and_bound(
     g: PetersenGraph, kind: str, budget: int = 200_000
 ) -> SolveResult | BoundsOnly:
-    """DFS over vertices in id order, labels tried ascending, each label
+    """DFS over vertices in id order, labels tested ascending, each label
     tested before it is applied.
 
-    Each vertex carries its residual demand, reduced by the kind's table
-    as its neighbors are labeled; it is final once the highest-id
-    neighbor is labeled.  An open or 0-labeled vertex's unmet demand is
-    its residual's weight.  A label's effect on the three neighbors
-    (distinct from it and from each other, as 2k < n) and on the total
-    unmet demand is computed into locals; the label is dropped, nothing
-    written, when it leaves a 0-labeled vertex with final unmet demand or
-    when its partial weight plus ceil(total unmet demand / unit cover)
-    cannot beat the incumbent.  Only a surviving label is written,
-    searched below and undone.
-    `budget` counts labels tested; on exhaustion the result degrades to
+    Each vertex holds one state code, residual * 3 + status (open, 0 or
+    positive).  Its residual demand drops by the kind's table as its
+    neighbors are labeled, and is final once its highest-id neighbor is
+    labeled; an open or 0-labeled vertex's unmet demand is its residual's
+    weight.  A static 4-bit pattern per vertex v records which neighbors
+    v's label makes final and whether v's own demand is final.  A call at
+    v reads its labels from `_LabelTable` under (pattern, codes of v's
+    three neighbors, code of v); those neighbors are distinct from v and
+    from each other (2k < n), so a listed label writes its four new codes
+    and descends.  Labels failing the cover test are counted but never
+    listed.  The search threads the potential
+    s = unit_cover * weight + unmet demand and cuts a label when
+    s > unit_cover * (best - 1), which is exactly
+    weight + ceil(unmet / unit_cover) >= best.  At a leaf no demand is
+    unmet, so its weight is s / unit_cover.
+
+    `budget` counts labels tested.  The count is threaded through the
+    calls and checked before each descent and when a call returns; as it
+    only grows, the search stops where a check at every label would
+    stop it.  On exhaustion `explored` is budget + 1 and the result is
     BoundsOnly with lo = the unconditional kind floor and hi = the
-    incumbent's weight.  The first incumbent is the greedy labeling.
+    incumbent's weight, or a SolveResult when the incumbent meets that
+    floor.  The first incumbent is the greedy labeling.
+
+    The search takes one Python frame per vertex, so a search deeper than
+    the recursion limit ends in RecursionError.  It unwinds the way an
+    exhausted budget does and the error is raised again from here.
     """
     kd = kind_of(kind)
     adj = g.adjacency
     nv = g.num_vertices
-    labels = kd.labels
-    wt = kd.weight
-    red = kd.reduce
-    divisor = _unit_cover(kd)
-    # gain[d][c]: change in the unmet demand of an open or 0-labeled vertex
-    # of residual d when a neighbor takes label c; no_gain for label > 0
-    gain = tuple(tuple(wt[r] - wt[d] for r in row) for d, row in enumerate(red))
-    no_gain = (0,) * len(labels)
+    size = len(kd.labels)
+    unit = _unit_cover(kd)
     last = [max(nbrs) for nbrs in adj]
+    pattern = [
+        (last[a] == v) | (last[b] == v) << 1 | (last[c] == v) << 2 | (last[v] < v) << 3
+        for v, (a, b, c) in enumerate(adj)
+    ]
 
-    best_vals = greedy_labeling(g, kind)
-    best_w = sum(wt[v] for v in best_vals)
+    greedy = greedy_labeling(g, kind)
+    best = sum(kd.weight[v] for v in greedy), greedy
+    cut = unit * (best[0] - 1)  # a potential above it cannot beat the incumbent
 
     vals = [-1] * nv
-    res = [kd.need] * nv  # residual demand
-    nodes = 0
+    code = [kd.need * 3 + _OPEN] * nv
+    table = _LabelTable(kd)
+    overflow = None  # a RecursionError met below, raised again at the top
 
-    def dfs(v: int, w: int, total: int) -> bool:
-        """Search below v; False once the budget is exhausted."""
-        nonlocal nodes, best_w, best_vals
+    def dfs(v: int, s: int, nodes: int) -> int:
+        """Search below v with potential s after `nodes` labels tested;
+        the count after the subtree, above `budget` once it is exhausted."""
+        nonlocal best, cut, overflow
         if v == nv:
-            if w < best_w:
-                best_w, best_vals = w, tuple(vals)
-            return True
+            if s % unit:
+                raise InternalError("branch and bound left demand unmet at a leaf")
+            best = s // unit, tuple(vals)
+            cut = s - unit
+            return nodes
         a, b, c = adj[v]
-        ra, rb, rc = res[a], res[b], res[c]
-        rowa, rowb, rowc = red[ra], red[rb], red[rc]
-        ga = no_gain if vals[a] > 0 else gain[ra]
-        gb = no_gain if vals[b] > 0 else gain[rb]
-        gc = no_gain if vals[c] > 0 else gain[rc]
-        # a 0-labeled vertex whose demand turns final must end up covered
-        fa = vals[a] == 0 and last[a] == v
-        fb = vals[b] == 0 and last[b] == v
-        fc = vals[c] == 0 and last[c] == v
-        zero_dead = last[v] < v and res[v] != 0  # label 0 leaves v uncovered
-        own = wt[res[v]]  # v's unmet demand, cleared by a positive label
-        for lab in labels:
-            nodes += 1
+        ca = code[a]
+        cb = code[b]
+        cc = code[c]
+        cv = code[v]
+        for tested, lab, na, nb, nc, nx, delta in table[pattern[v], ca, cb, cc, cv]:
+            if s + delta > cut:
+                continue
+            nodes += tested
             if nodes > budget:
-                return False
-            na, nb, nc = rowa[lab], rowb[lab], rowc[lab]
-            if (fa and na) or (fb and nb) or (fc and nc) or (zero_dead and lab == 0):
-                continue
-            w2 = w + wt[lab]
-            t2 = total + ga[lab] + gb[lab] + gc[lab] - (own if lab else 0)
-            if w2 + -(-t2 // divisor) >= best_w:
-                continue
+                return nodes
             vals[v] = lab
-            res[a], res[b], res[c] = na, nb, nc
-            in_budget = dfs(v + 1, w2, t2)
-            res[a], res[b], res[c] = ra, rb, rc
-            if not in_budget:
-                return False
-        vals[v] = -1
-        return True
+            code[a] = na
+            code[b] = nb
+            code[c] = nc
+            code[v] = nx
+            try:
+                nodes = dfs(v + 1, s + delta, nodes)
+            except RecursionError as error:
+                # unwind like an exhausted budget: a traceback through
+                # every level would hold a frame object per vertex
+                overflow = error.with_traceback(None)
+                return budget + 1
+            if nodes > budget:
+                return nodes
+            nodes -= tested
+        code[a] = ca
+        code[b] = cb
+        code[c] = cc
+        code[v] = cv
+        return nodes + size
 
-    complete = dfs(0, 0, nv * wt[kd.need])
+    nodes = dfs(0, nv * kd.weight[kd.need], 0)
+    del dfs  # dfs refers to itself: drop the cycle and free the search's state now
+    if overflow is not None:
+        raise overflow
+    best_w, best_vals = best
     witness = _witness(g, kd, best_vals, best_w)
-    if complete:
-        return SolveResult(kind, g.n, g.k, best_w, witness, "branch_and_bound", nodes)
-    return BoundsOnly(kind, g.n, g.k, kind_floor(g, kind), best_w, witness, nodes)
+    lo = best_w if nodes <= budget else kind_floor(g, kind)
+    explored = min(nodes, budget + 1)
+    if lo == best_w:
+        return SolveResult(kind, g.n, g.k, best_w, witness, "branch_and_bound", explored)
+    return BoundsOnly(kind, g.n, g.k, lo, best_w, witness, explored)

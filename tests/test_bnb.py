@@ -3,16 +3,26 @@
 Each row is (kind, n, k, "exact" or "bounds", (optimum,) or (lo, hi),
 nodes explored, sha256(witness JSON)[:16]) at budget 50 000, where the
 witness JSON is the result's "witness" or "incumbent" entry dumped with
-sorted keys.  The rows were produced before branch and bound tracked
-residual demands through the kind table (commit d96603e), with
+sorted keys.  The rows cover every branch-and-bound call of the
+benchmark's `exact-search` workload (the three kinds on P(9,4), P(11,5),
+P(13,6), P(15,7), P(21,4), P(40,6), P(60,11) and P(600,4)) except
+domination and 2-rainbow P(600,4), which recurse past Python's limit.
+The P(9,4), P(13,6) and P(21,4) rows were produced before branch and
+bound tracked residual demands through the kind table (commit d96603e),
+the others before it read its labels from a per-state table (commit
+cf32d95), with
 
     PYTHONPATH=src python - <<'PY'
     import hashlib, json
     from gpid.graph import build_petersen
     from gpid.solver import solve_branch_and_bound
+    SIZES = ((9, 4), (11, 5), (13, 6), (15, 7), (21, 4), (40, 6), (60, 11), (600, 4))
     for kind in ("italian", "domination", "rainbow2"):
-        for n, k in ((9, 4), (13, 6), (21, 4)):
-            r = solve_branch_and_bound(build_petersen(n, k), kind, budget=50_000)
+        for n, k in SIZES:
+            try:
+                r = solve_branch_and_bound(build_petersen(n, k), kind, budget=50_000)
+            except RecursionError:
+                continue
             d = r.to_json_dict()
             exact = "optimum" in d
             w = d["witness"] if exact else d["incumbent"]
@@ -27,15 +37,17 @@ match that search exactly.
 
 `_reference_bnb` below is the search that applied every label before
 testing it (commit 00a8850), kept verbatim but for its `initial` labeling
-parameter, which the search no longer takes; `test_matches_reference`
-compares the JSON of both, byte for byte, over a grid of kinds, sizes and
-budgets.
+parameter, which the search no longer takes, and for its last step, which
+returns an exact result when the budget runs out with the incumbent at
+the kind floor; `test_matches_reference` and the budget tests compare the
+JSON of both, byte for byte, over kinds, sizes and budgets.
 """
 
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpid.graph import PetersenGraph, build_petersen
 from gpid.labeling import kind_of
@@ -59,6 +71,21 @@ PINNED = [
     ("rainbow2", 9, 4, "exact", (8,), 25256, "020c6dbcb5e3557a"),
     ("rainbow2", 13, 6, "bounds", (11, 14), 50001, "52120a13f4526a74"),
     ("rainbow2", 21, 4, "bounds", (17, 27), 50001, "fda26f0952693328"),
+    # the other exact-search calls, added after the rows above so that
+    # their test ids keep their indices
+    ("italian", 11, 5, "exact", (10,), 1227, "8561332e39cb611f"),
+    ("italian", 15, 7, "exact", (12,), 28155, "575298652e575a47"),
+    ("italian", 40, 6, "bounds", (32, 38), 50001, "bda099006bafd163"),
+    ("italian", 60, 11, "bounds", (48, 57), 50001, "417a3971bc49050c"),
+    ("italian", 600, 4, "bounds", (480, 540), 50001, "b779de0ba9d1d45c"),
+    ("domination", 11, 5, "exact", (7,), 1452, "0d48ebcfe41c6f8f"),
+    ("domination", 15, 7, "exact", (9,), 7554, "3c6ad785199e77dc"),
+    ("domination", 40, 6, "bounds", (20, 24), 50001, "971dbb5e6bc611e0"),
+    ("domination", 60, 11, "bounds", (30, 39), 50001, "286f0dfc786127f2"),
+    ("rainbow2", 11, 5, "exact", (10,), 11004, "9fcf70404d805c35"),
+    ("rainbow2", 15, 7, "bounds", (12, 16), 50001, "d143846c1f5be2a5"),
+    ("rainbow2", 40, 6, "bounds", (32, 47), 50001, "c74440fecc9716b5"),
+    ("rainbow2", 60, 11, "bounds", (48, 78), 50001, "5f9aeb06b084e4b8"),
 ]
 
 
@@ -154,6 +181,10 @@ def _reference_bnb(
             kind, g.n, g.k, st["best_w"], witness, "branch_and_bound", st["nodes"]
         )
     lo = max(kind_floor(g, kind), 0)
+    if lo == st["best_w"]:  # the incumbent meets the floor: optimal
+        return SolveResult(
+            kind, g.n, g.k, st["best_w"], witness, "branch_and_bound", st["nodes"]
+        )
     return BoundsOnly(kind, g.n, g.k, lo, st["best_w"], witness, st["nodes"])
 
 
@@ -169,6 +200,13 @@ def test_bnb_pinned(kind, n, k, status, values, explored, digest):
         hashlib.sha256(json.dumps(witness, sort_keys=True).encode()).hexdigest()[:16],
     )
     assert got == (status, values, explored, digest)
+
+
+def test_a_search_past_the_recursion_limit_raises_without_a_frame_per_vertex():
+    # one frame per vertex: domination P(600,4) dives past Python's limit
+    with pytest.raises(RecursionError) as info:
+        solve_branch_and_bound(build_petersen(600, 4), "domination", budget=50_000)
+    assert len(info.traceback) < 10
 
 
 BUDGETS = (1, 7, 2000)
@@ -188,3 +226,36 @@ def test_matches_reference(kind, k):
         for budget in BUDGETS:
             _same(g, kind, budget)
 
+
+@settings(max_examples=200)
+@given(
+    kind=st.sampled_from(["italian", "domination", "rainbow2"]),
+    nk=st.integers(3, 15).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, (n - 1) // 2))
+    ),
+    budget=st.integers(0, 3000),
+)
+def test_budget_stop_points_match_reference(kind, nk, budget):
+    # the search counts rejected labels in batches; wherever the budget
+    # runs out, the result must be the one of the label-by-label count
+    _same(build_petersen(*nk), kind, budget)
+
+
+@pytest.mark.parametrize("kind", ["italian", "domination", "rainbow2"])
+@pytest.mark.parametrize("n,k", [(7, 2), (8, 3), (9, 4), (11, 5)])
+def test_the_last_label_of_a_complete_run_flips_bounds_to_exact(kind, n, k):
+    g = build_petersen(n, k)
+    full = solve_branch_and_bound(g, kind)
+    assert isinstance(full, SolveResult)
+    explored = full.explored
+    at = solve_branch_and_bound(g, kind, budget=explored)
+    assert at == full
+    short = solve_branch_and_bound(g, kind, budget=explored - 1)
+    assert short.explored == explored
+    if kind_floor(g, kind) < full.optimum:
+        assert isinstance(short, BoundsOnly)
+        assert (short.lo, short.hi) == (kind_floor(g, kind), full.optimum)
+    else:  # the incumbent meets the floor
+        assert short == full
+    for budget in (explored - 1, explored):
+        _same(g, kind, budget)

@@ -131,6 +131,17 @@ def test_budget_is_read_by_bnb_only(capsys):
     assert (code, out) == (0, "italian P(9,4) = 8 (exact, bnb)\n")
 
 
+def test_bnb_out_of_budget_at_the_kind_floor_is_exact(capsys):
+    # the greedy incumbent of Italian P(9,2) weighs 8 = ceil(4n/5), so a
+    # search cut short by its budget has still proved it optimal
+    code, out, _ = run_cli(capsys, "value", "--n", "9", "--k", "2", "--method", "bnb",
+                           "--budget", "1")
+    assert (code, out) == (0, "italian P(9,2) = 8 (exact, bnb)\n")
+    code, out, _ = run_cli(capsys, "solve", "--n", "9", "--k", "4", "--method", "bnb",
+                           "--budget", "1")
+    assert (code, out) == (0, "italian P(9,4) = 8 (branch_and_bound, explored 2)\n")
+
+
 def test_audit_bagging(capsys):
     code, out, _ = run_cli(capsys, "audit", "bagging", "--n", "6", "--k", "1")
     assert code == 0
