@@ -82,8 +82,8 @@ def _parse_mod(text: str) -> tuple[int, int]:
         m, r = (int(part) for part in text.split("="))
     except ValueError:
         m, r = 0, 0  # reported below
-    if m < 1:
-        raise InvalidParameters(f"--mod takes m=r with integers m >= 1 and r, got {text!r}")
+    if not 0 <= r < m:
+        raise InvalidParameters(f"--mod takes m=r with integers 0 <= r < m, got {text!r}")
     return m, r
 
 
@@ -141,6 +141,8 @@ def cmd_value(args) -> int:
     if args.mod:
         m, r = _parse_mod(args.mod)
         ns = [n for n in ns if n % m == r]
+        if not ns:
+            raise InvalidParameters(f"no n in --n {args.n} has n % {m} == {r} (--mod {args.mod})")
     pairs = [(n, k) for n in ns for k in ks if is_admissible(n, k)]
     if not pairs:
         raise GpidError(

@@ -4,8 +4,12 @@ Labelings are identified with base-b integers whose most significant
 digit is vertex 0, so ascending index order is lexicographic order on
 label vectors.  Only the rows of the weights asked for are generated:
 the prefix and the suffix halves of the vertex list are enumerated once
-each and joined where their weights add up to the range, in
-lexicographic order and in blocks that bound memory.  A block is stored
+per process for each (vertex count, kind), with their weights, and
+joined where their weights add up to the range, in lexicographic order
+and in blocks that bound memory.  The suffixes fitting each weight range
+are listed once per range clamped to [0, max suffix weight], so the
+weight classes of ``exhaustive_minimum`` and the sweeps of the audits
+reuse them; every cached array is read-only.  A block is stored
 vertex-major (one contiguous run of rows per vertex) and handed out as
 its (rows, vertices) transpose, so per-vertex reads are contiguous while
 the row order and the public shape stay those of a label table.  The oracle
@@ -16,6 +20,7 @@ the optimum and part of the optimum's class, not all b^(2n) vectors.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -107,6 +112,51 @@ def weights_of(labels: np.ndarray, kind: str) -> np.ndarray:
     return acc.astype(np.int64)
 
 
+class _Halves:
+    """The two halves of the vertex list of one (vertex count, kind), built
+    once per process: the prefix and the suffix label blocks, vertex-major,
+    the suffix weights, the prefix weight classes and the class of each
+    prefix, all read-only.  `fitting(lo, hi)` lists the suffixes of weight
+    lo..hi in index order, kept per range clamped to [0, max suffix
+    weight], so at most (M + 1)(M + 2) / 2 lists for max suffix weight M.
+    """
+
+    def __init__(self, num_vertices: int, kind: str):
+        base = len(kind_of(kind).labels)
+        self.head = head = num_vertices // 2
+        prefixes = label_block(head, base, 0, base**head)
+        suffixes = label_block(num_vertices - head, base, 0, base ** (num_vertices - head))
+        self.sw = weights_of(suffixes, kind)
+        self.classes, self.cls = np.unique(weights_of(prefixes, kind), return_inverse=True)
+        self.prefixes_t = np.ascontiguousarray(prefixes.T)
+        self.suffixes_t = np.ascontiguousarray(suffixes.T)
+        for a in (self.sw, self.classes, self.cls, self.prefixes_t, self.suffixes_t):
+            a.flags.writeable = False
+        self.max_sw = int(self.sw.max())
+        self.fits: dict[tuple[int, int], np.ndarray] = {}
+
+    def fitting(self, lo: int, hi: int) -> np.ndarray:
+        lo, hi = max(lo, 0), min(hi, self.max_sw)
+        if lo > hi:
+            return _NONE
+        key = lo, hi
+        fit = self.fits.get(key)
+        if fit is None:
+            fit = np.flatnonzero((lo <= self.sw) & (self.sw <= hi))
+            fit.flags.writeable = False
+            self.fits[key] = fit
+        return fit
+
+
+_NONE = np.empty(0, np.intp)
+_NONE.flags.writeable = False
+
+
+@lru_cache(maxsize=sum(SIZE_GATES.values()))  # every (kind, vertex count) in the gates
+def _halves(num_vertices: int, kind: str) -> _Halves:
+    return _Halves(num_vertices, kind)
+
+
 def _rows_by_weight(
     num_vertices: int, kind: str, lo: int, hi: int, chunk: int
 ) -> Iterator[np.ndarray]:
@@ -114,22 +164,18 @@ def _rows_by_weight(
     blocks of at most `chunk` rows.
 
     Meet in the middle: the first half of the vertices (prefix) and the
-    rest (suffix) are enumerated once each.  Each prefix, in index order,
-    is followed by the suffixes of fitting weight, in index order, which
-    is lexicographic order on the whole vector.
+    rest (suffix) are enumerated once per process (`_halves`).  Each
+    prefix, in index order, is followed by the suffixes of fitting weight,
+    in index order, which is lexicographic order on the whole vector.
 
     Each block is written vertex-major, as a C-contiguous (vertices, rows)
     array, and yielded as its (rows, vertices) transpose, so that the
     kernels read every vertex as one contiguous run.
     """
-    base = len(kind_of(kind).labels)
-    head = num_vertices // 2
-    prefixes = label_block(head, base, 0, base**head)
-    suffixes = label_block(num_vertices - head, base, 0, base ** (num_vertices - head))
-    sw = weights_of(suffixes, kind)
-    classes, cls = np.unique(weights_of(prefixes, kind), return_inverse=True)
+    halves = _halves(num_vertices, kind)
+    head, cls = halves.head, halves.cls
     # fits[c]: the suffixes completing a prefix of weight classes[c]
-    fits = [np.flatnonzero((lo - w <= sw) & (sw <= hi - w)) for w in classes.tolist()]
+    fits = [halves.fitting(lo - w, hi - w) for w in halves.classes.tolist()]
     sizes = np.array([len(f) for f in fits], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     flat = np.concatenate(fits)
@@ -138,8 +184,6 @@ def _rows_by_weight(
     starts = ends - counts
     shift = offsets[cls] - starts  # row r of prefix p: suffix flat[r + shift[p]]
     total = int(ends[-1])
-    prefixes_t = np.ascontiguousarray(prefixes.T)
-    suffixes_t = np.ascontiguousarray(suffixes.T)
     for first in range(0, total, chunk):
         last = min(first + chunk, total)
         # the prefixes of rows first..last-1, each repeated once per row
@@ -148,9 +192,9 @@ def _rows_by_weight(
         here = np.minimum(ends[lo_p:hi_p], last) - np.maximum(starts[lo_p:hi_p], first)
         p = np.repeat(np.arange(lo_p, hi_p), here)
         block = np.empty((num_vertices, last - first), np.uint8)
-        np.take(prefixes_t, p, axis=1, out=block[:head])
+        np.take(halves.prefixes_t, p, axis=1, out=block[:head])
         suffix_ids = flat[np.arange(first, last) + shift[p]]
-        np.take(suffixes_t, suffix_ids, axis=1, out=block[head:])
+        np.take(halves.suffixes_t, suffix_ids, axis=1, out=block[head:])
         del p, suffix_ids  # not held while the consumer works on the block
         yield block.T
 

@@ -287,6 +287,16 @@ def labeling_to_json(f: Labeling) -> str:
 def labeling_from_json(text: str) -> Labeling:
     try:
         obj = json.loads(text)
-        return Labeling(int(obj["n"]), int(obj["k"]), tuple(int(v) for v in obj["values"]))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad labeling JSON: {exc}") from exc
+    shape = "bad labeling JSON: expected an object with integer n, k and a values list"
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), list):
+        raise FormatError(shape)
+    try:
+        n, k, values = int(obj["n"]), int(obj["k"]), tuple(int(v) for v in obj["values"])
+    except (KeyError, TypeError, ValueError):
+        raise FormatError(shape) from None
+    try:
+        return Labeling(n, k, values)
+    except InvalidParameters as exc:
         raise FormatError(f"bad labeling JSON: {exc}") from exc

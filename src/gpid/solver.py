@@ -10,16 +10,20 @@ Three routes with overlapping domains keep each other honest:
   where that is exact, which saves passes and cannot change a result.
 * ``solve_branch_and_bound`` -- depth-first search with a charge-counting
   cut; each vertex carries one state code, and the labels a vertex can
-  take in its state, with their effects, come from a table built once per
-  state in each solve, so a node only adds, compares and writes.  Exact
-  when it completes or when the incumbent meets the kind floor,
-  otherwise certified bounds.
+  take in its state, with their effects, come from one table per kind,
+  shared by every solve of the process and filled once per state on
+  first use, so a node only adds, compares and writes.  Exact when it
+  completes or when the incumbent meets the kind floor, otherwise
+  certified bounds.
 
 All three read what a kind is (labels, weights, need, residual demand)
 from its record in ``labeling.KINDS``.  Every returned witness is built,
 re-validated and weighed by one helper, ``_witness``, before the result is
 handed back.  Results (exhaustive, DP) and graphs are cached, each cache
-bounded by ``CACHE_SIZE`` entries.
+bounded by ``CACHE_SIZE`` entries; the label tables of branch and bound
+and the halves of the exhaustive enumerator (``exhaustive._halves``)
+depend on the kind and the vertex count only and are kept per process,
+bounded by their key domains.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from . import dp, exhaustive, formulas
 from .errors import InternalError, InvalidParameters
 from .graph import CACHE_SIZE, PetersenGraph, build_petersen
 from .labeling import (  # the validators are called by name, see _witness
+    KINDS,
     Kind,
     Witness,
     kind_of,
@@ -163,23 +168,24 @@ def greedy_labeling(g: PetersenGraph, kind: str) -> tuple[int, ...]:
     wt = kd.weight
     start = min(c for c in kd.labels if combine(c, c) >= need)
     vals = [start] * g.num_vertices
-
-    def covered(v: int) -> bool:
-        a, b, c = adj[v]
-        return vals[v] != 0 or combine(combine(vals[a], vals[b]), vals[c]) >= need
-
-    def lower(v: int, trials) -> None:
-        old = vals[v]
-        for trial in trials:
-            vals[v] = trial
-            if covered(v) and all(covered(u) for u in adj[v]):
-                return
-        vals[v] = old
-
-    for v in range(g.num_vertices):
-        lower(v, (0,))
-    for v in range(g.num_vertices):
-        lower(v, [c for c in kd.labels[1:] if wt[c] < wt[vals[v]]])
+    closed = [(v, *nbrs) for v, nbrs in enumerate(adj)]
+    for drop in (True, False):
+        for v, nbhd in enumerate(closed):
+            old = vals[v]
+            trials = (0,) if drop else [c for c in kd.labels[1:] if wt[c] < wt[old]]
+            for trial in trials:
+                vals[v] = trial
+                # the trial stands when every 0-vertex of v's closed
+                # neighborhood stays covered
+                for u in nbhd:
+                    if not vals[u]:
+                        a, b, c = adj[u]
+                        if combine(combine(vals[a], vals[b]), vals[c]) < need:
+                            break
+                else:
+                    break
+            else:
+                vals[v] = old
     return tuple(vals)
 
 
@@ -192,7 +198,9 @@ _OPEN, _ZERO, _POS = 0, 1, 2
 class _LabelTable(dict):
     """The labels branch and bound lists at a vertex v, keyed by v's state
     (pattern, codes of v's neighbors a, b, c, code of v), each state's
-    entry filled on first use.
+    entry filled on first use.  An entry reads only the kind record and
+    the key, so one table per kind serves every solve (`_label_table`);
+    it holds at most 16 * codes^4 entries, codes = 3 * (need + 1).
 
     Pattern bits 1, 2, 4 mark the neighbors whose demand v's label makes
     final, bit 8 that v's own demand is final.  A label fails the cover
@@ -231,6 +239,11 @@ class _LabelTable(dict):
                 listed.append((tested, lab, *new, _POS if lab else rv * 3 + _ZERO, delta))
         self[key] = entry = tuple(listed)
         return entry
+
+
+@lru_cache(maxsize=len(KINDS))
+def _label_table(kind: str) -> _LabelTable:
+    return _LabelTable(kind_of(kind))
 
 
 def solve_branch_and_bound(
@@ -284,7 +297,7 @@ def solve_branch_and_bound(
 
     vals = [-1] * nv
     code = [kd.need * 3 + _OPEN] * nv
-    table = _LabelTable(kd)
+    table = _label_table(kind)
     overflow = None  # a RecursionError met below, raised again at the top
 
     def dfs(v: int, s: int, nodes: int) -> int:

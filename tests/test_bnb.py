@@ -49,11 +49,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpid import solver
 from gpid.graph import PetersenGraph, build_petersen
-from gpid.labeling import kind_of
+from gpid.labeling import KINDS, kind_of
 from gpid.solver import (
     BoundsOnly,
     SolveResult,
+    _LabelTable,
     _unit_cover,
     _witness,
     greedy_labeling,
@@ -200,6 +202,38 @@ def test_bnb_pinned(kind, n, k, status, values, explored, digest):
         hashlib.sha256(json.dumps(witness, sort_keys=True).encode()).hexdigest()[:16],
     )
     assert got == (status, values, explored, digest)
+
+
+def _pin(kind, n, k):
+    """The PINNED row of a budget-50 000 search, as in `test_bnb_pinned`."""
+    d = solve_branch_and_bound(build_petersen(n, k), kind, budget=50_000).to_json_dict()
+    exact = "optimum" in d
+    witness = d["witness"] if exact else d["incumbent"]
+    return (
+        kind, n, k,
+        "exact" if exact else "bounds",
+        (d["optimum"],) if exact else (d["lo"], d["hi"]),
+        d["explored"],
+        hashlib.sha256(json.dumps(witness, sort_keys=True).encode()).hexdigest()[:16],
+    )
+
+
+def test_pins_do_not_depend_on_the_order_of_solves():
+    # the label tables are shared by every solve of a process: filled in
+    # another order they must give the same searches
+    solver._label_table.cache_clear()
+    forward = [_pin(*row[:3]) for row in PINNED]
+    backward = [_pin(*row[:3]) for row in reversed(PINNED)]
+    assert forward == backward[::-1] == PINNED
+
+
+def test_shared_label_table_entries_equal_fresh_fills():
+    for kind in KINDS:
+        for n, k in ((9, 4), (11, 5), (13, 6)):
+            solve_branch_and_bound(build_petersen(n, k), kind, budget=50_000)
+        shared = solver._label_table(kind)
+        fresh = _LabelTable(kind_of(kind))
+        assert shared and all(fresh[key] == entry for key, entry in shared.items())
 
 
 def test_a_search_past_the_recursion_limit_raises_without_a_frame_per_vertex():

@@ -263,13 +263,16 @@ def test_console_entry_point():
 @pytest.fixture
 def inputs(monkeypatch, tmp_path):
     """A 2 x 3 label matrix, the JSON of a labeling of P(3,5), which is
-    undefined, and of labelings of P(6,2) and P(4,1), in the working
+    undefined, of labelings of P(6,2) and P(4,1), and two malformed
+    labeling JSON files (a list, an object without n), in the working
     directory."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "matrix.txt").write_text("1 0 1\n0 1 0\n")
     (tmp_path / "undefined.json").write_text('{"n": 3, "k": 5, "values": [1, 0, 0, 1, 1, 0]}')
     (tmp_path / "p62.json").write_text('{"n": 6, "k": 2, "values": [2, 0, 0, 1, 1, 0, 0, 2, 0, 0, 1, 1]}')
     (tmp_path / "p41.json").write_text('{"n": 4, "k": 1, "values": [1, 0, 0, 1, 1, 0, 0, 1]}')
+    (tmp_path / "list.json").write_text("[6, 2, [1, 0, 0, 1]]")
+    (tmp_path / "no-n.json").write_text('{"k": 2, "values": [1, 0, 0, 1]}')
 
 
 @pytest.mark.parametrize("argv", [
@@ -314,12 +317,40 @@ def inputs(monkeypatch, tmp_path):
     ["audit", "discharge", "--n", "6", "--weight-cap", "3"],
     ["audit", "findings", "--n", "6", "--weight-cap", "3"],
     ["audit", "column-lemma", "--n", "6", "--weight-cap", "3"],
+    # a remainder outside 0..m-1, and a remainder no n of the range has
+    ["value", "--n", "10", "--k", "2", "--mod", "3=5"],
+    ["value", "--n", "10", "--k", "2", "--mod", "3=2"],
+    ["render", "--in", "list.json"],
+    ["render", "--in", "no-n.json"],
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, inputs, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mod,message", [
+    ("3=5", "error: --mod takes m=r with integers 0 <= r < m, got '3=5'\n"),
+    ("3=-1", "error: --mod takes m=r with integers 0 <= r < m, got '3=-1'\n"),
+    ("3=2", "error: no n in --n 10 has n % 3 == 2 (--mod 3=2)\n"),
+])
+def test_mod_errors_name_the_filter(capsys, mod, message):
+    code, out, err = run_cli(capsys, "value", "--n", "10", "--k", "2", "--mod", mod)
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--in", "list.json"],
+    ["render", "--in", "no-n.json"],
+    ["audit", "discharge", "--n", "6", "--labeling", "list.json"],
+])
+def test_malformed_labeling_json_names_the_expected_shape(capsys, inputs, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad labeling JSON: expected an object with integer n, k and a values list\n"
+    )
 
 
 def test_audit_reads_a_labeling_of_the_given_n(capsys, inputs):

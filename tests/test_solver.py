@@ -1,9 +1,10 @@
 import pytest
 
+from gpid import exhaustive, solver
 from gpid.constructions import construct_pn2
 from gpid.errors import BudgetExceeded, InvalidParameters
 from gpid.graph import build_petersen
-from gpid.labeling import validate_2rdf, validate_dominating, validate_idf, weight
+from gpid.labeling import KINDS, kind_of, validate_2rdf, validate_dominating, validate_idf, weight
 from gpid.solver import (
     BoundsOnly,
     SolveResult,
@@ -142,6 +143,44 @@ def test_invariant_chain_small():
             assert gi <= construct_pn2(n).actual_weight
 
 
+def _reference_greedy(g, kind):
+    """The loop `greedy_labeling` replaced, kept verbatim: two passes of
+    `lower` calls, each trial checked by `covered` at v and at every
+    neighbor of v."""
+    kd = kind_of(kind)
+    adj = g.adjacency
+    combine = kd.combine
+    need = kd.need
+    wt = kd.weight
+    start = min(c for c in kd.labels if combine(c, c) >= need)
+    vals = [start] * g.num_vertices
+
+    def covered(v: int) -> bool:
+        a, b, c = adj[v]
+        return vals[v] != 0 or combine(combine(vals[a], vals[b]), vals[c]) >= need
+
+    def lower(v: int, trials) -> None:
+        old = vals[v]
+        for trial in trials:
+            vals[v] = trial
+            if covered(v) and all(covered(u) for u in adj[v]):
+                return
+        vals[v] = old
+
+    for v in range(g.num_vertices):
+        lower(v, (0,))
+    for v in range(g.num_vertices):
+        lower(v, [c for c in kd.labels[1:] if wt[c] < wt[vals[v]]])
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_greedy_matches_reference(kind):
+    graphs = [build_petersen(n, k) for n in range(3, 41) for k in range(1, (n - 1) // 2 + 1)]
+    for g in graphs + [build_petersen(600, 4)]:
+        assert greedy_labeling(g, kind) == _reference_greedy(g, kind), (g.n, g.k)
+
+
 def test_greedy_labelings_are_valid():
     for kind in ("italian", "domination", "rainbow2"):
         g = build_petersen(9, 3)
@@ -176,3 +215,36 @@ def test_result_caches_are_bounded():
 
     for cached in (solve_dp, solve_exhaustive, build_petersen):
         assert cached.cache_info().maxsize == CACHE_SIZE
+
+
+def test_per_process_tables_are_bounded_and_read_only():
+    # one label table per kind, its keys within the kind's state codes
+    assert solver._label_table.cache_info().maxsize == len(KINDS)
+    for kind, kd in KINDS.items():
+        solve_branch_and_bound(build_petersen(9, 4), kind, budget=5000)
+        table = solver._label_table(kind)
+        codes = 3 * (kd.need + 1)
+        assert 0 < len(table) <= 16 * codes**4
+        assert all(p < 16 and all(0 <= c < codes for c in rest) for p, *rest in table)
+    # one pair of halves per (vertex count, kind) in the gates, each with
+    # at most one suffix list per weight range clamped to [0, max weight]
+    assert exhaustive._halves.cache_info().maxsize == sum(exhaustive.SIZE_GATES.values())
+    for kind in KINDS:
+        exhaustive.exhaustive_minimum(build_petersen(5, 1), kind)
+        halves = exhaustive._halves(10, kind)
+        top = halves.max_sw
+        assert all(0 <= lo <= hi <= top for lo, hi in halves.fits)
+        assert len(halves.fits) <= (top + 1) * (top + 2) // 2
+        arrays = (halves.prefixes_t, halves.suffixes_t, halves.sw, halves.classes, halves.cls)
+        assert not any(a.flags.writeable for a in arrays + tuple(halves.fits.values()))
+
+
+def test_uncapped_enumeration_adds_one_clamped_range():
+    exhaustive._halves.cache_clear()
+    g = build_petersen(5, 2)
+    for cap in (None, 10**9):
+        for _ in exhaustive.iter_valid_labelings(g, "italian", cap):
+            pass
+    halves = exhaustive._halves(10, "italian")
+    assert set(halves.fits) == {(0, halves.max_sw)}
+    assert exhaustive._halves.cache_info().currsize == 1
