@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -263,7 +264,8 @@ def test_console_entry_point():
 @pytest.fixture
 def inputs(monkeypatch, tmp_path):
     """A 2 x 3 label matrix, the JSON of a labeling of P(3,5), which is
-    undefined, of labelings of P(6,2) and P(4,1), and two malformed
+    undefined, of labelings of P(6,2) and P(4,1), the matrix of the
+    P(4,1) labeling, and two malformed
     labeling JSON files (a list, an object without n), in the working
     directory."""
     monkeypatch.chdir(tmp_path)
@@ -271,6 +273,7 @@ def inputs(monkeypatch, tmp_path):
     (tmp_path / "undefined.json").write_text('{"n": 3, "k": 5, "values": [1, 0, 0, 1, 1, 0]}')
     (tmp_path / "p62.json").write_text('{"n": 6, "k": 2, "values": [2, 0, 0, 1, 1, 0, 0, 2, 0, 0, 1, 1]}')
     (tmp_path / "p41.json").write_text('{"n": 4, "k": 1, "values": [1, 0, 0, 1, 1, 0, 0, 1]}')
+    (tmp_path / "p41.txt").write_text("1 0 1 0\n0 1 0 1\n")
     (tmp_path / "list.json").write_text("[6, 2, [1, 0, 0, 1]]")
     (tmp_path / "no-n.json").write_text('{"k": 2, "values": [1, 0, 0, 1]}')
 
@@ -413,3 +416,121 @@ def test_unexpected_exceptions_are_internal_errors(capsys, monkeypatch, error):
     assert code == 4
     assert out == ""
     assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+def _each_format(argv, formats, *pins):
+    """One (argv, exit code, stdout sha256) row per format.  `--format`
+    follows the command word, so that ids cut short still differ, and
+    is left out for text, the default."""
+    command, rest = argv.split(" ", 1)
+    return [(argv if fmt == "text" else f"{command} --format {fmt} {rest}", code, digest)
+            for fmt, (code, digest) in zip(formats, pins)]
+
+
+TJC = ("text", "json", "csv")
+TJ = ("text", "json")
+
+# Exit code and stdout sha256 of one call of each subcommand in each
+# format it takes, recorded before the CLI's parsing and writing were
+# merged into one path each.
+PINNED_STDOUT = [
+    *_each_format("value --n 5..8 --k 1..3", TJC,
+                  (0, "438a4e653baf58d0ecc8aa34b8d590587143f07ba5b6920e3052617e6171bba8"),
+                  (0, "96bb6a200b1004389170750b4cd9975224ecf0e9355e9858531de72b4be67242"),
+                  (0, "57c669a0fbaf997e8f3f683bb4c06470c089cbd12d838b93c7d74538b6927e6d")),
+    *_each_format("value --n 7..10 --k 2..4 --method formula", TJC,
+                  (0, "865a36bb44be1a304e5dc0b0979fa1442aff9e36bfb2c6ec84df05e35dbbe922"),
+                  (0, "90b4ac58b6a3c55daa84288dedd49500a16a598ad45033e74f651994fba26a43"),
+                  (0, "bbe9156e718a24b18815a07ada2ca2e48e54fa9bc61958094531558996eac109")),
+    *_each_format("value --n 7..9 --k 3 --invariant rainbow2 --method formula", TJC,
+                  (0, "812615dd6e8aa004f92584f152d2a4975c248841330a81d530ad807535951c26"),
+                  (0, "357a3c6c4674b21cf77200be54e270a5d431f18d48945d7270b1a0b05a831f6d"),
+                  (0, "a5456783bf7ea99a3a8006c5d3ef3b4c490246f94435df5c157ad424bd3c32a1")),
+    *_each_format("value --n 6..7 --k 1..2 --invariant domination --method dp", TJC,
+                  (0, "697e537f8c3d0ecca2b83f83ef9802f2ca6c783bedc49772cb5d9f958a6cc33a"),
+                  (0, "52db2bf1d013af89801aa99a17c0fc9c0ad59493d3da3162956cebb852cc229e"),
+                  (0, "a2accf14eb3f94070cc1b4b6899193a9a67aabc28125aa1d1038c20092a58eb7")),
+    *_each_format("value --n 5..6 --k 1..2 --invariant rainbow2 --method exhaustive", TJC,
+                  (0, "398b2e7878658467f85c5132b72e173e19b0c507ba6b3392250b784260ecfb85"),
+                  (0, "b810693e74108d29dce84253e39a8da89c2bc2a9c649a61851b4ad8798ea4073"),
+                  (0, "c102addea402123592b42f993dceeb25bdf95fa7e7747b81b6b38b73cc160256")),
+    *_each_format("value --n 16 --k 6 --method bnb --budget 50", TJC,
+                  (0, "74c5208a8aac6333fe7244924fddc3cc2a3c6a3dd2f9a08d6ee0a9838895c1c3"),
+                  (0, "c5fbe4db1b8bfcfdaaf9c4b36487bdffa54dd8725344fb35c0d9c5b7de49f7ef"),
+                  (0, "e6ba3f4f0850283832c0b1845451e46fb5a2414bbce0e4685117b400526cc5fd")),
+    ("value --n 5..20 --k 2 --mod 5=0", 0,
+     "c268655d14517503e62fbfe09bbea656eed871ec55dbd5028041c06259d4b041"),
+    *_each_format("solve --n 7 --k 2 --method dp", TJ,
+                  (0, "d518ee8cb0e8d6d2d11fb929ef9d33173a1d7e850ac6f131e8adf3767c532088"),
+                  (0, "b10721d6e6b74267ac0adca00e6161addc6053ecb323458c83ef98fa934c1e5b")),
+    *_each_format("solve --n 6 --k 2 --invariant rainbow2 --method exhaustive", TJ,
+                  (0, "92f9d2b50571417f3beab82e80f06e23e41560b1c11ae549a7031e896ec480e6"),
+                  (0, "fef884772212da4cc81a93139ad755b5e8de5621f0a8e5d6ede9146deb7d4a42")),
+    *_each_format("solve --n 16 --k 6 --method bnb --budget 50", TJ,
+                  (0, "7c5775f100c61d4d4ee9fd3b4f147a004e4a6a457d28f4615a56f9cd2cc943ed"),
+                  (0, "dc3afcd6a5913c06ea07415257f5bb0c4d221f51e80347d51bc337dec66ce84e")),
+    *_each_format("solve --n 9 --k 4 --invariant domination --method bnb --budget 500", TJ,
+                  (0, "f7b32ec8d4dff6c7e7fe7ac6cd08ae525736339d21c15344305435da60b42af5"),
+                  (0, "7eb0f1ecefd7d5280bcd7897efa1b8c51b900d69d1d25b9a84f70b9e9ce2aa86")),
+    *_each_format("construct --n 8 --k 1", TJ,
+                  (0, "770e7926e194d7c5bc157a86c058a1ac1be206f3b396f3b657eda5afda48ee3e"),
+                  (0, "822283652eef3c98b007e9e953298745f0d7d327d54bcdb1bccf52ee866e7c98")),
+    *_each_format("construct --n 8 --k 2", TJ,
+                  (0, "742dc9320076702ab119c5773ca1de6cff1ac2ef97faa6e4c9c1e0b05ee3e949"),
+                  (0, "e8ce9eed5b597833ee9396b5fd2a237dfa59af1cd35720945ed745a1f937fb98")),
+    *_each_format("construct --n 11 --k 2", TJ,
+                  (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+                  (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    *_each_format("construct --n 9 --k 3", TJ,
+                  (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+                  (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    *_each_format("construct --n 10 --k 4", TJ,
+                  (0, "f2b4abc836c864ab4f399dddc160220dabfac58a4975308da8ce5c2440a78c92"),
+                  (0, "724267b336a7d7ed888cf83ca0cd35631ec8241d636ef9217e5d70f8906cbb9c")),
+    *_each_format("construct --n 15 --k 7", TJ,
+                  (0, "6c1d55a98c79253fde91ad5909e5f886dec5a4164d8a023713ae3e5f2a11c039"),
+                  (0, "496877cfe302a7bf9a2acbd83f38d4b7c01dbb667585afe9dd091e55fb845d2f")),
+    *_each_format("audit discharge --n 6 --enumerate-optimal", TJC,
+                  (0, "8c2c303fd64afb34dfb988fbfbc6f03da92a4e7722197e7c86e797740c552e84"),
+                  (0, "e8ea3f4da7ed2139023254773e9e4dda054063506505bba792276f373b6c5604"),
+                  (0, "5ec0dd3bc98e7fc4f0303dc278d184bfe603ab56439fb0d2a15ca123d6ca45f5")),
+    *_each_format("audit findings --n 6 --weight-cap 8", TJC,
+                  (0, "09867977227f1ea715ae6c89ec4b99f9586d46f78bbfde9c41cc09b49dde0714"),
+                  (0, "6c5fed832a902689726be3be85d8828014c7dbc80db2980922b6277ecdfbc9cb"),
+                  (0, "6830d03fa2d2c23d81de3f7031efffdaeb1163b8d4660ee227cdf42a9663294c")),
+    ("audit findings --n 6 --enumerate-optimal", 0,
+     "c75d4d380cbaeea0651d390d0abacfc070bd794efb12eded809b91d241684eee"),
+    *_each_format("audit bagging --n 6", TJC,
+                  (0, "9d8b448670669db9b63586c072f8cde4ac49e66fcaaeccf5cd89bea9ae01b2c2"),
+                  (0, "b540afe89b8f750856e167c0d5de93bf3dc3256a7b73f09900459f8c490ef778"),
+                  (0, "09f90688e4a4b8982c545cab8ab12bc05392325fd51f3240439ac9ba33fa83a9")),
+    *_each_format("audit column-lemma --n 5", TJC,
+                  (0, "0d5d5bcaeceb50cb88a525cbc173f107f9e87cc8a517409ac59e21df0a530023"),
+                  (0, "dd417d303875f12477f19e8fe54f0549b4a3531d188870fac0f25726eab226c2"),
+                  (0, "d18ff871c7ec1edebb91466dc172c6b334b944ea6b019f37bc1ca6274dd98f41")),
+    ("audit column-lemma --n 6 --weight-cap 6", 0,
+     "a7c2cd2e3c4618af9161b8269bc475ca0f203ced37896986c65100c0979fdc97"),
+    *_each_format("audit discharge --n 6 --labeling p62.json", TJC,
+                  (0, "466022f2eabf518765fa3c44198f374de66468e7f2e7d71408ac593b79d15952"),
+                  (0, "466022f2eabf518765fa3c44198f374de66468e7f2e7d71408ac593b79d15952"),
+                  (0, "466022f2eabf518765fa3c44198f374de66468e7f2e7d71408ac593b79d15952")),
+    *_each_format("audit column-lemma --n 4 --labeling p41.json", TJC,
+                  (0, "54a54baeac596610b65b2da75953528552684138fce7b6b57f8ef15644f86b82"),
+                  (0, "9725822e01323d31b31e86cf91ddf0c268242e3a2f70d856624499627c940ffe"),
+                  (0, "ab658295ff593dd6ca7222695dc06ece0b0c16a8d9c246a835eac5ff0914e4b5")),
+    ("render --in p41.json", 0,
+     "f6e01e87b3d9f6c13a1b8aef27358f2c8d78e40103f0215774cfe67dcd6fe307"),
+    ("render --in p41.txt --from-matrix --n 4 --k 1", 0,
+     "640cb34c0b08c6e9afaf4af1dff2e51c95533a1fb4a6d3d3bf92318b1f2adefc"),
+    *_each_format("verify-theorems --only thm-4.1", TJC,
+                  (0, "049d6249c69245f241117c590b8de7ac6d95476d1af78a65f93d380ea51b2a83"),
+                  (0, "12487875cb81d76de040b72d848a95a09ec66efb747c20dac2c48cc5c55960a5"),
+                  (0, "6d47642bd468a52ee17bb623e750cc828a767a6931224a59d3cc6a48620535e2")),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_STDOUT,
+                         ids=[argv for argv, _, _ in PINNED_STDOUT])
+def test_stdout_is_pinned(capsys, inputs, argv, code, digest):
+    got, out, _ = run_cli(capsys, *argv.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
