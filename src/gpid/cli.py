@@ -4,7 +4,10 @@ Commands: value | construct | solve | audit | render | verify-theorems.
 Exit codes: 0 ok, 1 violation or failed check, 2 usage error (bad
 arguments, unreadable input, unwritable output), 3 construction
 unavailable for the requested residue, 4 internal error (a solver
-contradicted itself, or any other exception: a bug).
+contradicted itself, or any other exception: a bug).  Every refused
+argument, whether missing, unknown, mistyped or excluded by another,
+exits 2 with one `error:` line on stderr and nothing on stdout;
+`--help` exits 0.
 
 Output rows are emitted in (n, k) order, and timing information goes to
 stderr, never stdout.
@@ -49,9 +52,9 @@ _FORMULAS = VALUES  # under its earlier name: perfbench/layers.py wraps its entr
 
 _VALUE_COLUMNS = ["n", "k", "invariant", "method", "kind", "value", "lo", "hi", "provenance"]
 
-# The optional flags each audit target reads.  Each mode reads at most
-# one of them (--labeling checks one labeling instead of sweeping, and
-# --enumerate-optimal sets the weight cap), so two given together are refused.
+# The optional flags each audit target reads.  They form one mutually
+# exclusive group: --labeling checks one labeling instead of sweeping,
+# and --enumerate-optimal sets the weight cap.
 _AUDIT_FLAGS = {
     "discharge": ("--enumerate-optimal", "--weight-cap", "--labeling"),
     "findings": ("--enumerate-optimal", "--weight-cap"),
@@ -60,51 +63,80 @@ _AUDIT_FLAGS = {
 }
 
 
-def _parse_int(text: str, flag: str) -> int:
+# Converters of flag values.  argparse reports what they raise as
+# `argument <flag>: <message>`, so each message names the bad text.
+
+
+def _int_range(text: str) -> range:
+    """`value --n/--k`: an integer or an inclusive range a..b."""
+    lo, dots, hi = text.partition("..")
     try:
-        return int(text)
+        values = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
-        raise InvalidParameters(f"{flag} takes an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or a range a..b, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return values
 
 
-def _parse_range(text: str, flag: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = _parse_int(lo, flag), _parse_int(hi, flag)
-        if hi_i < lo_i:
-            raise InvalidParameters(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [_parse_int(text, flag)]
-
-
-def _parse_mod(text: str) -> tuple[int, int]:
+def _residue(text: str) -> tuple[int, int]:
+    """`--mod m=r`: keep the n with n % m == r."""
     try:
         m, r = (int(part) for part in text.split("="))
     except ValueError:
         m, r = 0, 0  # reported below
     if not 0 <= r < m:
-        raise InvalidParameters(f"--mod takes m=r with integers 0 <= r < m, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected m=r with integers 0 <= r < m, got {text!r}")
     return m, r
 
 
-def _emit(out_path: str | None, text: str) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _weight_cap(text: str) -> int:
+    """`--weight-cap`: an integer >= 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1  # reported below
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return cap
+
+
+def _emit(args, text: str | None, payload=None, header=None, rows=None) -> None:
+    """Write a command's output to `args.out`, or stdout without it:
+    `payload` as JSON for `--format json`, `header` and `rows` as CSV for
+    `--format csv`, and `text` otherwise.  An output with no text form
+    (`text` None) is JSON in every format."""
+    if args.format == "json" or text is None:
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        out = buf.getvalue()
     else:
-        sys.stdout.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+        out = text + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
 
 
 # ---------------------------------------------------------------------------
 # value
+
+
+def _budget(args) -> int | None:
+    """`--budget`, which only `--method bnb` takes; that is checked
+    before its value."""
+    if args.budget is not None and args.method != "bnb":
+        raise InvalidParameters(f"--method {args.method} does not take --budget")
+    if args.budget is not None and args.budget < 1:
+        raise InvalidParameters(f"--budget must be at least 1, got {args.budget}")
+    return args.budget
 
 
 def _solve(n: int, k: int, invariant: str, method: str, budget: int | None):
@@ -135,40 +167,34 @@ def _value_row(n: int, k: int, invariant: str, method: str, budget: int | None) 
     return dict(zip(_VALUE_COLUMNS, (n, k, invariant, *cells)))
 
 
+def _value_line(row: dict) -> str:
+    if row["kind"] == "exact":
+        shown = f"{row['value']} (exact, {row['provenance']})"
+    elif row["kind"] == "bounds":
+        shown = f"{row['lo']}..{row['hi']} (bounds, {row['provenance']})"
+    else:
+        shown = f"{row['kind']} ({row['provenance']})"
+    return f"{row['invariant']} P({row['n']},{row['k']}) = {shown}"
+
+
 def cmd_value(args) -> int:
-    ns = _parse_range(args.n, "--n")
-    ks = _parse_range(args.k, "--k")
+    budget = _budget(args)
+    ns = args.n
     if args.mod:
-        m, r = _parse_mod(args.mod)
+        m, r = args.mod
         ns = [n for n in ns if n % m == r]
         if not ns:
-            raise InvalidParameters(f"no n in --n {args.n} has n % {m} == {r} (--mod {args.mod})")
-    pairs = [(n, k) for n in ns for k in ks if is_admissible(n, k)]
+            span = f"{args.n[0]}..{args.n[-1]}" if len(args.n) > 1 else args.n[0]
+            raise InvalidParameters(f"no n in --n {span} has n % {m} == {r} (--mod {m}={r})")
+    pairs = [(n, k) for n in ns for k in args.k if is_admissible(n, k)]
     if not pairs:
         raise GpidError(
             "no admissible (n, k) pairs in the requested ranges "
             "(need n >= 3, k >= 1, 2k < n)"
         )
-    rows = [_value_row(n, k, args.invariant, args.method, args.budget)
-            for n, k in sorted(pairs)]
-    if args.format == "json":
-        _emit(args.out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        _emit(args.out, _csv_text(_VALUE_COLUMNS,
-                                  [[row[h] for h in _VALUE_COLUMNS] for row in rows]))
-    else:
-        lines = []
-        for row in rows:
-            if row["kind"] == "exact":
-                shown = f"{row['value']} (exact, {row['provenance']})"
-            elif row["kind"] == "bounds":
-                shown = f"{row['lo']}..{row['hi']} (bounds, {row['provenance']})"
-            else:
-                shown = f"{row['kind']} ({row['provenance']})"
-            lines.append(
-                f"{row['invariant']} P({row['n']},{row['k']}) = {shown}"
-            )
-        _emit(args.out, "\n".join(lines) + "\n")
+    rows = [_value_row(n, k, args.invariant, args.method, budget) for n, k in sorted(pairs)]
+    _emit(args, "\n".join(map(_value_line, rows)), rows,
+          _VALUE_COLUMNS, [[row[h] for h in _VALUE_COLUMNS] for row in rows])
     return EXIT_OK
 
 
@@ -177,7 +203,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    n, k = _parse_int(args.n, "--n"), _parse_int(args.k, "--k")
+    n, k = args.n, args.k
     require_admissible(n, k)
     if k == 1:
         result = construct_pn1(n)
@@ -190,15 +216,11 @@ def cmd_construct(args) -> int:
     if isinstance(result, Unavailable):
         sys.stderr.write(f"construction unavailable for P({n},{k}): {result.reason}\n")
         return EXIT_UNAVAILABLE
-    if args.format == "json":
-        _emit(args.out, json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    else:
-        text = render_matrix(result.labeling)
-        summary = (
-            f"# P({n},{k}) case={result.case} claimed={result.claimed_weight} "
-            f"actual={result.actual_weight} valid={result.valid}"
-        )
-        _emit(args.out, text + "\n" + summary + "\n")
+    summary = (
+        f"# P({n},{k}) case={result.case} claimed={result.claimed_weight} "
+        f"actual={result.actual_weight} valid={result.valid}"
+    )
+    _emit(args, render_matrix(result.labeling) + "\n" + summary, result.to_json_dict())
     return EXIT_OK if result.valid else EXIT_VIOLATION
 
 
@@ -207,24 +229,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    n, k = _parse_int(args.n, "--n"), _parse_int(args.k, "--k")
-    result = _solve(n, k, args.invariant, args.method, args.budget)
-    payload = result.to_json_dict()
-    if args.format == "json":
-        _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    n, k = args.n, args.k
+    result = _solve(n, k, args.invariant, args.method, _budget(args))
+    if isinstance(result, BoundsOnly):
+        text = (f"{args.invariant} P({n},{k}) in [{result.lo}, {result.hi}] "
+                f"(budget exhausted after {result.explored} nodes)")
     else:
-        if isinstance(result, BoundsOnly):
-            _emit(
-                args.out,
-                f"{args.invariant} P({n},{k}) in [{result.lo}, {result.hi}] "
-                f"(budget exhausted after {result.explored} nodes)\n",
-            )
-        else:
-            _emit(
-                args.out,
-                f"{args.invariant} P({n},{k}) = {result.optimum} "
-                f"({result.method}, explored {result.explored})\n",
-            )
+        text = (f"{args.invariant} P({n},{k}) = {result.optimum} "
+                f"({result.method}, explored {result.explored})")
+    _emit(args, text, result.to_json_dict())
     return EXIT_OK
 
 
@@ -242,100 +255,74 @@ def _load_labeling(path: str, n: int) -> Labeling:
 
 
 def cmd_audit(args) -> int:
-    n = _parse_int(args.n, "--n")
-    k = audit.TARGET_K[args.target]
-    if args.k is not None and _parse_int(args.k, "--k") != k:
-        raise GpidError(f"audit {args.target} applies to P(n,{k}) only, got --k {args.k}")
-    flags = {
+    n, k, target = args.n, audit.TARGET_K[args.target], args.target
+    if args.k is not None and args.k != k:
+        raise GpidError(f"audit {target} applies to P(n,{k}) only, got --k {args.k}")
+    given = {
         "--enumerate-optimal": args.enumerate_optimal,
         "--weight-cap": args.weight_cap is not None,
         "--labeling": args.labeling is not None,
     }
-    given = [flag for flag, on in flags.items() if on]
-    unread = [flag for flag in given if flag not in _AUDIT_FLAGS[args.target]]
+    unread = [flag for flag, on in given.items() if on and flag not in _AUDIT_FLAGS[target]]
     if unread:
-        raise InvalidParameters(f"audit {args.target} does not take {unread[0]}")
-    if len(given) > 1:
-        raise InvalidParameters(
-            f"audit {args.target}: {given[0]} and {given[1]} exclude each other"
-        )
-    ok = True
+        raise InvalidParameters(f"audit {target} does not take {unread[0]}")
+    if target == "discharge" and args.labeling is not None:
+        ledger = audit.discharge(_load_labeling(args.labeling, n))
+        _emit(args, None, ledger.to_json_dict())
+        return EXIT_OK if ledger.identity_ok else EXIT_VIOLATION
+    cap = solve_dp(n, k, "italian").optimum if args.enumerate_optimal else args.weight_cap
     sweep = None  # a sweep over labelings, which must check at least one
-    lines: list[str] = []
-    rows: list[list] = []
-    header: list[str] = []
-    if args.target == "discharge":
-        if args.labeling is not None:
-            ledger = audit.discharge(_load_labeling(args.labeling, n))
-            _emit(args.out, json.dumps(ledger.to_json_dict(), indent=2, sort_keys=True) + "\n")
-            return EXIT_OK if ledger.identity_ok else EXIT_VIOLATION
-        cap = args.weight_cap
-        if args.enumerate_optimal:
-            cap = solve_dp(n, k, "italian").optimum
+    if target == "discharge":
         sweep = audit.sweep_discharge(n, weight_cap=cap)
-        ok = sweep.ok
         header = ["n", "weight_cap", "labelings", "identity_failures", "floor_failures"]
         rows = [[n, cap, sweep.labelings_checked, sweep.identity_failures,
                  sweep.charge_floor_failures]]
-        lines = [
+        text = (
             f"discharge sweep P({n},2) cap={cap}: {sweep.labelings_checked} labelings, "
             f"{sweep.identity_failures} identity failures, "
             f"{sweep.charge_floor_failures} charge-floor failures"
-        ]
-    elif args.target == "findings":
-        cap = args.weight_cap
-        if args.enumerate_optimal:
-            cap = solve_dp(n, k, "italian").optimum
+        )
+    elif target == "findings":
         sweep = audit.sweep_findings(n, weight_cap=cap)
-        ok = sweep.ok
         header = ["n", "finding", "hypotheses", "violations"]
         rows = [
             [n, i, sweep.hypothesis_counts[i], sweep.violation_counts[i]]
             for i in range(1, 9)
         ]
-        lines = [
+        text = (
             f"findings sweep P({n},2) cap={cap}: {sweep.labelings_checked} valid IDFs, "
             f"violations {sum(sweep.violation_counts.values())}"
-        ]
-    elif args.target == "bagging":
+        )
+    elif target == "bagging":
         sweep = audit.sweep_bagging(n)
-        ok = sweep.ok
         header = ["n", "labelings", "inconsistent", "wrong_bound", "conflicts"]
         rows = [[n, sweep.labelings_checked, sweep.inconsistent, sweep.wrong_bound,
                  sweep.conflict_count]]
-        lines = [
+        text = (
             f"bagging sweep P({n},1): {sweep.labelings_checked} optimal IDFs, "
             f"{sweep.inconsistent} inconsistent, {sweep.wrong_bound} with bound != n"
-        ]
-    elif args.target == "column-lemma":
-        if args.labeling is not None:
-            rep = audit.check_column_lemma(_load_labeling(args.labeling, n))
-            ok = rep.holds
-            lines = [f"column lemma: holds={rep.holds} counterexamples={list(rep.counterexamples)}"]
-            header = ["n", "holds", "counterexamples"]
-            rows = [[n, rep.holds, len(rep.counterexamples)]]
-        else:
-            sweep = audit.sweep_column_lemma(n, weight_cap=args.weight_cap)
-            ok = sweep.ok
-            header = ["n", "labelings", "counterexamples"]
-            rows = [[n, sweep.labelings_checked, sweep.counterexamples]]
-            lines = [
-                f"column lemma sweep P({n},1): {sweep.labelings_checked} valid IDFs, "
-                f"{sweep.counterexamples} counterexamples"
-            ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise GpidError(f"unknown audit target {args.target}")
-    if sweep is not None and sweep.labelings_checked == 0:
-        raise InvalidParameters(
-            f"audit {args.target}: no valid IDF of P({n},{k}) has weight at most {args.weight_cap}"
         )
-    if args.format == "csv":
-        _emit(args.out, _csv_text(header, rows))
-    elif args.format == "json":
-        _emit(args.out, json.dumps({"rows": rows, "header": header, "ok": ok},
-                                   indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args.out, "\n".join(lines) + "\n")
+    elif args.labeling is not None:  # column-lemma on one labeling
+        rep = audit.check_column_lemma(_load_labeling(args.labeling, n))
+        ok = rep.holds
+        header = ["n", "holds", "counterexamples"]
+        rows = [[n, rep.holds, len(rep.counterexamples)]]
+        text = f"column lemma: holds={rep.holds} counterexamples={list(rep.counterexamples)}"
+    else:  # column-lemma
+        sweep = audit.sweep_column_lemma(n, weight_cap=cap)
+        header = ["n", "labelings", "counterexamples"]
+        rows = [[n, sweep.labelings_checked, sweep.counterexamples]]
+        text = (
+            f"column lemma sweep P({n},1): {sweep.labelings_checked} valid IDFs, "
+            f"{sweep.counterexamples} counterexamples"
+        )
+    if sweep is not None:
+        if sweep.labelings_checked == 0:
+            raise InvalidParameters(
+                f"audit {target}: no valid IDF of P({n},{k}) has weight at most {cap}"
+            )
+        ok = sweep.ok
+    _emit(args, text, {"rows": rows, "header": header, "ok": ok}, header, rows)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -354,11 +341,9 @@ def cmd_render(args) -> int:
     else:
         text = sys.stdin.read()
     if args.from_matrix:
-        f = parse_matrix(text, _parse_int(args.n, "--n"), _parse_int(args.k, "--k"))
-        _emit(args.out, labeling_to_json(f) + "\n")
+        _emit(args, labeling_to_json(parse_matrix(text, args.n, args.k)))
     else:
-        f = labeling_from_json(text)
-        _emit(args.out, render_matrix(f) + "\n")
+        _emit(args, render_matrix(labeling_from_json(text)))
     return EXIT_OK
 
 
@@ -367,37 +352,19 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = checks.run_checks(
-        only=args.only or None, n_max=args.n_max, k_max=args.k_max
-    )
-    all_ok = all(r.ok for r, _ in results)
-    if args.format == "json":
-        payload = [
-            {
-                "check": r.check_id,
-                "ok": r.ok,
-                "instances": r.instances,
-                "detail": r.detail,
-            }
-            for r, _ in results
-        ]
-        _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        header = ["check", "status", "instances", "detail"]
-        rows = [
-            [r.check_id, "pass" if r.ok else "FAIL", r.instances, r.detail]
-            for r, _ in results
-        ]
-        _emit(args.out, _csv_text(header, rows))
-    else:
-        width = max(len(r.check_id) for r, _ in results)
-        lines = []
-        for r, _ in results:
-            mark = "✓" if r.ok else "✗"
-            lines.append(f"{mark} {r.check_id:<{width}}  [{r.instances:>6} checks]  {r.detail}")
-        lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
-        _emit(args.out, "\n".join(lines) + "\n")
-    for r, elapsed in results:
+    timed = checks.run_checks(only=args.only or None, n_max=args.n_max, k_max=args.k_max)
+    results = [r for r, _ in timed]
+    all_ok = all(r.ok for r in results)
+    width = max(len(r.check_id) for r in results)
+    lines = [f"{'✓' if r.ok else '✗'} {r.check_id:<{width}}  [{r.instances:>6} checks]  {r.detail}"
+             for r in results]
+    lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
+    _emit(args, "\n".join(lines),
+          [{"check": r.check_id, "ok": r.ok, "instances": r.instances, "detail": r.detail}
+           for r in results],
+          ["check", "status", "instances", "detail"],
+          [[r.check_id, "pass" if r.ok else "FAIL", r.instances, r.detail] for r in results])
+    for r, elapsed in timed:
         sys.stderr.write(f"# {r.check_id}: {elapsed:.2f}s\n")
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
@@ -406,64 +373,80 @@ def cmd_verify(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are usage errors that `main`
+    reports in one line, instead of a usage block and an exit."""
+
+    def error(self, message: str):
+        raise InvalidParameters(message)
+
+
+def _add_output(parser: argparse.ArgumentParser, *formats: str) -> None:
+    """`--out`, and `--format` (text by default) for a command that also
+    writes `formats`."""
+    parser.set_defaults(format="text")
+    if formats:
+        parser.add_argument("--format", choices=["text", *formats])
+    parser.add_argument("--out", default=None)
+
+
 @cache  # built on the first `main` call, not at import; reused by later calls
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpid",
         description="Italian domination on generalized Petersen graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_value = sub.add_parser("value", help="invariant values over (n, k) ranges")
-    p_value.add_argument("--n", required=True, help="n or inclusive range a..b")
-    p_value.add_argument("--k", default="1", help="k or inclusive range a..b")
+    p_value.add_argument("--n", type=_int_range, required=True,
+                         help="n or inclusive range a..b")
+    p_value.add_argument("--k", type=_int_range, default="1", help="k or inclusive range a..b")
     p_value.add_argument("--invariant", default="italian", choices=list(KINDS))
     p_value.add_argument("--method", default="auto",
                          choices=["auto", "formula", "dp", "exhaustive", "bnb"])
-    p_value.add_argument("--mod", default=None, help="keep n with n %% m == r, as m=r")
+    p_value.add_argument("--mod", type=_residue, default=None,
+                         help="keep n with n %% m == r, as m=r")
     p_value.add_argument("--budget", type=int, default=None,
                          help="bnb node budget (default 200000); --method bnb only")
-    p_value.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p_value.add_argument("--out", default=None)
+    _add_output(p_value, "json", "csv")
     p_value.set_defaults(fn=cmd_value)
 
     p_con = sub.add_parser("construct", help="emit an explicit IDF pattern")
-    p_con.add_argument("--n", required=True)
-    p_con.add_argument("--k", required=True)
-    p_con.add_argument("--format", default="text", choices=["text", "json"])
-    p_con.add_argument("--out", default=None)
+    p_con.add_argument("--n", type=int, required=True)
+    p_con.add_argument("--k", type=int, required=True)
+    _add_output(p_con, "json")
     p_con.set_defaults(fn=cmd_construct)
 
     p_solve = sub.add_parser("solve", help="run one exact solver instance")
-    p_solve.add_argument("--n", required=True)
-    p_solve.add_argument("--k", required=True)
+    p_solve.add_argument("--n", type=int, required=True)
+    p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--invariant", default="italian", choices=list(KINDS))
     p_solve.add_argument("--method", default="dp",
                          choices=["dp", "exhaustive", "bnb"])
     p_solve.add_argument("--budget", type=int, default=None,
                          help="bnb node budget (default 200000); --method bnb only")
-    p_solve.add_argument("--format", default="text", choices=["text", "json"])
-    p_solve.add_argument("--out", default=None)
+    _add_output(p_solve, "json")
     p_solve.set_defaults(fn=cmd_solve)
 
     p_audit = sub.add_parser("audit", help="run certificate sweeps")
     p_audit.add_argument("target",
                          choices=["discharge", "findings", "bagging", "column-lemma"])
-    p_audit.add_argument("--n", required=True)
-    p_audit.add_argument("--k", default=None, help="implied by the audit target")
-    p_audit.add_argument("--enumerate-optimal", action="store_true")
-    p_audit.add_argument("--weight-cap", type=int, default=None)
-    p_audit.add_argument("--labeling", default=None, help="labeling JSON file")
-    p_audit.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p_audit.add_argument("--out", default=None)
+    p_audit.add_argument("--n", type=int, required=True)
+    p_audit.add_argument("--k", type=int, default=None, help="implied by the audit target")
+    mode = p_audit.add_mutually_exclusive_group()
+    mode.add_argument("--enumerate-optimal", action="store_true")
+    mode.add_argument("--weight-cap", type=_weight_cap, default=None)
+    mode.add_argument("--labeling", default=None, help="labeling JSON file")
+    _add_output(p_audit, "json", "csv")
     p_audit.set_defaults(fn=cmd_audit)
 
     p_render = sub.add_parser("render", help="labeling JSON <-> matrix text")
     p_render.add_argument("--in", dest="infile", default=None)
     p_render.add_argument("--from-matrix", action="store_true")
-    p_render.add_argument("--n", default=None)
-    p_render.add_argument("--k", default=None)
-    p_render.add_argument("--out", default=None)
+    p_render.add_argument("--n", type=int, default=None)
+    p_render.add_argument("--k", type=int, default=None)
+    _add_output(p_render)
     p_render.set_defaults(fn=cmd_render)
 
     p_ver = sub.add_parser("verify-theorems", help="run the named checks")
@@ -473,28 +456,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"largest n for: {', '.join(checks.checks_taking('n_max'))}")
     p_ver.add_argument("--k-max", type=int, default=None,
                        help=f"largest k for: {', '.join(checks.checks_taking('k_max'))}")
-    p_ver.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p_ver.add_argument("--out", default=None)
+    _add_output(p_ver, "json", "csv")
     p_ver.set_defaults(fn=cmd_verify)
     return parser
 
 
-def _check_bounds(args) -> None:
-    budget = getattr(args, "budget", None)
-    if budget is not None and args.method != "bnb":
-        raise InvalidParameters(f"--method {args.method} does not take --budget")
-    if budget is not None and budget < 1:
-        raise InvalidParameters(f"--budget must be at least 1, got {budget}")
-    cap = getattr(args, "weight_cap", None)
-    if cap is not None and cap < 0:
-        raise InvalidParameters(f"--weight-cap must be >= 0, got {cap}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_bounds(args)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

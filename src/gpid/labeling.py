@@ -292,10 +292,11 @@ def labeling_from_json(text: str) -> Labeling:
     shape = "bad labeling JSON: expected an object with integer n, k and a values list"
     if not isinstance(obj, dict) or not isinstance(obj.get("values"), list):
         raise FormatError(shape)
-    try:
-        n, k, values = int(obj["n"]), int(obj["k"]), tuple(int(v) for v in obj["values"])
-    except (KeyError, TypeError, ValueError):
-        raise FormatError(shape) from None
+    n, k, values = obj.get("n"), obj.get("k"), tuple(obj["values"])
+    # JSON integers only: bool is an int subclass, and no float or string
+    # is read as the integer it rounds or parses to
+    if any(type(x) is not int for x in (n, k, *values)):
+        raise FormatError(shape)
     try:
         return Labeling(n, k, values)
     except InvalidParameters as exc:

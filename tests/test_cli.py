@@ -48,9 +48,17 @@ def test_value_mod_filter(capsys):
 
 
 def test_value_requires_n(capsys):
+    code, out, err = run_cli(capsys, "value", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--n" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["audit", "--help"]])
+def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["value", "--k", "2"])
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gpid")
 
 
 def test_value_inadmissible_pair_is_a_usage_error(capsys):
@@ -265,9 +273,9 @@ def test_console_entry_point():
 def inputs(monkeypatch, tmp_path):
     """A 2 x 3 label matrix, the JSON of a labeling of P(3,5), which is
     undefined, of labelings of P(6,2) and P(4,1), the matrix of the
-    P(4,1) labeling, and two malformed
-    labeling JSON files (a list, an object without n), in the working
-    directory."""
+    P(4,1) labeling, and malformed labeling JSON files (a list, an object
+    without n, and the P(4,1) labeling with a label or n, k that is not
+    a JSON integer), in the working directory."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "matrix.txt").write_text("1 0 1\n0 1 0\n")
     (tmp_path / "undefined.json").write_text('{"n": 3, "k": 5, "values": [1, 0, 0, 1, 1, 0]}')
@@ -276,6 +284,19 @@ def inputs(monkeypatch, tmp_path):
     (tmp_path / "p41.txt").write_text("1 0 1 0\n0 1 0 1\n")
     (tmp_path / "list.json").write_text("[6, 2, [1, 0, 0, 1]]")
     (tmp_path / "no-n.json").write_text('{"k": 2, "values": [1, 0, 0, 1]}')
+    for name, (n, k, last) in NOT_INTEGERS.items():
+        (tmp_path / name).write_text(
+            f'{{"n": {n}, "k": {k}, "values": [1, 0, 0, 1, 1, 0, 0, {last}]}}')
+
+
+# Variants of the P(4,1) labeling with one field that is not a JSON integer.
+NOT_INTEGERS = {
+    "float-label.json": (4, 1, "1.9"),
+    "bool-label.json": (4, 1, "true"),
+    "string-label.json": (4, 1, '"1"'),
+    "string-n.json": ('"4"', 1, 1),
+    "float-k.json": (4, "1.0", 1),
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -325,6 +346,16 @@ def inputs(monkeypatch, tmp_path):
     ["value", "--n", "10", "--k", "2", "--mod", "3=2"],
     ["render", "--in", "list.json"],
     ["render", "--in", "no-n.json"],
+    # refused by argparse itself
+    [],
+    ["value", "--k", "2"],
+    ["value", "--n", "9", "--bogus"],
+    ["value", "--n", "9", "--format", "xml"],
+    ["value", "--n", "9", "--invariant", "foo"],
+    ["solve", "--n", "7", "--k", "2", "--method", "bnb", "--budget", "x"],
+    ["audit", "findings", "--n", "6", "--weight-cap", "x"],
+    ["verify-theorems", "--n-max", "x"],
+    ["solve", "--n", "7.0", "--k", "2"],
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, inputs, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -334,8 +365,8 @@ def test_bad_input_is_a_one_line_usage_error(capsys, inputs, argv):
 
 
 @pytest.mark.parametrize("mod,message", [
-    ("3=5", "error: --mod takes m=r with integers 0 <= r < m, got '3=5'\n"),
-    ("3=-1", "error: --mod takes m=r with integers 0 <= r < m, got '3=-1'\n"),
+    ("3=5", "error: argument --mod: expected m=r with integers 0 <= r < m, got '3=5'\n"),
+    ("3=-1", "error: argument --mod: expected m=r with integers 0 <= r < m, got '3=-1'\n"),
     ("3=2", "error: no n in --n 10 has n % 3 == 2 (--mod 3=2)\n"),
 ])
 def test_mod_errors_name_the_filter(capsys, mod, message):
@@ -347,6 +378,8 @@ def test_mod_errors_name_the_filter(capsys, mod, message):
     ["render", "--in", "list.json"],
     ["render", "--in", "no-n.json"],
     ["audit", "discharge", "--n", "6", "--labeling", "list.json"],
+    *(argv + [name] for name in NOT_INTEGERS
+      for argv in (["render", "--in"], ["audit", "column-lemma", "--n", "4", "--labeling"])),
 ])
 def test_malformed_labeling_json_names_the_expected_shape(capsys, inputs, argv):
     code, out, err = run_cli(capsys, *argv)
