@@ -14,11 +14,13 @@ All tenth-valued arithmetic is integer arithmetic on tenths; nothing here
 touches floating point.
 
 The sweeps run the kernels on the blocks of `exhaustive.BLOCK_ROWS`
-labelings that the enumerator yields.  A kernel takes a (rows, vertices)
-label table and computes on its vertex-major transpose, which is
-contiguous for enumerated blocks.  Per-cell values are uint8: a charge is
-at most 26 tenths (5 + 2*3 + 5*3) and a column weighs at most 4 (its two
-flanks at most 8).  The only int64 is the per-row residual 10*w - 4*(2n).
+labelings that the enumerator yields, and each returns one `Sweep`
+record: its result table, one-line summary and violation count.  A
+kernel takes a (rows, vertices) label table and computes on its
+vertex-major transpose, which is contiguous for enumerated blocks.
+Per-cell values are uint8: a charge is at most 26 tenths (5 + 2*3 + 5*3)
+and a column weighs at most 4 (its two flanks at most 8).  The only
+int64 is the per-row residual 10*w - 4*(2n).
 """
 
 from __future__ import annotations
@@ -300,21 +302,29 @@ def discharge(f: Labeling) -> DischargeLedger:
 
 
 @dataclass(frozen=True)
-class FindingsSweep:
+class Sweep:
+    """One audit target checked on every enumerated valid IDF of P(n,k) of
+    weight at most `weight_cap` (None: of any weight).  `header` and
+    `rows` are the target's result table, `summary` its one-line report,
+    and `violations` the number of failed conditions it counted."""
+
+    target: str
     n: int
     weight_cap: int | None
     labelings_checked: int
-    hypothesis_counts: dict
-    violation_counts: dict
+    header: tuple[str, ...]
+    rows: tuple[tuple, ...]
+    summary: str
+    violations: int
 
     @property
     def ok(self) -> bool:
-        return all(v == 0 for v in self.violation_counts.values())
+        return self.violations == 0
 
 
-def sweep_findings(n: int, weight_cap: int | None = None) -> FindingsSweep:
+def sweep_findings(n: int, weight_cap: int | None = None) -> Sweep:
     """Check findings 1..8 on every valid IDF of P(n,2) (optionally capped
-    by weight).  Vectorized; intended for desk-scale n."""
+    by weight), one row per finding.  Vectorized; intended for desk-scale n."""
     g = build_petersen(n, TARGET_K["findings"])
     adj = np.array(g.adjacency, dtype=np.int64)
     edges = np.array(g.edges(), dtype=np.int64)
@@ -327,29 +337,16 @@ def sweep_findings(n: int, weight_cap: int | None = None) -> FindingsSweep:
         for i in range(1, 9):
             hyp_counts[i] += int(hyp[i].sum())
             bad_counts[i] += int((hyp[i] & ~concl[i]).sum())
-    return FindingsSweep(
-        n=n,
-        weight_cap=weight_cap,
-        labelings_checked=total,
-        hypothesis_counts=hyp_counts,
-        violation_counts=bad_counts,
-    )
+    bad = sum(bad_counts.values())
+    return Sweep("findings", n, weight_cap, total,
+                 header=("n", "finding", "hypotheses", "violations"),
+                 rows=tuple((n, i, hyp_counts[i], bad_counts[i]) for i in range(1, 9)),
+                 summary=(f"findings sweep P({n},2) cap={weight_cap}: {total} valid IDFs, "
+                          f"violations {bad}"),
+                 violations=bad)
 
 
-@dataclass(frozen=True)
-class DischargeSweep:
-    n: int
-    weight_cap: int | None
-    labelings_checked: int
-    identity_failures: int
-    charge_floor_failures: int
-
-    @property
-    def ok(self) -> bool:
-        return self.identity_failures == 0 and self.charge_floor_failures == 0
-
-
-def sweep_discharge(n: int, weight_cap: int | None = None) -> DischargeSweep:
+def sweep_discharge(n: int, weight_cap: int | None = None) -> Sweep:
     """Check the telescoping identity and the per-vertex charge floor over
     every valid IDF of P(n,2) up to the weight cap."""
     g = build_petersen(n, TARGET_K["discharge"])
@@ -363,13 +360,12 @@ def sweep_discharge(n: int, weight_cap: int | None = None) -> DischargeSweep:
         charge = _charges(block, adj)[2]
         id_bad += int((charge.sum(axis=1, dtype=np.int64) != 10 * w).sum())
         floor_bad += int((charge.min(axis=1) < 4).sum())
-    return DischargeSweep(
-        n=n,
-        weight_cap=weight_cap,
-        labelings_checked=total,
-        identity_failures=id_bad,
-        charge_floor_failures=floor_bad,
-    )
+    return Sweep("discharge", n, weight_cap, total,
+                 header=("n", "weight_cap", "labelings", "identity_failures", "floor_failures"),
+                 rows=((n, weight_cap, total, id_bad, floor_bad),),
+                 summary=(f"discharge sweep P({n},2) cap={weight_cap}: {total} labelings, "
+                          f"{id_bad} identity failures, {floor_bad} charge-floor failures"),
+                 violations=id_bad + floor_bad)
 
 
 def random_identity_check(n: int, samples: int, seed: int = 0) -> int:
@@ -385,19 +381,7 @@ def random_identity_check(n: int, samples: int, seed: int = 0) -> int:
     return int((charge.sum(axis=1, dtype=np.int64) != 10 * w).sum())
 
 
-@dataclass(frozen=True)
-class ColumnLemmaSweep:
-    n: int
-    weight_cap: int | None
-    labelings_checked: int
-    counterexamples: int
-
-    @property
-    def ok(self) -> bool:
-        return self.counterexamples == 0
-
-
-def sweep_column_lemma(n: int, weight_cap: int | None = None) -> ColumnLemmaSweep:
+def sweep_column_lemma(n: int, weight_cap: int | None = None) -> Sweep:
     """Check the column lemma over every valid IDF of P(n,1)."""
     g = build_petersen(n, TARGET_K["column-lemma"])
     total = 0
@@ -405,35 +389,24 @@ def sweep_column_lemma(n: int, weight_cap: int | None = None) -> ColumnLemmaSwee
     for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap):
         total += block.shape[0]
         bad += int(_column_lemma(block)[1].any(axis=1).sum())
-    return ColumnLemmaSweep(
-        n=n, weight_cap=weight_cap, labelings_checked=total, counterexamples=bad
-    )
+    return Sweep("column-lemma", n, weight_cap, total,
+                 header=("n", "labelings", "counterexamples"),
+                 rows=((n, total, bad),),
+                 summary=f"column lemma sweep P({n},1): {total} valid IDFs, {bad} counterexamples",
+                 violations=bad)
 
 
-@dataclass(frozen=True)
-class BaggingSweep:
-    n: int
-    labelings_checked: int
-    inconsistent: int
-    wrong_bound: int
-    conflict_count: int
-
-    @property
-    def ok(self) -> bool:
-        return self.inconsistent == 0 and self.wrong_bound == 0
-
-
-def sweep_bagging(n: int) -> BaggingSweep:
-    """Certify every optimal IDF on P(n,1), of weight n: consistent bags,
-    implied bound equal to n."""
+def sweep_bagging(n: int) -> Sweep:
+    """Certify every valid IDF on P(n,1) of weight at most n: consistent
+    bags, implied bound equal to n.  By Theorem 2.3 these are the optimal
+    IDFs, of weight n; a lighter one would refute it, and fails here."""
     g = build_petersen(n, TARGET_K["bagging"])
     checked = 0
     inconsistent = 0
     wrong_bound = 0
     conflicts = 0
     for block in exhaustive.iter_valid_labelings(g, "italian", n):
-        w = block.sum(axis=1, dtype=np.int64)
-        for row in block[w == n]:
+        for row in block:
             f = Labeling(n, g.k, tuple(int(x) for x in row))
             cert = bagging_certificate(f)
             checked += 1
@@ -442,10 +415,9 @@ def sweep_bagging(n: int) -> BaggingSweep:
             if cert.implied_bound != n:
                 wrong_bound += 1
             conflicts += len(cert.conflicts)
-    return BaggingSweep(
-        n=n,
-        labelings_checked=checked,
-        inconsistent=inconsistent,
-        wrong_bound=wrong_bound,
-        conflict_count=conflicts,
-    )
+    return Sweep("bagging", n, n, checked,
+                 header=("n", "labelings", "inconsistent", "wrong_bound", "conflicts"),
+                 rows=((n, checked, inconsistent, wrong_bound, conflicts),),
+                 summary=(f"bagging sweep P({n},1): {checked} optimal IDFs, "
+                          f"{inconsistent} inconsistent, {wrong_bound} with bound != n"),
+                 violations=inconsistent + wrong_bound)

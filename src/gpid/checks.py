@@ -161,49 +161,35 @@ def check_cited_formulas(n_max: int = 16) -> CheckResult:
     return CheckResult("cited-formulas", not bad, count, detail)
 
 
+def _sweep_check(check_id: str, passed: str, sweeps: list[audit.Sweep], instances: int = 0,
+                 other_bad: tuple = ()) -> CheckResult:
+    """A check over audit sweeps, which fails on a sweep with a violation
+    and on one over no labeling; `instances` and `other_bad` count and
+    list the check's other routes and their failures."""
+    bad = [*(s.summary for s in sweeps if not s.ok or s.labelings_checked == 0), *other_bad]
+    instances += sum(s.labelings_checked for s in sweeps)
+    return CheckResult(check_id, not bad, instances, passed if not bad else f"failures: {bad}")
+
+
 def check_discharge() -> CheckResult:
     """Charge identity and per-vertex floor over enumerated near-optimal
     IDFs of P(6,2), P(7,2), plus the identity on random labelings."""
-    bad = []
-    count = 0
-    for n in (6, 7):
-        cap = italian_value(n, 2).value + 1
-        sweep = audit.sweep_discharge(n, weight_cap=cap)
-        count += sweep.labelings_checked
-        if not sweep.ok or sweep.labelings_checked == 0:
-            bad.append((n, sweep.identity_failures, sweep.charge_floor_failures))
+    sweeps = [audit.sweep_discharge(n, weight_cap=italian_value(n, 2).value + 1) for n in (6, 7)]
     failures = audit.random_identity_check(DISCHARGE_RANDOM_N, DISCHARGE_SAMPLES)
-    count += DISCHARGE_SAMPLES
-    if failures:
-        bad.append(("random", failures))
-    detail = "identity and floor hold" if not bad else f"failures: {bad}"
-    return CheckResult("discharge", not bad, count, detail)
+    return _sweep_check("discharge", "identity and floor hold", sweeps,
+                        DISCHARGE_SAMPLES, (("random", failures),) if failures else ())
 
 
 def check_findings() -> CheckResult:
     """Findings 1..8 over every valid IDF of P(6,2) and P(7,2)."""
-    bad = []
-    count = 0
-    for n in (6, 7):
-        sweep = audit.sweep_findings(n)
-        count += sweep.labelings_checked
-        if not sweep.ok or sweep.labelings_checked == 0:
-            bad.append((n, sweep.violation_counts))
-    detail = "no violations" if not bad else f"failures: {bad}"
-    return CheckResult("findings", not bad, count, detail)
+    return _sweep_check("findings", "no violations", [audit.sweep_findings(n) for n in (6, 7)])
 
 
 def check_bagging() -> CheckResult:
-    """Every optimal IDF of P(n,1) certifies weight >= n via the bags."""
-    bad = []
-    count = 0
-    for n in BAGGING_NS:
-        sweep = audit.sweep_bagging(n)
-        count += sweep.labelings_checked
-        if not sweep.ok or sweep.labelings_checked == 0:
-            bad.append((n, sweep.inconsistent, sweep.wrong_bound))
-    detail = "all certificates bound n" if not bad else f"failures: {bad}"
-    return CheckResult("bagging", not bad, count, detail)
+    """Every valid IDF of P(n,1) of weight at most n certifies weight >= n
+    via the bags."""
+    return _sweep_check("bagging", "all certificates bound n",
+                        [audit.sweep_bagging(n) for n in BAGGING_NS])
 
 
 def check_classification(n_max: int = 16) -> CheckResult:
@@ -259,12 +245,19 @@ def run_checks(
 ) -> list[tuple[CheckResult, float]]:
     """Run the selected checks, returning (result, seconds) pairs.  `n_max`
     and `k_max` go to the checks that take them; a pass on no instance
-    proves nothing, so it raises InvalidParameters (an empty range)."""
+    proves nothing, so it raises InvalidParameters (an empty range), and
+    so does a range no selected check takes."""
     ids = list(CHECKS) if not only else list(only)
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise InvalidParameters(f"unknown check ids: {unknown}; known: {sorted(CHECKS)}")
     overrides = {"n_max": n_max, "k_max": k_max}
+    for p, v in overrides.items():
+        takers = checks_taking(p)
+        if v is not None and not set(ids) & set(takers):
+            flag = "--" + p.replace("_", "-")
+            raise InvalidParameters(
+                f"--only selects no check that {flag} bounds ({', '.join(takers)})")
     out = []
     for check_id in ids:
         kwargs = {

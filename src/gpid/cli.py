@@ -266,64 +266,28 @@ def cmd_audit(args) -> int:
     unread = [flag for flag, on in given.items() if on and flag not in _AUDIT_FLAGS[target]]
     if unread:
         raise InvalidParameters(f"audit {target} does not take {unread[0]}")
-    if target == "discharge" and args.labeling is not None:
-        ledger = audit.discharge(_load_labeling(args.labeling, n))
-        _emit(args, None, ledger.to_json_dict())
-        return EXIT_OK if ledger.identity_ok else EXIT_VIOLATION
-    cap = solve_dp(n, k, "italian").optimum if args.enumerate_optimal else args.weight_cap
-    sweep = None  # a sweep over labelings, which must check at least one
-    if target == "discharge":
-        sweep = audit.sweep_discharge(n, weight_cap=cap)
-        header = ["n", "weight_cap", "labelings", "identity_failures", "floor_failures"]
-        rows = [[n, cap, sweep.labelings_checked, sweep.identity_failures,
-                 sweep.charge_floor_failures]]
-        text = (
-            f"discharge sweep P({n},2) cap={cap}: {sweep.labelings_checked} labelings, "
-            f"{sweep.identity_failures} identity failures, "
-            f"{sweep.charge_floor_failures} charge-floor failures"
-        )
-    elif target == "findings":
-        sweep = audit.sweep_findings(n, weight_cap=cap)
-        header = ["n", "finding", "hypotheses", "violations"]
-        rows = [
-            [n, i, sweep.hypothesis_counts[i], sweep.violation_counts[i]]
-            for i in range(1, 9)
-        ]
-        text = (
-            f"findings sweep P({n},2) cap={cap}: {sweep.labelings_checked} valid IDFs, "
-            f"violations {sum(sweep.violation_counts.values())}"
-        )
-    elif target == "bagging":
-        sweep = audit.sweep_bagging(n)
-        header = ["n", "labelings", "inconsistent", "wrong_bound", "conflicts"]
-        rows = [[n, sweep.labelings_checked, sweep.inconsistent, sweep.wrong_bound,
-                 sweep.conflict_count]]
-        text = (
-            f"bagging sweep P({n},1): {sweep.labelings_checked} optimal IDFs, "
-            f"{sweep.inconsistent} inconsistent, {sweep.wrong_bound} with bound != n"
-        )
-    elif args.labeling is not None:  # column-lemma on one labeling
-        rep = audit.check_column_lemma(_load_labeling(args.labeling, n))
-        ok = rep.holds
+    if args.labeling is not None:
+        f = _load_labeling(args.labeling, n)
+        if target == "discharge":
+            ledger = audit.discharge(f)
+            _emit(args, None, ledger.to_json_dict())
+            return EXIT_OK if ledger.identity_ok else EXIT_VIOLATION
+        rep = audit.check_column_lemma(f)  # column-lemma, the other target taking --labeling
         header = ["n", "holds", "counterexamples"]
         rows = [[n, rep.holds, len(rep.counterexamples)]]
         text = f"column lemma: holds={rep.holds} counterexamples={list(rep.counterexamples)}"
-    else:  # column-lemma
-        sweep = audit.sweep_column_lemma(n, weight_cap=cap)
-        header = ["n", "labelings", "counterexamples"]
-        rows = [[n, sweep.labelings_checked, sweep.counterexamples]]
-        text = (
-            f"column lemma sweep P({n},1): {sweep.labelings_checked} valid IDFs, "
-            f"{sweep.counterexamples} counterexamples"
+        _emit(args, text, {"rows": rows, "header": header, "ok": rep.holds}, header, rows)
+        return EXIT_OK if rep.holds else EXIT_VIOLATION
+    cap = solve_dp(n, k, "italian").optimum if args.enumerate_optimal else args.weight_cap
+    sweep_target = getattr(audit, f"sweep_{target.replace('-', '_')}")
+    sweep = sweep_target(n) if cap is None else sweep_target(n, weight_cap=cap)
+    if sweep.labelings_checked == 0:  # a sweep over no labeling proves nothing
+        raise InvalidParameters(
+            f"audit {target}: no valid IDF of P({n},{k}) has weight at most {cap}"
         )
-    if sweep is not None:
-        if sweep.labelings_checked == 0:
-            raise InvalidParameters(
-                f"audit {target}: no valid IDF of P({n},{k}) has weight at most {cap}"
-            )
-        ok = sweep.ok
-    _emit(args, text, {"rows": rows, "header": header, "ok": ok}, header, rows)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    _emit(args, sweep.summary, {"rows": sweep.rows, "header": sweep.header, "ok": sweep.ok},
+          sweep.header, sweep.rows)
+    return EXIT_OK if sweep.ok else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +339,12 @@ def cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose refusals are usage errors that `main`
-    reports in one line, instead of a usage block and an exit."""
+    reports in one line, instead of a usage block and an exit.  It reads
+    no prefix of a flag as the flag, and `add_subparsers` builds every
+    subcommand's parser from this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs, allow_abbrev=False)
 
     def error(self, message: str):
         raise InvalidParameters(message)

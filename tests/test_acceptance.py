@@ -48,10 +48,10 @@ def test_every_check_is_pinned():
 @pytest.mark.parametrize("kwargs,expected", [
     (dict(only=["thm-4.1"], n_max=70, k_max=13),
      [("thm-4.1", True, 534, "all valid within the open-case bound")]),
-    # the sweeps take no range: n_max leaves them at their defaults
-    (dict(only=["discharge", "findings", "bagging"], n_max=12),
+    # the sweeps take no range: n_max, read by thm-3.3, leaves them at their defaults
+    (dict(only=["discharge", "findings", "bagging", "thm-3.3"], n_max=12),
      [("discharge", *PINNED["discharge"]), ("findings", *PINNED["findings"]),
-      ("bagging", *PINNED["bagging"])]),
+      ("bagging", *PINNED["bagging"]), ("thm-3.3", True, 3, "all valid at ceil(4n/5)")]),
     (dict(only=["classification", "thm-3.3"], n_max=12),
      [("classification", True, 35, "classification matches solver"),
       ("thm-3.3", True, 3, "all valid at ceil(4n/5)")]),
@@ -104,9 +104,11 @@ def returning(value):
     return lambda real: lambda *args, **kwargs: value
 
 
-def findings(labelings, violations):
-    counts = dict.fromkeys(range(1, 9), 0)
-    return audit.FindingsSweep(6, None, labelings, counts, {**counts, 3: violations})
+def sweep(target, labelings, violations):
+    """A sweep record of `target` on P(6,k) over `labelings` rows, with
+    `violations` failed conditions."""
+    return audit.Sweep(target, 6, None, labelings, ("n", "violations"), ((6, violations),),
+                       f"planted {target} sweep", violations)
 
 
 def off_by(real, off):  # every exact closed form off by `off`
@@ -138,15 +140,19 @@ FAULTS = {
     "predicate-values": (patched(checks, "italian_graph_predicate", predicate_values_off_by_one),
                          ["classification"]),
     "pn2-invalid": (patched(checks, "construct_pn2", all_zero_pn2), ["thm-3.3"]),
-    "findings-violation": (patched(audit, "sweep_findings", returning(findings(5, 1))),
-                           ["findings"]),
-    "findings-empty": (patched(audit, "sweep_findings", returning(findings(0, 0))),
+    "findings-violation": (patched(audit, "sweep_findings",
+                                   returning(sweep("findings", 5, 1))), ["findings"]),
+    "findings-empty": (patched(audit, "sweep_findings", returning(sweep("findings", 0, 0))),
                        ["findings"]),
-    "discharge-empty": (patched(audit, "sweep_discharge",
-                                returning(audit.DischargeSweep(6, None, 0, 0, 0))),
+    "discharge-violation": (patched(audit, "sweep_discharge",
+                                    returning(sweep("discharge", 5, 1))), ["discharge"]),
+    "discharge-empty": (patched(audit, "sweep_discharge", returning(sweep("discharge", 0, 0))),
                         ["discharge"]),
-    "bagging-empty": (patched(audit, "sweep_bagging",
-                              returning(audit.BaggingSweep(6, 0, 0, 0, 0))), ["bagging"]),
+    "discharge-random": (patched(audit, "random_identity_check", returning(1)), ["discharge"]),
+    "bagging-violation": (patched(audit, "sweep_bagging", returning(sweep("bagging", 5, 1))),
+                          ["bagging"]),
+    "bagging-empty": (patched(audit, "sweep_bagging", returning(sweep("bagging", 0, 0))),
+                      ["bagging"]),
     "formula-plus-one": (closed_forms_off_by(1), ["thm-3.6", "cited-formulas"]),
     "formula-minus-one": (closed_forms_off_by(-1), ["thm-3.6", "cited-formulas"]),
 }

@@ -57,7 +57,8 @@ def test_column_lemma_exhaustive(n):
 
 def test_column_lemma_sweep_pinned_and_matches_scalar():
     sweep = sweep_column_lemma(7, weight_cap=8)
-    assert (sweep.labelings_checked, sweep.counterexamples) == (1127, 0)
+    assert sweep.labelings_checked == 1127
+    assert sweep.rows == ((7, 1127, 0),)
     rows = 0
     for block in iter_valid_labelings(build_petersen(7, 1), "italian", 8):
         for row in block:
@@ -118,6 +119,25 @@ def test_bagging_optimal_sweep_small():
         sweep = sweep_bagging(n)
         assert sweep.ok, (n, sweep)
         assert sweep.labelings_checked > 0
+
+
+def test_bagging_sweep_certifies_an_idf_lighter_than_n(monkeypatch):
+    """An IDF of P(n,1) lighter than n would refute Theorem 2.3; the sweep
+    enumerates up to weight n and must certify, and so fail, such a row."""
+    light = columns_labeling(6, 1, [(1, 1), (0, 0), (0, 0), (1, 1), (0, 0), (0, 0)])
+    assert weight(light) == 4 and not bagging_certificate(light).consistent
+    real = exhaustive.iter_valid_labelings
+
+    def planted(g, kind, weight_cap=None):
+        yield from real(g, kind, weight_cap)
+        yield np.array([light.values], dtype=np.uint8)
+
+    optimal = sweep_bagging(6)
+    monkeypatch.setattr(exhaustive, "iter_valid_labelings", planted)
+    sweep = sweep_bagging(6)
+    assert not sweep.ok
+    assert sweep.labelings_checked == optimal.labelings_checked + 1
+    assert sweep.weight_cap == 6
 
 
 def test_bagging_wrong_family():
@@ -197,7 +217,7 @@ def test_findings_sweep_small():
     sweep = sweep_findings(6, weight_cap=7)
     assert sweep.ok
     assert sweep.labelings_checked > 0
-    assert sweep.hypothesis_counts[1] == sweep.labelings_checked
+    assert sweep.rows[0][:3] == (6, 1, sweep.labelings_checked)
 
 
 P62_CAP7_HYPOTHESES = {1: 984, 2: 972, 3: 492, 4: 726, 5: 900, 6: 636, 7: 360, 8: 348}
@@ -206,8 +226,8 @@ P62_CAP7_HYPOTHESES = {1: 984, 2: 972, 3: 492, 4: 726, 5: 900, 6: 636, 7: 360, 8
 def test_findings_sweep_pinned_counts():
     sweep = sweep_findings(6, weight_cap=7)
     assert sweep.labelings_checked == 984
-    assert sweep.hypothesis_counts == P62_CAP7_HYPOTHESES
-    assert sweep.violation_counts == {i: 0 for i in range(1, 9)}
+    assert sweep.header == ("n", "finding", "hypotheses", "violations")
+    assert sweep.rows == tuple((6, i, P62_CAP7_HYPOTHESES[i], 0) for i in range(1, 9))
 
 
 def test_scalar_findings_and_discharge_match_the_sweep():
@@ -289,11 +309,11 @@ def test_findings_sweep_pinned_uncapped():
     assert 3**12 > 10 * exhaustive.BLOCK_ROWS  # the sweep crosses more than ten blocks
     sweep = sweep_findings(6)
     assert sweep.labelings_checked == 358105
-    assert sweep.hypothesis_counts == {
+    hypotheses = {
         1: 358105, 2: 214267, 3: 55930, 4: 357295,
         5: 286108, 6: 182286, 7: 153610, 8: 351604,
     }
-    assert sweep.violation_counts == {i: 0 for i in range(1, 9)}
+    assert sweep.rows == tuple((6, i, hypotheses[i], 0) for i in range(1, 9))
 
 
 def test_column_lemma_sweep_pinned_uncapped():
@@ -302,7 +322,8 @@ def test_column_lemma_sweep_pinned_uncapped():
     """
     assert 3**12 > 10 * exhaustive.BLOCK_ROWS
     sweep = sweep_column_lemma(6)
-    assert (sweep.labelings_checked, sweep.counterexamples) == (348393, 0)
+    assert sweep.labelings_checked == 348393
+    assert sweep.rows == ((6, 348393, 0),)
 
 
 def test_findings_sweep_memory_stays_block_sized():

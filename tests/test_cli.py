@@ -226,6 +226,17 @@ def test_verify_theorems_single(capsys):
     assert "thm-3.6" in err  # timing goes to stderr
 
 
+@pytest.mark.parametrize("argv,flag,takers", [
+    (["--only", "thm-3.6", "--k-max", "0"], "--k-max", "thm-4.1"),
+    (["--only", "findings", "--n-max", "20"], "--n-max",
+     "thm-2.3, thm-3.3, thm-3.6, thm-4.1, cited-formulas, classification"),
+], ids=["k-max", "n-max"])
+def test_verify_theorems_refuses_a_range_no_selected_check_takes(capsys, argv, flag, takers):
+    code, out, err = run_cli(capsys, "verify-theorems", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --only selects no check that {flag} bounds ({takers})\n"
+
+
 def test_verify_theorems_unknown_id(capsys):
     code, _, err = run_cli(capsys, "verify-theorems", "--only", "thm-9.9")
     assert code == 2
@@ -356,6 +367,12 @@ NOT_INTEGERS = {
     ["audit", "findings", "--n", "6", "--weight-cap", "x"],
     ["verify-theorems", "--n-max", "x"],
     ["solve", "--n", "7.0", "--k", "2"],
+    # a prefix of a flag is not the flag
+    ["value", "--n", "9", "--meth", "formula"],
+    ["audit", "findings", "--n", "6", "--weight", "7"],
+    # a range flag that no selected check reads
+    ["verify-theorems", "--only", "thm-3.6", "--k-max", "0"],
+    ["verify-theorems", "--only", "discharge", "--only", "bagging", "--n-max", "12"],
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, inputs, argv):
     code, out, err = run_cli(capsys, *argv)
