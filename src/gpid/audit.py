@@ -418,6 +418,6 @@ def sweep_bagging(n: int) -> Sweep:
     return Sweep("bagging", n, n, checked,
                  header=("n", "labelings", "inconsistent", "wrong_bound", "conflicts"),
                  rows=((n, checked, inconsistent, wrong_bound, conflicts),),
-                 summary=(f"bagging sweep P({n},1): {checked} optimal IDFs, "
+                 summary=(f"bagging sweep P({n},1): {checked} IDFs of weight <= {n}, "
                           f"{inconsistent} inconsistent, {wrong_bound} with bound != n"),
                  violations=inconsistent + wrong_bound)

@@ -7,12 +7,15 @@ the prefix and the suffix halves of the vertex list are enumerated once
 per process for each (vertex count, kind), with their weights, and
 joined where their weights add up to the range, in lexicographic order
 and in blocks that bound memory.  The suffixes fitting each weight range
-are listed once per range clamped to [0, max suffix weight], so the
-weight classes of ``exhaustive_minimum`` and the sweeps of the audits
-reuse them; every cached array is read-only.  A block is stored
-vertex-major (one contiguous run of rows per vertex) and handed out as
-its (rows, vertices) transpose, so per-vertex reads are contiguous while
-the row order and the public shape stay those of a label table.  The oracle
+are copied out once per range clamped to [0, max suffix weight], as one
+vertex-major block, so the weight classes of ``exhaustive_minimum`` and
+the sweeps of the audits reuse them; every cached array is read-only.
+A block is stored vertex-major (one contiguous run of rows per vertex)
+and handed out as its (rows, vertices) transpose, so per-vertex reads
+are contiguous while the row order and the public shape stay those of a
+label table.  It is assembled from block copies: its prefix rows are the
+prefixes repeated, its suffix rows those prefixes' fitting suffix blocks
+laid end to end, with no per-row index arithmetic.  The oracle
 (``exhaustive_minimum``) walks weight classes upwards and stops at the
 first class holding a valid labeling, so it examines the classes below
 the optimum and part of the optimum's class, not all b^(2n) vectors.
@@ -116,9 +119,11 @@ class _Halves:
     """The two halves of the vertex list of one (vertex count, kind), built
     once per process: the prefix and the suffix label blocks, vertex-major,
     the suffix weights, the prefix weight classes and the class of each
-    prefix, all read-only.  `fitting(lo, hi)` lists the suffixes of weight
-    lo..hi in index order, kept per range clamped to [0, max suffix
-    weight], so at most (M + 1)(M + 2) / 2 lists for max suffix weight M.
+    prefix, all read-only.  `fitting(lo, hi)` returns the suffixes of
+    weight lo..hi in index order as one read-only, C-contiguous,
+    vertex-major (suffix vertices, count) block, kept per range clamped to
+    [0, max suffix weight], so at most (M + 1)(M + 2) / 2 blocks for max
+    suffix weight M.
     """
 
     def __init__(self, num_vertices: int, kind: str):
@@ -138,18 +143,14 @@ class _Halves:
     def fitting(self, lo: int, hi: int) -> np.ndarray:
         lo, hi = max(lo, 0), min(hi, self.max_sw)
         if lo > hi:
-            return _NONE
+            return self.suffixes_t[:, :0]
         key = lo, hi
         fit = self.fits.get(key)
         if fit is None:
-            fit = np.flatnonzero((lo <= self.sw) & (self.sw <= hi))
+            fit = self.suffixes_t.compress((lo <= self.sw) & (self.sw <= hi), axis=1)
             fit.flags.writeable = False
             self.fits[key] = fit
         return fit
-
-
-_NONE = np.empty(0, np.intp)
-_NONE.flags.writeable = False
 
 
 @lru_cache(maxsize=sum(SIZE_GATES.values()))  # every (kind, vertex count) in the gates
@@ -170,32 +171,38 @@ def _rows_by_weight(
 
     Each block is written vertex-major, as a C-contiguous (vertices, rows)
     array, and yielded as its (rows, vertices) transpose, so that the
-    kernels read every vertex as one contiguous run.
+    kernels read every vertex as one contiguous run.  Its prefix rows are
+    its prefixes, each repeated once per row it heads; its suffix rows are
+    those prefixes' fitting suffix blocks laid end to end, the first and
+    the last cut at the block's ends.
     """
     halves = _halves(num_vertices, kind)
-    head, cls = halves.head, halves.cls
+    head = halves.head
     # fits[c]: the suffixes completing a prefix of weight classes[c]
     fits = [halves.fitting(lo - w, hi - w) for w in halves.classes.tolist()]
-    sizes = np.array([len(f) for f in fits], dtype=np.int64)
-    offsets = np.cumsum(sizes) - sizes
-    flat = np.concatenate(fits)
-    counts = sizes[cls]  # rows emitted after each prefix
+    sizes = np.array([f.shape[1] for f in fits], dtype=np.int64)
+    counts = sizes[halves.cls]  # rows emitted after each prefix
+    used = np.flatnonzero(counts)  # the prefixes that head any row
+    counts = counts[used]
+    used_fits = [fits[c] for c in halves.cls[used].tolist()]
     ends = np.cumsum(counts)
     starts = ends - counts
-    shift = offsets[cls] - starts  # row r of prefix p: suffix flat[r + shift[p]]
-    total = int(ends[-1])
+    total = int(counts.sum())
     for first in range(0, total, chunk):
         last = min(first + chunk, total)
-        # the prefixes of rows first..last-1, each repeated once per row
-        lo_p = int(np.searchsorted(ends, first, side="right"))
-        hi_p = int(np.searchsorted(ends, last - 1, side="right")) + 1
-        here = np.minimum(ends[lo_p:hi_p], last) - np.maximum(starts[lo_p:hi_p], first)
-        p = np.repeat(np.arange(lo_p, hi_p), here)
+        # used[a:b]: the prefixes of rows first..last-1; the first one's
+        # rows start `skip` in, the last one's stop `keep` in (the end is
+        # cut first, so that a single prefix is cut at both ends)
+        a = int(np.searchsorted(ends, first, side="right"))
+        b = int(np.searchsorted(ends, last - 1, side="right")) + 1
+        skip, keep = first - int(starts[a]), last - int(starts[b - 1])
+        here = counts[a:b].copy()
+        parts = used_fits[a:b]
+        here[-1], parts[-1] = keep, parts[-1][:, :keep]
+        here[0], parts[0] = here[0] - skip, parts[0][:, skip:]
         block = np.empty((num_vertices, last - first), np.uint8)
-        np.take(halves.prefixes_t, p, axis=1, out=block[:head])
-        suffix_ids = flat[np.arange(first, last) + shift[p]]
-        np.take(halves.suffixes_t, suffix_ids, axis=1, out=block[head:])
-        del p, suffix_ids  # not held while the consumer works on the block
+        block[:head] = np.repeat(halves.prefixes_t[:, used[a:b]], here, axis=1)
+        np.concatenate(parts, axis=1, out=block[head:])
         yield block.T
 
 

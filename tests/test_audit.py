@@ -138,6 +138,9 @@ def test_bagging_sweep_certifies_an_idf_lighter_than_n(monkeypatch):
     assert not sweep.ok
     assert sweep.labelings_checked == optimal.labelings_checked + 1
     assert sweep.weight_cap == 6
+    # the summary counts the planted row without calling it optimal
+    assert sweep.summary == ("bagging sweep P(6,1): 35 IDFs of weight <= 6, "
+                             "1 inconsistent, 0 with bound != n")
 
 
 def test_bagging_wrong_family():

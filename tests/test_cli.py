@@ -344,7 +344,7 @@ NOT_INTEGERS = {
     ["solve", "--n", "7", "--k", "2", "--method", "dp", "--budget", "5"],
     ["value", "--n", "7", "--k", "2", "--budget", "5"],
     ["value", "--n", "7", "--k", "2", "--method", "formula", "--budget", "5"],
-    # bagging sweeps the optimal IDFs (weight n) and takes no cap, even the
+    # bagging sweeps the IDFs of weight at most n and takes no cap, even the
     # optimum 6; and sweeps over no labeling
     ["audit", "bagging", "--n", "6", "--weight-cap", "7"],
     ["audit", "bagging", "--n", "6", "--weight-cap", "5"],
@@ -551,7 +551,7 @@ PINNED_STDOUT = [
     ("audit findings --n 6 --enumerate-optimal", 0,
      "c75d4d380cbaeea0651d390d0abacfc070bd794efb12eded809b91d241684eee"),
     *_each_format("audit bagging --n 6", TJC,
-                  (0, "9d8b448670669db9b63586c072f8cde4ac49e66fcaaeccf5cd89bea9ae01b2c2"),
+                  (0, "8547b03da37dda33cb255e8d332c34c82a3f0026d5b831946c0c0e30ec043dd4"),
                   (0, "b540afe89b8f750856e167c0d5de93bf3dc3256a7b73f09900459f8c490ef778"),
                   (0, "09f90688e4a4b8982c545cab8ab12bc05392325fd51f3240439ac9ba33fa83a9")),
     *_each_format("audit column-lemma --n 5", TJC,

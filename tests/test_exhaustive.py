@@ -8,6 +8,8 @@ weight classes it needs.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,16 @@ def test_weight_range_rows_are_the_range_in_order(kind, lo, hi):
     every = label_block(nv, base, 0, base**nv)
     w = weights_of(every, kind)
     expected = every[(lo <= w) & (w <= hi)]
-    blocks = list(exhaustive._rows_by_weight(nv, kind, lo, hi, 5))
-    assert all(0 < len(b) <= 5 for b in blocks)
-    got = np.concatenate(blocks) if blocks else every[:0]
-    assert np.array_equal(got, expected)
+    # 5 rows: blocks that start and end inside one prefix's run; 37 rows:
+    # blocks that span many prefixes, some of them with no fitting suffix;
+    # one above the row count: a single block
+    for chunk in (5, 37, len(expected) + 1):
+        blocks = list(exhaustive._rows_by_weight(nv, kind, lo, hi, chunk))
+        assert all(0 < len(b) <= chunk for b in blocks)
+        assert all(b.T.flags.c_contiguous for b in blocks)
+        got = np.concatenate(blocks) if blocks else every[:0]
+        assert np.array_equal(got, expected), chunk
+    assert len(blocks) == (len(expected) > 0)
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -128,6 +136,21 @@ def test_explored_counts_the_rows_generated(monkeypatch):
 )
 def test_explored_is_pinned(kind, n, k, optimum, explored):
     assert exhaustive_minimum(build_petersen(n, k), kind)[::2] == (optimum, explored)
+
+
+def test_minimum_memory_stays_block_sized():
+    """numpy reports its buffers to tracemalloc.  With the halves built
+    afresh, joining them through per-row int64 index arrays peaked at
+    5.4 MiB on italian P(8,3), and joining them by block copies at 3.6 MiB."""
+    g = build_petersen(8, 3)
+    exhaustive._halves.cache_clear()
+    tracemalloc.start()
+    try:
+        assert exhaustive_minimum(g, "italian")[0] == 7
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.25 * 2**20
 
 
 @pytest.mark.parametrize("kind", list(KINDS))

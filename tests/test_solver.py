@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gpid import exhaustive, solver
@@ -227,7 +228,7 @@ def test_per_process_tables_are_bounded_and_read_only():
         assert 0 < len(table) <= 16 * codes**4
         assert all(p < 16 and all(0 <= c < codes for c in rest) for p, *rest in table)
     # one pair of halves per (vertex count, kind) in the gates, each with
-    # at most one suffix list per weight range clamped to [0, max weight]
+    # at most one suffix block per weight range clamped to [0, max weight]
     assert exhaustive._halves.cache_info().maxsize == sum(exhaustive.SIZE_GATES.values())
     for kind in KINDS:
         exhaustive.exhaustive_minimum(build_petersen(5, 1), kind)
@@ -237,6 +238,11 @@ def test_per_process_tables_are_bounded_and_read_only():
         assert len(halves.fits) <= (top + 1) * (top + 2) // 2
         arrays = (halves.prefixes_t, halves.suffixes_t, halves.sw, halves.classes, halves.cls)
         assert not any(a.flags.writeable for a in arrays + tuple(halves.fits.values()))
+        # each block holds the fitting suffixes themselves, vertex-major
+        for (lo, hi), fit in halves.fits.items():
+            expected = halves.suffixes_t[:, (lo <= halves.sw) & (halves.sw <= hi)]
+            assert fit.flags.c_contiguous and fit.shape == expected.shape  # (5, count)
+            assert np.array_equal(fit, expected)
 
 
 def test_uncapped_enumeration_adds_one_clamped_range():
