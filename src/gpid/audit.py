@@ -18,9 +18,14 @@ labelings that the enumerator yields, and each returns one `Sweep`
 record: its result table, one-line summary and violation count.  A
 kernel takes a (rows, vertices) label table and computes on its
 vertex-major transpose, which is contiguous for enumerated blocks.
-Per-cell values are uint8: a charge is at most 26 tenths (5 + 2*3 + 5*3)
-and a column weighs at most 4 (its two flanks at most 8).  The only
-int64 is the per-row residual 10*w - 4*(2n).
+On P(n,2) every per-vertex quantity of the discharging argument is read
+off one uint8 charge cell, own label * 16 + #1-neighbours +
+4 * #2-neighbours (below 48), through two 48-entry tables: `CHARGE`, the
+charge in tenths, and `FINDING_BITS`, the findings whose hypothesis the
+vertex meets (finding 1: whose conclusion it breaks).  A findings sweep reduces a block to one uint8 code per
+row, counts its codes with one bincount, and checks conclusions only on
+the rows whose residual 10*w - 8n could break one.  Column weights are
+uint8 too: a column weighs at most 4 (its two flanks at most 8).
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ def _rows(f: Labeling) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kernels: one row per labeling, one column per vertex (or per column pair);
-# the results are (row, ...) views of arrays computed on `labels.T`.
+# Kernels take one row per labeling and one column per vertex, and compute on
+# `labels.T`: one row per vertex (or per column), one column per labeling.
 
 
 def _column_lemma(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,59 +69,94 @@ def _column_lemma(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zero.T, (zero & (flank < 4)).T
 
 
-def _charges(
-    labels: np.ndarray, adj: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per (row, vertex): number of 1-neighbors, number of 2-neighbors, and
-    the charge in tenths (own base 0.4 for label 1 and 0.5 for label 2,
-    plus 0.2 per 1- and 0.5 per 2-neighbor), all uint8: a charge is at
-    most 5 + 2*3 + 5*3 = 26 tenths."""
-    lt = labels.T
-    is1 = (lt == 1).view(np.uint8)
-    is2 = (lt == 2).view(np.uint8)
-    a, b, c = adj.T
-    ones = is1[a] + is1[b] + is1[c]
-    twos = is2[a] + is2[b] + is2[c]
-    return ones.T, twos.T, (4 * is1 + 5 * is2 + 2 * ones + 5 * twos).T
+# Findings 1..8 on P(n,2), each a local configuration of a valid IDF:
+#   1. every vertex keeps charge >= 0.4;
+#   2. a zero vertex with two 1-neighbours forces residual >= 0;
+#   3. a zero vertex with three 1-neighbours forces residual >= 0.2;
+#   4. a 2-labelled vertex forces residual >= 0.4;
+#   5. an edge inside V1 forces residual >= 0.4;
+#   6. a zero vertex with one 1- and one 2-neighbour forces residual >= 0.6;
+#   7. a zero vertex with two 1- and one 2-neighbour forces residual >= 0.8;
+#   8. an edge between V1 and V2 forces residual >= 1.
 
 
-# Residual floors in tenths: findings 2..8 bind the residual total;
-# finding 1 binds every per-vertex charge (at 0.4).
+def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
+    """`CHARGE` and `FINDING_BITS`, indexed by the charge cell of a vertex
+    of P(n,2): own label * 16 + #1-neighbours + 4 * #2-neighbours, below 48.
+
+    The charge in tenths is the own base 0.4 for label 1 and 0.5 for label
+    2, plus 0.2 per 1- and 0.5 per 2-neighbour: at most 5 + 2*3 + 5*3 = 26.
+    Bit i-1 of a cell's finding bits stands for finding i.  For i >= 2 it
+    is set when the vertex meets finding i's hypothesis; an edge inside V1
+    (or from V1 to V2) is a 1-vertex with a 1- (or 2-) neighbour.  Finding
+    1's hypothesis holds on every row, so its bit is set when its
+    conclusion fails: a charge below 4 tenths.
+    """
+    cell = np.arange(48)
+    own, ones, twos = cell >> 4, cell & 3, (cell >> 2) & 3
+    charge = (np.array([0, 4, 5])[own] + 2 * ones + 5 * twos).astype(np.uint8)
+    zero = own == 0
+    bits = np.zeros(48, dtype=np.uint8)
+    for bit, mask in enumerate((
+        charge < 4,
+        zero & (ones == 2),
+        zero & (ones == 3),
+        own == 2,
+        (own == 1) & (ones > 0),
+        zero & (ones == 1) & (twos == 1),
+        zero & (ones == 2) & (twos == 1),
+        (own == 1) & (twos > 0),
+    )):
+        bits |= mask.astype(np.uint8) << bit
+    return charge, bits
+
+
+CHARGE, FINDING_BITS = _cell_tables()
+
+# Residual floors in tenths of findings 2..8, which bind the residual total.
 _FINDING_FLOORS = {2: 0, 3: 2, 4: 4, 5: 4, 6: 6, 7: 8, 8: 10}
 
+# Row (i-1, code): whether a code carries finding i's bit.
+_CODE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1
 
-def _findings(
-    labels: np.ndarray, adj: np.ndarray, edges: np.ndarray
-) -> tuple[dict, dict]:
-    """Per-row hypothesis and conclusion masks of findings 1..8 on P(n,2):
 
-    1. every vertex keeps charge >= 0.4;
-    2. a zero vertex with two 1-neighbors forces residual >= 0;
-    3. a zero vertex with three 1-neighbors forces residual >= 0.2;
-    4. a 2-labeled vertex forces residual >= 0.4;
-    5. an edge inside V1 forces residual >= 0.4;
-    6. a zero vertex with one 1- and one 2-neighbor forces residual >= 0.6;
-    7. a zero vertex with two 1- and one 2-neighbor forces residual >= 0.8;
-    8. an edge between V1 and V2 forces residual >= 1.
-    """
+def _cells(labels: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """The (vertex, row) charge cells of a (row, vertex) label table on
+    P(n,2): a label squared is 0, 1 or 4, so the neighbours' squares sum
+    to #1-neighbours + 4 * #2-neighbours."""
     lt = labels.T
-    ones, twos, charge = (a.T for a in _charges(labels, adj))
-    is0, is1, is2 = lt == 0, lt == 1, lt == 2
-    u, v = edges.T
-    r = 10 * lt.sum(axis=0, dtype=np.int64) - 4 * lt.shape[0]
-    hyp = {
-        1: np.ones(lt.shape[1], dtype=bool),
-        2: (is0 & (ones == 2)).any(axis=0),
-        3: (is0 & (ones == 3)).any(axis=0),
-        4: is2.any(axis=0),
-        5: (is1[u] & is1[v]).any(axis=0),
-        6: (is0 & (ones == 1) & (twos == 1)).any(axis=0),
-        7: (is0 & (ones == 2) & (twos == 1)).any(axis=0),
-        8: ((is1[u] & is2[v]) | (is2[u] & is1[v])).any(axis=0),
-    }
-    concl = {i: r >= _FINDING_FLOORS[i] for i in range(2, 9)}
-    concl[1] = charge.min(axis=0) >= 4
-    return hyp, concl
+    sq = lt * lt
+    a, b, c = adj.T
+    cells = sq[a]
+    cells += sq[b]
+    cells += sq[c]
+    cells += lt << 4
+    return cells
+
+
+def _read(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """table[cells] as uint8, looked up one vertex at a time: numpy copies
+    the indices to intp, and one vertex's copy stays small."""
+    out = np.empty_like(cells)
+    for v, row in enumerate(cells):
+        np.take(table, row, out=out[v])
+    return out
+
+
+def _codes(labels: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Per row, the OR of its vertices' `FINDING_BITS`: the findings whose
+    hypothesis the row meets, and finding 1 when it fails."""
+    return np.bitwise_or.reduce(_read(FINDING_BITS, _cells(labels, adj)), axis=0)
+
+
+def _failed(codes: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """The bits of `codes` whose finding fails at the rows' residual totals
+    (in tenths): finding 1's bit, and each finding 2..8 whose floor lies
+    above the residual."""
+    below = np.ones_like(codes)
+    for i, floor in _FINDING_FLOORS.items():
+        below |= (residual < floor).astype(np.uint8) << (i - 1)
+    return codes & below
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +324,7 @@ def discharge(f: Labeling) -> DischargeLedger:
     telescoping identity, only for the per-vertex floor."""
     _require_k(f, "discharge", "the discharge ledger")
     adj = np.array(f.graph().adjacency, dtype=np.int64)
-    charges = _charges(_rows(f), adj)[2][0].tolist()
+    charges = _read(CHARGE, _cells(_rows(f), adj))[:, 0].tolist()
     residuals = [value - 4 for value in charges]
     return DischargeLedger(
         n=f.n,
@@ -327,20 +367,25 @@ def sweep_findings(n: int, weight_cap: int | None = None) -> Sweep:
     by weight), one row per finding.  Vectorized; intended for desk-scale n."""
     g = build_petersen(n, TARGET_K["findings"])
     adj = np.array(g.adjacency, dtype=np.int64)
-    edges = np.array(g.edges(), dtype=np.int64)
-    hyp_counts = {i: 0 for i in range(1, 9)}
-    bad_counts = {i: 0 for i in range(1, 9)}
+    met = np.zeros(256, dtype=np.int64)  # rows by code
+    failed = np.zeros(256, dtype=np.int64)  # rows by the code of their failures
+    top = max(_FINDING_FLOORS.values())  # a row at or above it fails finding 1 at most
     total = 0
     for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap):
         total += block.shape[0]
-        hyp, concl = _findings(block, adj, edges)
-        for i in range(1, 9):
-            hyp_counts[i] += int(hyp[i].sum())
-            bad_counts[i] += int((hyp[i] & ~concl[i]).sum())
-    bad = sum(bad_counts.values())
+        codes = _codes(block, adj)
+        met += np.bincount(codes, minlength=256)
+        # int16: a row within the exhaustive size gate weighs at most 32
+        residual = 10 * block.T.sum(axis=0, dtype=np.int16) - 8 * n
+        suspect = (residual < top) | ((codes & 1) != 0)
+        failed += np.bincount(_failed(codes[suspect], residual[suspect]), minlength=256)
+    hyp_counts = (_CODE_BITS @ met).tolist()
+    hyp_counts[0] = total
+    bad_counts = (_CODE_BITS @ failed).tolist()
+    bad = sum(bad_counts)
     return Sweep("findings", n, weight_cap, total,
                  header=("n", "finding", "hypotheses", "violations"),
-                 rows=tuple((n, i, hyp_counts[i], bad_counts[i]) for i in range(1, 9)),
+                 rows=tuple((n, i, hyp_counts[i - 1], bad_counts[i - 1]) for i in range(1, 9)),
                  summary=(f"findings sweep P({n},2) cap={weight_cap}: {total} valid IDFs, "
                           f"violations {bad}"),
                  violations=bad)
@@ -356,16 +401,21 @@ def sweep_discharge(n: int, weight_cap: int | None = None) -> Sweep:
     floor_bad = 0
     for block in exhaustive.iter_valid_labelings(g, "italian", weight_cap):
         total += block.shape[0]
-        w = block.sum(axis=1, dtype=np.int64)
-        charge = _charges(block, adj)[2]
-        id_bad += int((charge.sum(axis=1, dtype=np.int64) != 10 * w).sum())
-        floor_bad += int((charge.min(axis=1) < 4).sum())
+        charge = _read(CHARGE, _cells(block, adj))
+        id_bad += _identity_failures(block, charge)
+        floor_bad += int((charge.min(axis=0) < 4).sum())
     return Sweep("discharge", n, weight_cap, total,
                  header=("n", "weight_cap", "labelings", "identity_failures", "floor_failures"),
                  rows=((n, weight_cap, total, id_bad, floor_bad),),
                  summary=(f"discharge sweep P({n},2) cap={weight_cap}: {total} labelings, "
                           f"{id_bad} identity failures, {floor_bad} charge-floor failures"),
                  violations=id_bad + floor_bad)
+
+
+def _identity_failures(labels: np.ndarray, charge: np.ndarray) -> int:
+    """Rows whose (vertex, row) charges do not sum to ten times their weight."""
+    sums = charge.sum(axis=0, dtype=np.uint16)
+    return int((sums != 10 * labels.sum(axis=1, dtype=np.uint16)).sum())
 
 
 def random_identity_check(n: int, samples: int, seed: int = 0) -> int:
@@ -376,9 +426,7 @@ def random_identity_check(n: int, samples: int, seed: int = 0) -> int:
     adj = np.array(g.adjacency, dtype=np.int64)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 3, size=(samples, g.num_vertices), dtype=np.uint8)
-    w = labels.sum(axis=1, dtype=np.int64)
-    charge = _charges(labels, adj)[2]
-    return int((charge.sum(axis=1, dtype=np.int64) != 10 * w).sum())
+    return _identity_failures(labels, _read(CHARGE, _cells(labels, adj)))
 
 
 def sweep_column_lemma(n: int, weight_cap: int | None = None) -> Sweep:

@@ -191,14 +191,43 @@ def test_discharge_random_identity():
 
 def findings_of(f):
     """Findings 1..8 on one labeling, as {index: (hypothesis, conclusion)}:
-    the sweep kernel run on a one-row block."""
+    the sweep kernel's code on a one-row block, and the findings it fails
+    at the labeling's residual (a finding whose hypothesis fails reads as
+    holding)."""
+    codes = audit._codes(np.array([f.values], dtype=np.uint8),
+                         np.array(f.graph().adjacency, dtype=np.int64))
+    failed = audit._failed(codes, np.array([10 * weight(f) - 8 * f.n]))
+    code, fail = int(codes[0]), int(failed[0])
+    return {i: (i == 1 or bool(code >> (i - 1) & 1), not fail >> (i - 1) & 1)
+            for i in range(1, 9)}
+
+
+def scalar_findings(f):
+    """Charges and findings 1..8 of one labeling of P(n,2), in plain Python
+    from their definitions: (charges in tenths, the findings whose
+    hypothesis holds, the findings whose conclusion holds)."""
     g = f.graph()
-    hyp, concl = audit._findings(
-        np.array([f.values], dtype=np.uint8),
-        np.array(g.adjacency, dtype=np.int64),
-        np.array(g.edges(), dtype=np.int64),
-    )
-    return {i: (bool(hyp[i][0]), bool(concl[i][0])) for i in range(1, 9)}
+    x = f.values
+    ones = [sum(x[u] == 1 for u in nbrs) for nbrs in g.adjacency]
+    twos = [sum(x[u] == 2 for u in nbrs) for nbrs in g.adjacency]
+    charges = [{0: 0, 1: 4, 2: 5}[x[v]] + 2 * ones[v] + 5 * twos[v] for v in range(len(x))]
+    zeros = [v for v in range(len(x)) if x[v] == 0]
+    residual = 10 * sum(x) - 8 * f.n
+    hypotheses = {
+        1: True,
+        2: any(ones[v] == 2 for v in zeros),
+        3: any(ones[v] == 3 for v in zeros),
+        4: 2 in x,
+        5: any(x[u] == x[v] == 1 for u, v in g.edges()),
+        6: any(ones[v] == 1 and twos[v] == 1 for v in zeros),
+        7: any(ones[v] == 2 and twos[v] == 1 for v in zeros),
+        8: any({x[u], x[v]} == {1, 2} for u, v in g.edges()),
+    }
+    conclusions = {1: min(charges) >= 4, 2: residual >= 0, 3: residual >= 2,
+                   4: residual >= 4, 5: residual >= 4, 6: residual >= 6,
+                   7: residual >= 8, 8: residual >= 10}
+    return (charges, {i for i, h in hypotheses.items() if h},
+            {i for i, c in conclusions.items() if c})
 
 
 def test_findings_with_a_two_label():
@@ -273,8 +302,6 @@ def _random_rows(n, k, labels, count=3000):
 
 
 def _same(a, b):
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same(a[i], b[i]) for i in a)
     if isinstance(a, tuple):
         return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
     return a.dtype == b.dtype and np.array_equal(a, b)
@@ -283,7 +310,6 @@ def _same(a, b):
 def test_kernels_agree_on_row_major_and_vertex_major_blocks():
     g = build_petersen(7, 2)
     adj = np.array(g.adjacency, dtype=np.int64)
-    edges = np.array(g.edges(), dtype=np.int64)
     for kind, kd in KINDS.items():
         rows = _random_rows(7, 2, len(kd.labels))
         mask = validity_mask(rows, g, kind)
@@ -291,11 +317,78 @@ def test_kernels_agree_on_row_major_and_vertex_major_blocks():
         assert _same(mask, validity_mask(np.asfortranarray(rows), g, kind))
     rows = _random_rows(7, 2, 3)
     cols = np.asfortranarray(rows)
-    assert _same(audit._charges(rows, adj), audit._charges(cols, adj))
-    assert _same(audit._findings(rows, adj, edges), audit._findings(cols, adj, edges))
+    assert _same(audit._cells(rows, adj), audit._cells(cols, adj))
+    assert _same(audit._codes(rows, adj), audit._codes(cols, adj))
     rows = _random_rows(7, 1, 3)
     assert audit._column_lemma(rows)[1].any()
     assert _same(audit._column_lemma(rows), audit._column_lemma(np.asfortranarray(rows)))
+
+
+def test_codes_and_charges_match_the_scalar_definitions():
+    """Row by row, on valid and invalid labelings: the decoded code of each
+    row, the findings it fails at its residual, and its `CHARGE` values."""
+    g = build_petersen(7, 2)
+    adj = np.array(g.adjacency, dtype=np.int64)
+    rows = _random_rows(7, 2, 3)
+    assert 0 < validity_mask(rows, g, "italian").sum() < len(rows)
+    charge = audit._read(audit.CHARGE, audit._cells(rows, adj))
+    codes = audit._codes(rows, adj)
+    failed = audit._failed(codes, 10 * rows.sum(axis=1, dtype=np.int64) - 8 * 7)
+    met, broken = set(), set()
+    for row, code, fail, charges in zip(rows, codes.tolist(), failed.tolist(), charge.T):
+        f = Labeling(7, 2, tuple(int(x) for x in row))
+        scalar_charges, hypotheses, conclusions = scalar_findings(f)
+        assert charges.tolist() == scalar_charges
+        assert int(charges.sum()) == sum(scalar_charges) == 10 * weight(f)
+        bits = {i for i in range(1, 9) if code >> (i - 1) & 1}
+        assert bits == (hypotheses - {1}) | ({1} - conclusions)
+        assert {i for i in range(1, 9) if fail >> (i - 1) & 1} == hypotheses - conclusions
+        met |= hypotheses
+        broken |= hypotheses - conclusions
+    assert met == set(range(1, 9))
+    assert 1 in broken and broken - {1}  # the charge floor and some residual floor
+
+
+def test_failed_reads_every_floor():
+    """Each finding 2..8 fails exactly below its floor, and finding 1's bit
+    at any residual.  Real rows cannot pin this: on P(n,2) with n <= 8 the
+    residual 10w - 8n is fixed mod 10, so it skips the values between
+    some floors."""
+    floors = {2: 0, 3: 2, 4: 4, 5: 4, 6: 6, 7: 8, 8: 10}
+    residual = np.arange(-2, 13)
+    for i, floor in [(1, residual.max() + 1), *floors.items()]:
+        failed = audit._failed(np.full(residual.shape, 1 << (i - 1), np.uint8), residual)
+        assert (failed != 0).tolist() == (residual < floor).tolist(), i
+
+
+def test_findings_sweep_counts_planted_violations(monkeypatch):
+    """Two rows no valid IDF has: a heavy one (residual 11.2) with a zero
+    vertex of charge 0, which only finding 1 catches, and a light one
+    (residual -0.8) meeting the hypotheses of findings 2, 4, 5 and 8."""
+    g = build_petersen(6, 2)
+    heavy = [2] * 12
+    for v in (0, *g.adjacency[0]):
+        heavy[v] = 0
+    light = [0] * 12
+    light[0], light[1], light[5] = 2, 1, 1  # edges 0-1 in V2-V1, 1-5 in V1
+    planted = np.array([heavy, light], dtype=np.uint8)
+    for row, (hypotheses, conclusions) in zip(planted, [
+        ({1, 4}, set(range(2, 9))),
+        ({1, 2, 4, 5, 8}, set()),
+    ]):
+        f = Labeling(6, 2, tuple(int(x) for x in row))
+        assert scalar_findings(f)[1:] == (hypotheses, conclusions)
+
+    def one_block(g, kind, weight_cap=None):
+        yield planted
+
+    monkeypatch.setattr(exhaustive, "iter_valid_labelings", one_block)
+    sweep = sweep_findings(6)
+    hypotheses = {1: 2, 2: 1, 3: 0, 4: 2, 5: 1, 6: 0, 7: 0, 8: 1}
+    violations = {1: 2, 2: 1, 3: 0, 4: 1, 5: 1, 6: 0, 7: 0, 8: 1}
+    assert sweep.labelings_checked == 2
+    assert sweep.rows == tuple((6, i, hypotheses[i], violations[i]) for i in range(1, 9))
+    assert sweep.violations == 6 and not sweep.ok
 
 
 def test_enumerated_blocks_are_vertex_major(monkeypatch):
@@ -339,3 +432,15 @@ def test_findings_sweep_memory_stays_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_findings_sweep_memory_holds_one_code_per_row():
+    """The cell kernels keep one uint8 code per row; the kernels that built
+    a dozen (vertex, row) arrays per block peaked at 4.77 MiB."""
+    tracemalloc.start()
+    try:
+        sweep_findings(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
