@@ -243,11 +243,12 @@ def run_checks(
     n_max: int | None = None,
     k_max: int | None = None,
 ) -> list[tuple[CheckResult, float]]:
-    """Run the selected checks, returning (result, seconds) pairs.  `n_max`
-    and `k_max` go to the checks that take them; a pass on no instance
-    proves nothing, so it raises InvalidParameters (an empty range), and
-    so does a range no selected check takes."""
-    ids = list(CHECKS) if not only else list(only)
+    """Run the selected checks, returning (result, seconds) pairs.  Each
+    id runs once, in the order first given.  `n_max` and `k_max` go to
+    the checks that take them; a pass on no instance proves nothing, so
+    it raises InvalidParameters (an empty range), and so does a range no
+    selected check takes."""
+    ids = list(CHECKS) if not only else list(dict.fromkeys(only))
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise InvalidParameters(f"unknown check ids: {unknown}; known: {sorted(CHECKS)}")

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gpid.cli import main
 from gpid.labeling import labeling_from_json, parse_matrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +232,17 @@ def test_verify_theorems_single(capsys):
     assert "thm-3.6" in err  # timing goes to stderr
 
 
+@pytest.mark.parametrize("only,ran", [
+    (["thm-2.3", "thm-2.3"], ["thm-2.3"]),
+    (["thm-4.1", "thm-2.3", "thm-4.1"], ["thm-4.1", "thm-2.3"]),
+], ids=["repeated", "first-order"])
+def test_verify_theorems_runs_each_id_once_in_the_order_first_given(capsys, only, ran):
+    code, out, err = run_cli(capsys, "verify-theorems", *(a for i in only for a in ("--only", i)))
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()] == [*ran, "checks"]
+    assert [line.split(":")[0] for line in err.splitlines()] == [f"# {i}" for i in ran]
+
+
 @pytest.mark.parametrize("argv,flag,takers", [
     (["--only", "thm-3.6", "--k-max", "0"], "--k-max", "thm-4.1"),
     (["--only", "findings", "--n-max", "20"], "--n-max",
@@ -261,23 +278,44 @@ def test_out_file(capsys, tmp_path):
     assert target.read_text().startswith("n,k,invariant")
 
 
-def test_console_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def _fresh_python(*args, openblas_threads=None):
+    """Run a fresh interpreter with gpid's sources on its path and
+    OPENBLAS_NUM_THREADS set to `openblas_threads`, or unset for None."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpid.cli", "value", "--n", "9", "--k", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point():
+    proc = _fresh_python("-m", "gpid.cli", "value", "--n", "9", "--k", "1")
     assert proc.returncode == 0
     assert "9 (exact" in proc.stdout
+
+
+# Runs two gpid calls in-process, then reports their exit codes, the
+# process's OS threads and its OPENBLAS_NUM_THREADS.
+_THREAD_REPORT = """
+import contextlib, io, json, os
+from gpid.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["solve", "--n", "7", "--k", "2"]), main(["audit", "findings", "--n", "5"])]
+print(json.dumps([codes, len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_gpid_process_runs_on_one_thread():
+    proc = _fresh_python("-c", _THREAD_REPORT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], 1, None]
+    proc = _fresh_python("-c", _THREAD_REPORT, openblas_threads="2")
+    assert proc.returncode == 0, proc.stderr
+    codes, _, given = json.loads(proc.stdout)
+    assert (codes, given) == ([0, 0], "2")
 
 
 @pytest.fixture
