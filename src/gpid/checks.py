@@ -28,7 +28,7 @@ from .formulas import (
     relation_report,
 )
 from .graph import build_petersen
-from .solver import degree_lower_bound, solve_dp, solve_exhaustive
+from .solver import kind_floor, solve_dp, solve_exhaustive
 
 THM_3_3_SET = (5, 8, 10, 15, 18, 20, 25, 28)
 THM_4_1_EXACT_SET = ((7, 15), (8, 20), (12, 25), (13, 30))
@@ -105,7 +105,7 @@ def check_thm_4_1(k_max: int = 12, n_max: int = 60) -> CheckResult:
             continue
         count += 1
         c = construct_pnk(n, k)
-        dlb = degree_lower_bound(build_petersen(n, k))
+        dlb = kind_floor(build_petersen(n, k), "italian")
         if not (c.valid and c.actual_weight == italian_value(n, k).value == dlb):
             bad.append(("exact", n, k, c.valid, c.actual_weight, dlb))
     for k in range(4, k_max + 1):

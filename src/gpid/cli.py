@@ -22,7 +22,7 @@ import json
 import sys
 from functools import cache
 
-from . import audit, checks
+from . import audit, checks, exhaustive
 from .constructions import Unavailable, construct_pn1, construct_pn2, construct_pnk
 from .errors import GpidError, InternalError, InvalidParameters
 from .formulas import VALUES
@@ -278,6 +278,7 @@ def cmd_audit(args) -> int:
         text = f"column lemma: holds={rep.holds} counterexamples={list(rep.counterexamples)}"
         _emit(args, text, {"rows": rows, "header": header, "ok": rep.holds}, header, rows)
         return EXIT_OK if rep.holds else EXIT_VIOLATION
+    exhaustive.check_gate(2 * n, "italian")  # every sweep enumerates IDFs: refuse before the cap
     cap = solve_dp(n, k, "italian").optimum if args.enumerate_optimal else args.weight_cap
     sweep_target = getattr(audit, f"sweep_{target.replace('-', '_')}")
     sweep = sweep_target(n) if cap is None else sweep_target(n, weight_cap=cap)

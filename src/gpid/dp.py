@@ -89,18 +89,18 @@ every pass reads as they are.
 Search.  The search deepens a weight limit `prune`: it starts at
 `bound[0][0]`, a lower bound on the optimum, or at the caller's `first`
 where that is higher (solver.solve_dp passes the closed-form value where
-one is exact), and adds one after each pass over the steps that closes
-no state.  A pass advances each layer by
-one layer step, `_step` (the transfer table takes none: its powers are
-matrix products), which works in blocks of parent states: it gathers
-the rows of a block into a (block, L * L) grid of candidates (a landing
-step: a (block, row length) grid of the windows A^m reaches),
-keeps those whose weight plus the bound of their new window is at most
-`prune` (and, in the closing window, that are legal under their seam),
-and then takes a group-min over the new state integers of the whole
-layer with one sort of packed int64 keys.  The candidates of one state
-share a window and so a bound: pruning removes whole groups and never
-changes a group's winner.  Only a weight plus bound strictly above
+one is exact and the degree floor, `solver.kind_floor`, otherwise), and
+adds one after each pass over the steps that closes no state.  A pass
+advances each layer by one layer step, `_step` (the transfer table takes
+none: its powers are matrix products), which works in blocks of parent
+states: it gathers the rows of a block into a (block, L * L) grid of
+candidates (a landing step: a (block, row length) grid of the windows
+A^m reaches), keeps those whose weight plus the bound of their new
+window is at most `prune` (and, in the closing window, that are legal
+under their seam), and then takes a group-min over the new state
+integers of the whole layer with one sort of packed int64 keys.  The
+candidates of one state share a window and so a bound: pruning removes
+whole groups and never changes a group's winner.  Only a weight plus bound strictly above
 `prune` is dropped, so every prefix of a labeling of weight `prune`
 survives, and the first pass that closes a state has `prune` equal to
 the optimum.  A pass at any limit at or above the optimum returns the
@@ -117,11 +117,13 @@ rank), which is the order in which a step gathers them; legal candidates
 are kept in that order, and the group-min takes the smallest weight and
 then the first candidate.  One unwinder follows the backpointers and
 asks each step for the labels of a rank: a pair for a column, and for a
-landing step its path, which it expands through the midpoints of the
-table's powers.  A state's completions do not depend on the prefix that
-reached it, so the first closing state of least weight in the last layer
-ends the lexicographically smallest optimal labeling over all seams,
-with or without the transfer step.
+landing step its path.  The midpoints of A^m's products cut that path
+into one segment per set bit of m, and one gather of the midpoints of
+A^(2^j) per level j, from the highest down, halves the gaps of every
+segment at once (`_Landing.path`).  A state's completions do not depend
+on the prefix that reached it, so the first closing state of least
+weight in the last layer ends the lexicographically smallest optimal
+labeling over all seams, with or without the transfer step.
 `explored` counts the states of the layers a pass materialises (opening
 columns, landing step, closing columns, or every column where no landing
 step is taken), summed over passes.
@@ -284,6 +286,9 @@ class _Tables:
         # the weight and the rank (lo * L + li) of each pair, on every row:
         # the entries of the rows of a `_Rows`
         entries = np.stack((self.dw, np.arange(self.width))).astype(np.uint8)
+        # the labels (lo, li) of each pair, as the two bytes of one uint16
+        pair_labels = np.stack(np.divmod(entries[1], len(alg.labels)), 1)
+        self.pair_labels = pair_labels.view(np.uint16)[:, 0]
         self.grids = tuple(np.tile(row, (self.windows, 1)) for row in entries)
         self.reduce = np.array(alg.reduce)
         self.rows: dict[tuple, _Rows] = {}
@@ -421,17 +426,6 @@ class _Power:
         return _Power(np.where(reach, best // F, _INF), _ranks(order, reach),
                       mid=mid, left=self, right=other)
 
-    def pairs(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The pairs of the path from each start of `s` to the start of
-        `t` at the same position, one row per path."""
-        if self.mid is None:
-            return self.pair[s, t][:, None]
-        u = self.mid[s, t]
-        if self.left is self.right:  # a square: expand both halves at once
-            both = self.left.pairs(np.concatenate((s, u)), np.concatenate((u, t)))
-            return np.hstack(np.split(both, 2))
-        return np.hstack((self.left.pairs(s, u), self.right.pairs(u, t)))
-
 
 def _ranks(order: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """The position of each entry of its row in ascending `order` (whose
@@ -506,13 +500,42 @@ class _Landing(_Step):
         self.rank = np.zeros(shape, np.int32)
         self.rank[s, col] = self.offset[s] + col
         self.span = int(count.sum())
-        self.nl = len(transfer.tables.alg.labels)
+        self.m, self.powers = m, transfer.powers
+        self.pair_labels = transfer.tables.pair_labels
 
     def labels(self, rank: int) -> bytes:
         s = int(np.searchsorted(self.offset, rank, "right")) - 1
-        t = self.row_of[self.nw[s, rank - self.offset[s]]]
-        pairs = self.power.pairs(np.array([s]), np.array([t]))[0]
-        return np.stack(divmod(pairs, self.nl), 1).astype(np.uint8).tobytes()
+        t = int(self.row_of[self.nw[s, rank - self.offset[s]]])
+        return self.pair_labels[self.path(s, t)].tobytes()
+
+    def path(self, s, t) -> np.ndarray:
+        """The m pairs of the path of A^m from start s to start t (ints, or
+        arrays of the same shape: one path per position, on the last axis).
+
+        A^m multiplies the binary powers A^(2^b) of the set bits b of m,
+        lowest first (`_Transfer.power`), so the path is theirs laid end to
+        end, that of bit b from waypoint m mod 2^b to m mod 2^(b+1).  The
+        midpoints of the products, read from the last, place the ends of
+        these segments.  Every gap of 2^j pairs left then starts at m mod
+        2^j plus a multiple of 2^j, so one gather of the midpoints of
+        A^(2^j) per level j halves them all, from the highest level down;
+        the pairs of A join the waypoints.
+        """
+        m = self.m
+        way = np.empty(np.shape(s) + (m + 1,), np.intp)
+        way[..., 0], way[..., m] = s, t
+        product = self.power
+        bits = [b for b in range(m.bit_length()) if m >> b & 1]
+        for b in reversed(bits[1:]):  # product = (the lower bits' product) @ A^(2^b)
+            at = m & ((1 << b) - 1)  # where the segment of bit b starts
+            way[..., at] = product.mid[s, way[..., at + (1 << b)]]
+            product = product.left
+        for j in range(bits[-1], 0, -1):
+            step = 1 << j
+            first = m & (step - 1)
+            way[..., first + step // 2::step] = self.powers[j].mid[
+                way[..., first:m - step + 1:step], way[..., first + step::step]]
+        return self.powers[0].pair[way[..., :-1], way[..., 1:]]
 
 
 # The largest transfer matrix, in (start, window) pairs, for which the

@@ -71,12 +71,13 @@ def label_block(num_vertices: int, base: int, start: int, stop: int) -> np.ndarr
     return out.T
 
 
-def _check_gate(g: PetersenGraph, kind: str) -> None:
-    """Raise BudgetExceeded when g is beyond the size gate for the kind."""
-    if g.num_vertices > SIZE_GATES[kind]:
+def check_gate(num_vertices: int, kind: str) -> None:
+    """Raise BudgetExceeded when a graph of `num_vertices` vertices is beyond
+    the size gate for the kind."""
+    if num_vertices > SIZE_GATES[kind]:
         raise BudgetExceeded(
             f"exhaustive {kind} search gated at 2n <= {SIZE_GATES[kind]}, "
-            f"got 2n = {g.num_vertices}"
+            f"got 2n = {num_vertices}"
         )
 
 
@@ -218,7 +219,7 @@ def iter_valid_labelings(
     Raises BudgetExceeded when the instance is beyond the size gate for
     the kind.
     """
-    _check_gate(g, kind)
+    check_gate(g.num_vertices, kind)
     kd = kind_of(kind)
     hi = g.num_vertices * max(kd.weight) if weight_cap is None else weight_cap
     for labels in _rows_by_weight(g.num_vertices, kind, 0, hi, BLOCK_ROWS):
@@ -238,7 +239,7 @@ def exhaustive_minimum(g: PetersenGraph, kind: str) -> tuple[int, tuple[int, ...
     the kind.
     """
     kd = kind_of(kind)
-    _check_gate(g, kind)
+    check_gate(g.num_vertices, kind)
     examined = 0
     for w in range(g.num_vertices * max(kd.weight) + 1):
         for labels in _rows_by_weight(g.num_vertices, kind, w, w, MINIMUM_BLOCK_ROWS):

@@ -7,7 +7,8 @@ Three routes with overlapping domains keep each other honest:
   gated to tiny instances; the oracle everything else is compared against.
 * ``solve_dp``         -- cyclic profile dynamic program, exact for k <= 3;
   its deepening starts at the kind's closed form (``formulas.VALUES``)
-  where that is exact, which saves passes and cannot change a result.
+  where that is exact, and otherwise at the degree floor ``kind_floor``,
+  which saves passes and cannot change a result.
 * ``solve_branch_and_bound`` -- depth-first search with a charge-counting
   cut; each vertex carries one state code, and the labels a vertex can
   take in its state, with their effects, come from one table per kind,
@@ -105,11 +106,6 @@ def _witness(g: PetersenGraph, kd: Kind, values, optimum: int) -> Witness:
     return witness
 
 
-def degree_lower_bound(g: PetersenGraph) -> int:
-    """The Italian floor ceil(2|V| / (Delta + 2)) with Delta = 3, i.e. ceil(4n/5)."""
-    return kind_floor(g, "italian")
-
-
 def _unit_cover(kd: Kind) -> int:
     """Most coverage demand one unit of weight meets on a cubic graph.
 
@@ -121,8 +117,10 @@ def _unit_cover(kd: Kind) -> int:
 
 
 def kind_floor(g: PetersenGraph, kind: str) -> int:
-    """A cheap unconditional lower bound for the invariant on P(n, k):
-    ceil(|V|/4) for domination and ceil(2|V|/5) otherwise."""
+    """The degree bound of the invariant on P(n, k) (`_unit_cover`):
+    ceil(|V|/4) = ceil(n/2) for domination, and otherwise
+    ceil(2|V| / (Delta + 2)) = ceil(4n/5), the Italian bound of Chellali,
+    Haynes, Hedetniemi and McRae, which 2-rainbow domination inherits."""
     kd = kind_of(kind)
     return -(-kd.weight[kd.need] * g.num_vertices // _unit_cover(kd))
 
@@ -141,13 +139,15 @@ def solve_dp(n: int, k: int, kind: str) -> SolveResult:
     """Exact optimum via the cyclic profile DP; supported for k <= 3.
 
     The DP's deepening starts at the kind's closed form where that is
-    exact; a wrong closed form costs passes, never a wrong optimum."""
+    exact and at the degree floor (`kind_floor`) otherwise; a pass below
+    the optimum closes nothing, so a wrong closed form costs passes,
+    never a wrong optimum."""
     kd = kind_of(kind)
     if k > 3:
         raise InvalidParameters(f"dp solver supports k <= 3, got k={k}")
     g = build_petersen(n, k)
     f = formulas.VALUES[kind](n, k)
-    first = f.value if f.kind == "exact" else 0
+    first = f.value if f.kind == "exact" else kind_floor(g, kind)
     opt, seq, explored = dp.solve_cycle(n, k, kind, first)
     witness = _witness(g, kd, seq, opt)
     return SolveResult(kind, n, k, opt, witness, "dp", explored)

@@ -15,6 +15,7 @@ import pytest
 from gpid import audit, checks, dp, exhaustive, formulas, solver
 from gpid.cli import main
 from gpid.constructions import ConstructionResult
+from gpid.graph import build_petersen
 from gpid.labeling import Labeling, validate_idf
 
 PINNED = {
@@ -194,9 +195,12 @@ def test_a_wrong_closed_form_changes_no_dp_result(monkeypatch, off):
         solver.solve_dp.cache_clear()
     for key, r in right.items():
         assert (got[key].optimum, got[key].witness) == (r.optimum, r.witness), key
-        # the DP was started at the wrong value wherever the form is exact
-        exact = formulas.VALUES[key[2]](*key[:2]).kind == "exact"
-        assert firsts[key] == (r.optimum + off if exact else 0), key
+        # the DP was started at the wrong value wherever the form is exact,
+        # and at the degree floor elsewhere
+        n, k, kind = key
+        exact = formulas.VALUES[kind](n, k).kind == "exact"
+        floor = solver.kind_floor(build_petersen(n, k), kind)
+        assert firsts[key] == (r.optimum + off if exact else floor), key
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +221,12 @@ def test_criterion_04_pnk_exact_family(monkeypatch):
     The family is bounded by n_max only, so the default range reaches
     P(30,13) although k_max = 12."""
     seen = []
-    monkeypatch.setattr(checks, "degree_lower_bound",
-                        recording(seen, checks.degree_lower_bound))
+    monkeypatch.setattr(checks, "kind_floor", recording(seen, checks.kind_floor))
     assert checks.check_thm_4_1().ok
-    assert [(g.n, g.k) for (g,) in seen] == [(15, 7), (20, 8), (25, 12), (30, 13)]
+    assert [(g.n, g.k, kind) for g, kind in seen] == [
+        (15, 7, "italian"), (20, 8, "italian"), (25, 12, "italian"), (30, 13, "italian")]
 
-    monkeypatch.setattr(checks, "degree_lower_bound", lambda g: 4 * g.n // 5 - 1)
+    monkeypatch.setattr(checks, "kind_floor", lambda g, kind: 4 * g.n // 5 - 1)
     result = checks.check_thm_4_1()
     expected = [("exact", n, k, True, 4 * n // 5, 4 * n // 5 - 1)
                 for n, k in [(15, 7), (20, 8), (25, 12), (30, 13)]]

@@ -183,6 +183,21 @@ def test_audit_discharge_enumerate_optimal(capsys):
     assert "0 identity failures" in out
 
 
+@pytest.mark.parametrize("target", ["discharge", "findings"])
+def test_audit_enumerate_optimal_refuses_past_the_gate_before_solving(capsys, monkeypatch,
+                                                                      target):
+    # no sweep runs past the gate, so the cap's DP solve (seconds at n = 50000) would be waste
+    from gpid import cli
+
+    def refuse(*args):
+        raise AssertionError("solved the cap of a sweep past the size gate")
+
+    monkeypatch.setattr(cli, "solve_dp", refuse)
+    code, out, err = run_cli(capsys, "audit", target, "--n", "50000", "--enumerate-optimal")
+    assert (code, out) == (2, "")
+    assert err == "error: exhaustive italian search gated at 2n <= 16, got 2n = 100000\n"
+
+
 def test_audit_column_lemma(capsys):
     code, out, _ = run_cli(capsys, "audit", "column-lemma", "--n", "5", "--k", "1")
     assert code == 0

@@ -46,8 +46,10 @@ engine that one pass over all seams replaced; the reference grid
 compares their optima and witnesses on every instance with n <= 10.
 `_per_column_cycle` is the engine before the transfer step (commit
 51c4f88), which advances every middle column on its own; it is compared
-with the engine on every kind, k = 1, 2 and n <= 40, and on n = 97 and
-200 where the transfer step runs.
+with the engine on every kind, k = 1, 2 and n <= 40, and on n = 97, 200
+and 500 where the transfer step runs.  `_recursive_pairs` is the
+expansion of a landing path that `_Landing.path` replaced; they are
+compared on every path of A^m, m = 2..70.
 """
 
 import hashlib
@@ -516,9 +518,38 @@ def test_transfer_step_matches_the_per_column_engine(kind, k):
 
 
 @pytest.mark.parametrize("kind,k", GATED)
-@pytest.mark.parametrize("n", [200, 97])  # m = n - 3k composes several powers
+@pytest.mark.parametrize("n", [500, 200, 97])  # m = n - 3k composes several powers
 def test_transfer_step_matches_the_per_column_engine_on_long_cycles(kind, k, n):
     assert dp.solve_cycle(n, k, kind)[:2] == _per_column_cycle(n, k, kind)
+
+
+def _recursive_pairs(power, s, t):
+    """The pairs of the paths of `power` from the starts of `s` to those of
+    `t`, one row per path: the expansion `_Landing.path` replaced, which
+    recursed through every node of the power's product tree (both halves
+    of a square at once)."""
+    if power.mid is None:
+        return power.pair[s, t][:, None]
+    u = power.mid[s, t]
+    if power.left is power.right:
+        both = _recursive_pairs(power.left, np.concatenate((s, u)), np.concatenate((u, t)))
+        return np.hstack(np.split(both, 2))
+    return np.hstack((_recursive_pairs(power.left, s, u), _recursive_pairs(power.right, u, t)))
+
+
+@pytest.mark.parametrize("kind,k", GATED)
+def test_the_segmented_unwinder_matches_the_recursive_expansion(kind, k):
+    tables = dp._Tables(dp.KINDS[kind], k)
+    dp._plan(tables, 3 * k + 2)  # builds the middle rows
+    transfer = tables.transfer(tables.rows[2 * k, -1, False])
+    for m in range(2, 71):
+        landing = dp._Landing(transfer, m)
+        s, t = np.nonzero(landing.power.w < dp._INF)
+        want = _recursive_pairs(landing.power, s, t)
+        assert np.array_equal(landing.path(s, t), want), m
+        # one path at a time, as the unwinder asks
+        for i in range(0, len(s), 97):
+            assert np.array_equal(landing.path(int(s[i]), int(t[i])), want[i]), (m, i)
 
 
 def _brute_paths(tables, start, m):

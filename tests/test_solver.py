@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpid import exhaustive, solver
+from gpid import dp, exhaustive, formulas, solver
 from gpid.constructions import construct_pn2
 from gpid.errors import BudgetExceeded, InvalidParameters
 from gpid.graph import build_petersen
@@ -9,8 +9,8 @@ from gpid.labeling import KINDS, kind_of, validate_2rdf, validate_dominating, va
 from gpid.solver import (
     BoundsOnly,
     SolveResult,
-    degree_lower_bound,
     greedy_labeling,
+    kind_floor,
     solve_branch_and_bound,
     solve_dp,
     solve_exhaustive,
@@ -86,9 +86,9 @@ def test_dp_determinism():
 
 
 def test_degree_lower_bound_examples():
-    assert degree_lower_bound(build_petersen(10, 3)) == 8
-    assert degree_lower_bound(build_petersen(7, 2)) == 6
-    assert degree_lower_bound(build_petersen(15, 7)) == 12
+    assert kind_floor(build_petersen(10, 3), "italian") == 8
+    assert kind_floor(build_petersen(7, 2), "italian") == 6
+    assert kind_floor(build_petersen(15, 7), "italian") == 12
 
 
 def test_bnb_exact_small():
@@ -103,7 +103,7 @@ def test_bnb_seeded_certifies_p15_7():
     g = build_petersen(15, 7)
     r = solve_branch_and_bound(g, "italian", budget=50_000)
     assert isinstance(r, SolveResult)
-    assert r.optimum == 12 == degree_lower_bound(g)
+    assert r.optimum == 12 == kind_floor(g, "italian")
     assert sum(greedy_labeling(g, "italian")) == 15
 
 
@@ -111,7 +111,7 @@ def test_bnb_budget_zero_degenerates_to_bounds():
     g = build_petersen(10, 3)
     r = solve_branch_and_bound(g, "italian", budget=0)
     assert isinstance(r, BoundsOnly)
-    assert r.lo == degree_lower_bound(g)
+    assert r.lo == kind_floor(g, "italian")
     assert r.lo <= r.hi <= 2 * g.num_vertices
     assert validate_idf(r.incumbent).valid
 
@@ -130,6 +130,42 @@ def test_bnb_matches_dp_k3_beyond_exhaustive_gate():
         assert r.optimum == solve_dp(n, 3, kind).optimum
 
 
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_degree_floor_bounds_the_dp_optimum(kind, k):
+    # solve_dp starts its deepening here where no closed form is exact
+    for n in range(2 * k + 1, 25):
+        assert kind_floor(build_petersen(n, k), kind) <= dp.solve_cycle(n, k, kind)[0], n
+
+
+# (kind, n, k, passes from the degree floor, passes from the cost-to-go bound)
+FLOOR_SEEDED = [("domination", 15, 3, 2, 3), ("italian", 8, 3, 1, 3), ("rainbow2", 7, 3, 2, 4)]
+
+
+@pytest.mark.parametrize("kind,n,k,seeded,unseeded", FLOOR_SEEDED)
+def test_solve_dp_starts_at_the_degree_floor(kind, n, k, seeded, unseeded, monkeypatch):
+    passes = []
+    sweep = dp._sweep
+
+    def counted(*args):
+        passes.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(dp, "_sweep", counted)
+    assert formulas.VALUES[kind](n, k).kind != "exact"
+    solver.solve_dp.cache_clear()
+    try:
+        r = solve_dp(n, k, kind)
+    finally:
+        solver.solve_dp.cache_clear()
+    floor = kind_floor(build_petersen(n, k), kind)
+    assert passes == list(range(floor, r.optimum + 1))
+    assert len(passes) == seeded
+    passes.clear()
+    assert dp.solve_cycle(n, k, kind)[0] == r.optimum
+    assert len(passes) == unseeded
+
+
 def test_invariant_chain_small():
     """degree bound <= gamma_I <= construction weight; gamma_I <= gamma_r2;
     gamma_I <= 2 gamma on every solved instance."""
@@ -138,7 +174,7 @@ def test_invariant_chain_small():
         gi = solve_dp(n, k, "italian").optimum
         r2 = solve_dp(n, k, "rainbow2").optimum
         dom = solve_dp(n, k, "domination").optimum
-        assert degree_lower_bound(g) <= gi <= r2
+        assert kind_floor(g, "italian") <= gi <= r2
         assert gi <= 2 * dom
         if k == 2 and n % 10 in (0, 5, 8):
             assert gi <= construct_pn2(n).actual_weight
