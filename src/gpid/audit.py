@@ -6,7 +6,8 @@
   four marking passes; weighted bag counts certify weight >= n.
 * discharge ledger (P(n,2)): per-vertex charges in exact integer tenths
   whose total equals ten times the labeling weight, so the residual total
-  is 10*w(f) - 8n tenths.
+  is 10*w(f) - 8n tenths; `charge_identity` proves that identity per label
+  from the charge table, for every labeling of every P(n,2).
 * findings (P(n,2)): eight local configurations, each forcing a floor on
   the residual total of a valid IDF.
 
@@ -112,6 +113,28 @@ def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 CHARGE, FINDING_BITS = _cell_tables()
+
+
+def charge_identity() -> list[tuple[str, int, int]]:
+    """The facts that prove total charge = 10 * weight (in tenths) for every
+    labeling of every P(n,2), as (fact, value, required) rows; the identity
+    holds when each row's value equals its requirement.
+
+    Each label l has a base, `CHARGE[l << 4]`, and hands each neighbour a
+    share, `CHARGE[1] - CHARGE[0]` for l = 1 and `CHARGE[4] - CHARGE[0]` for
+    l = 2 (nothing for l = 0).  If every one of the 48 cells is its own
+    label's base plus its neighbours' shares, the total charge is the sum
+    over vertices of base + 3 * share on a cubic graph, which is 10 * l
+    tenths per vertex labelled l when the three label rows hold.
+    """
+    table = CHARGE.tolist()
+    base = table[0::16]
+    share = [0, table[1] - table[0], table[4] - table[0]]
+    facts = [(f"cell {c}", table[c], base[c >> 4] + (c & 3) * share[1] + (c >> 2 & 3) * share[2])
+             for c in range(48)]
+    facts += [(f"label {l}", base[l] + 3 * share[l], 10 * l) for l in range(3)]
+    return facts
+
 
 # Residual floors in tenths of findings 2..8, which bind the residual total.
 _FINDING_FLOORS = {2: 0, 3: 2, 4: 4, 5: 4, 6: 6, 7: 8, 8: 10}
@@ -226,7 +249,7 @@ def bagging_certificate(f: Labeling) -> BagCertificate:
     """
     _require_k(f, "bagging", "the bagging certificate")
     n = f.n
-    w = [cw.w for cw in column_weights(f)]
+    w = column_weights(f)
     marks = [0] * n
     bags: list[set] = [set() for _ in range(5)]
     counts = [0] * 5
@@ -416,17 +439,6 @@ def _identity_failures(labels: np.ndarray, charge: np.ndarray) -> int:
     """Rows whose (vertex, row) charges do not sum to ten times their weight."""
     sums = charge.sum(axis=0, dtype=np.uint16)
     return int((sums != 10 * labels.sum(axis=1, dtype=np.uint16)).sum())
-
-
-def random_identity_check(n: int, samples: int, seed: int = 0) -> int:
-    """Count identity failures over random (not necessarily valid)
-    labelings of P(n,2); the telescoping holds for every labeling, so the
-    expected count is zero."""
-    g = build_petersen(n, TARGET_K["discharge"])
-    adj = np.array(g.adjacency, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 3, size=(samples, g.num_vertices), dtype=np.uint8)
-    return _identity_failures(labels, _read(CHARGE, _cells(labels, adj)))
 
 
 def sweep_column_lemma(n: int, weight_cap: int | None = None) -> Sweep:

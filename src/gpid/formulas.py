@@ -100,44 +100,19 @@ VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class ItalianGraphVerdict:
-    is_italian: bool | None
-    gamma_italian: int | None
-    double_gamma: int | None
-
-
-def italian_graph_predicate(n: int, k: int) -> ItalianGraphVerdict:
-    """Whether gamma_I = 2*gamma on P(n,k) for k in {1, 2}.
-
-    P(n,1) is Italian exactly when n = 0 (mod 4); P(n,2) never is.
-    """
+def italian_graph_predicate(n: int, k: int) -> bool:
+    """Whether gamma_I = 2*gamma on P(n,k) for k in {1, 2}: P(n,1) is
+    Italian exactly when n = 0 (mod 4); P(n,2) never is."""
     require_admissible(n, k)
     if k not in (1, 2):
         raise InvalidParameters(f"predicate stated for k in {{1,2}}, got k={k}")
-    gi = italian_value(n, k).value
-    dom = domination_value(n, k).value
-    return ItalianGraphVerdict(
-        is_italian=(gi == 2 * dom), gamma_italian=gi, double_gamma=2 * dom
-    )
+    return k == 1 and n % 4 == 0
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    relation: str  # "equal" or "minus_one"
-    gamma_italian: int | None
-    gamma_rainbow2: int | None
-
-
-def relation_report(n: int, k: int) -> RelationReport:
-    """gamma_I versus gamma_r2: equal on P(n,1); equal on P(n,2) except
-    n = 5, 8 (mod 10) where gamma_I = gamma_r2 - 1."""
+def relation_report(n: int, k: int) -> str:
+    """gamma_I versus gamma_r2, "equal" or "minus_one": equal on P(n,1);
+    equal on P(n,2) except n = 5, 8 (mod 10) where gamma_I = gamma_r2 - 1."""
     require_admissible(n, k)
     if k not in (1, 2):
         raise InvalidParameters(f"relation stated for k in {{1,2}}, got k={k}")
-    gi = italian_value(n, k).value
-    r2 = rainbow2_value(n, k).value
-    if k == 1:
-        return RelationReport("equal", gi, r2)
-    relation = "minus_one" if n % 10 in (5, 8) else "equal"
-    return RelationReport(relation, gi, r2)
+    return "minus_one" if k == 2 and n % 10 in (5, 8) else "equal"

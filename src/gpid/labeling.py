@@ -137,12 +137,6 @@ def kind_of(name: str) -> Kind:
 
 
 @dataclass(frozen=True)
-class ColumnWeight:
-    i: int
-    w: int
-
-
-@dataclass(frozen=True)
 class EdgeClasses:
     """Edges inside V_1 (e11) and between V_1 and V_2 (e12)."""
 
@@ -220,11 +214,9 @@ def rainbow_to_idf(f: RainbowLabeling) -> Labeling:
     return Labeling(f.n, f.k, tuple(row.tolist()))
 
 
-def column_weights(f: Labeling) -> list[ColumnWeight]:
+def column_weights(f: Labeling) -> list[int]:
     """Per-column label sums w_i = f(v_{2i}) + f(v_{2i+1})."""
-    return [
-        ColumnWeight(i, f.values[2 * i] + f.values[2 * i + 1]) for i in range(f.n)
-    ]
+    return [f.values[2 * i] + f.values[2 * i + 1] for i in range(f.n)]
 
 
 def edge_classes(f: Labeling) -> EdgeClasses:

@@ -25,7 +25,7 @@ PINNED = {
     "thm-4.1": (True, 400, "all valid within the open-case bound"),
     "oracle-eq": (True, 30, "dp = exhaustive everywhere"),
     "cited-formulas": (True, 50, "formulas match dp"),
-    "discharge": (True, 12587, "identity and floor hold"),
+    "discharge": (True, 2638, "identity and floor hold"),
     "findings": (True, 3281738, "no violations"),
     "bagging": (True, 166, "all certificates bound n"),
     "classification": (True, 51, "classification matches solver"),
@@ -86,11 +86,8 @@ def dp_off_by_one(real):
     return planted
 
 
-def predicate_values_off_by_one(real):  # same verdict, wrong values
-    def planted(n, k):
-        v = real(n, k)
-        return dataclasses.replace(v, gamma_italian=v.gamma_italian + 1)
-    return planted
+def flipped(real):  # the rule's answer negated
+    return lambda n, k: not real(n, k)
 
 
 def all_zero_pn2(real):
@@ -138,7 +135,7 @@ def closed_forms_off_by(off):
 FAULTS = {
     "dp-off-by-one": (patched(checks, "solve_dp", dp_off_by_one),
                       ["thm-2.3", "thm-3.6", "oracle-eq", "cited-formulas", "classification"]),
-    "predicate-values": (patched(checks, "italian_graph_predicate", predicate_values_off_by_one),
+    "predicate-values": (patched(checks, "italian_graph_predicate", flipped),
                          ["classification"]),
     "pn2-invalid": (patched(checks, "construct_pn2", all_zero_pn2), ["thm-3.3"]),
     "findings-violation": (patched(audit, "sweep_findings",
@@ -149,7 +146,8 @@ FAULTS = {
                                     returning(sweep("discharge", 5, 1))), ["discharge"]),
     "discharge-empty": (patched(audit, "sweep_discharge", returning(sweep("discharge", 0, 0))),
                         ["discharge"]),
-    "discharge-random": (patched(audit, "random_identity_check", returning(1)), ["discharge"]),
+    "discharge-identity": (patched(audit, "charge_identity", returning([("label 1", 11, 10)])),
+                           ["discharge"]),
     "bagging-violation": (patched(audit, "sweep_bagging", returning(sweep("bagging", 5, 1))),
                           ["bagging"]),
     "bagging-empty": (patched(audit, "sweep_bagging", returning(sweep("bagging", 0, 0))),

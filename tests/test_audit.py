@@ -8,12 +8,12 @@ from gpid.audit import (
     bagging_certificate,
     check_column_lemma,
     discharge,
-    random_identity_check,
     sweep_bagging,
     sweep_column_lemma,
     sweep_discharge,
     sweep_findings,
 )
+from gpid.cli import main
 from gpid.constructions import construct_pn1, construct_pn2
 from gpid.errors import WrongFamily
 from gpid.exhaustive import iter_valid_labelings, validity_mask
@@ -181,8 +181,38 @@ def test_discharge_wrong_family():
         discharge(construct_pn1(6).labeling)
 
 
-def test_discharge_random_identity():
-    assert random_identity_check(12, 2000, seed=7) == 0
+def test_discharge_identity_per_label():
+    """The 48 cells and the three labels, each fact at its requirement."""
+    facts = audit.charge_identity()
+    assert len(facts) == 48 + 3
+    assert [value for _, value, required in facts if value != required] == []
+    assert facts[-3:] == [("label 0", 0, 0), ("label 1", 10, 10), ("label 2", 20, 20)]
+
+
+def test_finding_1_holds_per_cell():
+    """Every cell of a covered vertex (a label, or two 1-neighbours, or a
+    2-neighbour) keeps charge >= 4 tenths, so no valid IDF of any P(n,2)
+    breaks finding 1; the cells it does break are uncovered zeros."""
+    cell = np.arange(48)
+    own, ones, twos = cell >> 4, cell & 3, (cell >> 2) & 3
+    covered = (own > 0) | (ones + 2 * twos >= 2)
+    assert (audit.CHARGE[covered] >= 4).all()
+    assert not (audit.FINDING_BITS[covered] & 1).any()
+    assert ((audit.FINDING_BITS & 1) == (audit.CHARGE < 4)).all()
+
+
+@pytest.mark.parametrize("cell", [2, 17, 44])
+def test_a_raised_charge_entry_breaks_the_identity(monkeypatch, capsys, cell):
+    """Negative control: one `CHARGE` entry one tenth too high fails the
+    per-label check, the sweep's identity count and the discharge check."""
+    raised = audit.CHARGE.copy()
+    raised[cell] += 1
+    monkeypatch.setattr(audit, "CHARGE", raised)
+    assert any(value != required for _, value, required in audit.charge_identity())
+    [(_, _, _, identity_failures, _)] = sweep_discharge(6).rows
+    assert identity_failures > 0
+    assert main(["verify-theorems", "--only", "discharge"]) == 1
+    assert capsys.readouterr().out.startswith("✗ discharge")
 
 
 # ---------------------------------------------------------------------------

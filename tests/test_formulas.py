@@ -61,34 +61,34 @@ def test_domination_value_examples():
 
 
 def test_predicate_examples():
-    v = italian_graph_predicate(8, 1)
-    assert v.is_italian and (v.gamma_italian, v.double_gamma) == (8, 8)
-    v = italian_graph_predicate(6, 1)
-    assert not v.is_italian and (v.gamma_italian, v.double_gamma) == (6, 8)
-    v = italian_graph_predicate(10, 2)
-    assert not v.is_italian and (v.gamma_italian, v.double_gamma) == (8, 12)
+    assert italian_graph_predicate(8, 1) is True
+    assert italian_graph_predicate(6, 1) is False
+    assert italian_graph_predicate(10, 2) is False
 
 
 def test_predicate_is_mod4_for_k1():
     for n in range(3, 40):
-        assert italian_graph_predicate(n, 1).is_italian == (n % 4 == 0)
+        assert italian_graph_predicate(n, 1) == (n % 4 == 0)
     for n in range(5, 40):
-        assert not italian_graph_predicate(n, 2).is_italian
+        assert not italian_graph_predicate(n, 2)
+    for n in range(5, 40):  # the rule agrees with the closed forms
+        for k in (1, 2):
+            double_gamma = 2 * domination_value(n, k).value
+            assert italian_graph_predicate(n, k) == (italian_value(n, k).value == double_gamma)
 
 
 def test_relation_examples():
-    r = relation_report(5, 2)
-    assert r.relation == "minus_one" and (r.gamma_italian, r.gamma_rainbow2) == (4, 5)
-    r = relation_report(10, 2)
-    assert r.relation == "equal" and r.gamma_italian == r.gamma_rainbow2 == 8
-    r = relation_report(7, 1)
-    assert r.relation == "equal" and r.gamma_italian == r.gamma_rainbow2 == 7
+    assert relation_report(5, 2) == "minus_one"
+    assert relation_report(10, 2) == "equal"
+    assert relation_report(7, 1) == "equal"
 
 
 def test_relation_residues():
     for n in range(5, 60):
-        rel = relation_report(n, 2).relation
-        assert rel == ("minus_one" if n % 10 in (5, 8) else "equal")
+        assert relation_report(n, 2) == ("minus_one" if n % 10 in (5, 8) else "equal")
+        for k in (1, 2):  # the rule agrees with the closed forms
+            gap = rainbow2_value(n, k).value - italian_value(n, k).value
+            assert relation_report(n, k) == {0: "equal", 1: "minus_one"}[gap]
 
 
 def test_invalid_parameters():
