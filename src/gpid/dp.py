@@ -73,24 +73,49 @@ column steps are as fast or faster; those cases advance one middle
 column per step.  The starts are the windows of the middle signature's
 rows, so the table is the same for every n.
 
-Before the search, two walks over the steps prepare it.  The forward
-walk follows the frontier: the windows that some seam can reach from the
-empty window.  When it first meets a signature it builds the signature's
-rows for the whole frontier in one numpy pass over (window, lo, li, seam
-labeling), and at every column it checks that the rows cover the
-frontier; a landing step's frontier is the windows its table row
-reaches.  The backward walk computes the cost-to-go bound `bound[i][w]`,
-the least weight of the columns of steps i.. from window w under any
-seam, residuals ignored; at a landing step it is the least path weight
-plus the bound of the path's window.  It also gives each step its entry
-costs, the weight of every entry plus the bound of its new window, which
-every pass reads as they are.
+Before the search, two walks over the steps prepare it, and what they
+give is kept per (kind, k) wherever other n would give it again.  The
+forward walk follows the frontier: the windows that some seam can reach
+from the empty window.  When it first meets a signature it builds the
+signature's rows for the whole frontier in one numpy pass over (window,
+lo, li, seam labeling), and each step computes and checks that its rows
+cover a frontier, and the frontier after it, once per frontier it meets
+(`_Step.after`); a landing step's frontier is the windows its table row
+reaches.  The middle columns map their frontier onto itself, so the walk
+takes them all at once.  The backward walk computes the cost-to-go bound
+before each step, the least weight of the columns of steps i.. from each
+window under any seam, residuals ignored, and each step's entry costs,
+the weight of every entry plus the bound of its new window, which every
+pass reads as they are.  Each bound is stored less its least finite
+value, an integer offset that `_step` subtracts from the limit, so the
+entry costs stay small (int16 where they fit).
 
-Search.  The search deepens a weight limit `prune`: it starts at
-`bound[0][0]`, a lower bound on the optimum, or at the caller's `first`
-where that is higher (solver.solve_dp passes the closed-form value where
-one is exact and the degree floor, `solver.kind_floor`, otherwise), and
-adds one after each pass over the steps that closes no state.  A pass
+Every pass over P(n, k) with n >= 3k ends with the same k closing
+columns, and where it takes column steps the middle columns before them
+apply one map, so the bounds and entry costs counted from the end are
+the family's (`_Suffix`).  They grow by one middle column when a longer
+pass needs one, until a new bound equals the one p steps back plus one
+constant λ on every finite entry, with the same _INF entries.  The middle
+map is (min,+)-linear, so every longer suffix is read off the last p
+stored entries, λ higher per period (the cyclicity theorem), and the
+family holds at most T + p entries for every n: (T + p, p, λ) is (13, 5,
+4) for Italian k = 2, (33, 5, 4) for Italian k = 3, (18, 2, 1) for
+domination k = 3, (14, 5, 4) for 2-rainbow k = 2 and (21, 8, 7) for
+2-rainbow k = 3.  The opening columns are kept per stored entry they
+read, so they repeat with the period too.  A landing step's bound is
+the least path weight plus the bound of the path's window, which is the
+suffix's bound m middle columns back; only its entry costs are computed
+per n.  So the landing families read the suffix too: (6, 1, 1) for
+Italian and 2-rainbow k = 1, (6, 2, 1) for domination k = 1 and (8, 5,
+3) for domination k = 2.  Where n < 3k the walk computes every step for
+that n.
+
+Search.  The search deepens a weight limit `prune`: it starts at the
+bound of the empty window, a lower bound on the optimum, or at the
+caller's `first` where that is higher (solver.solve_dp passes the
+closed-form value where one is exact and the degree floor,
+`solver.kind_floor`, otherwise), and adds one after each pass over the
+steps that closes no state.  A pass
 advances each layer by one layer step, `_step` (the transfer table takes
 none: its powers are matrix products), which works in blocks of parent
 states: it gathers the rows of a block into a (block, L * L) grid of
@@ -133,6 +158,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,8 +218,8 @@ def _residual_ops(sig: tuple[int, int, bool], k: int, alg: Kind) -> list:
 
 
 class _Step:
-    """A step of a pass as `_step`, `_cost_to_go` and `_unwind` read it:
-    one column (`_Rows`) or the middle columns at once (`_Landing`).
+    """A step of a pass as `_plan`, `_step` and `_unwind` read it: one
+    column (`_Rows`) or the middle columns at once (`_Landing`).
 
     The step has one row per window of `wids`, its frontier, in that order:
     `row_of[w]` is the row of window w (-1: none).  Entry [row_of[w], i]
@@ -201,7 +227,8 @@ class _Step:
     [0, span), a row's entries ascending by rank; a state reached through it
     points back to parent position * span + rank, and `labels(rank)` are
     the labels it decides.  `op`, `mask`, `seam_bit` and `writes` are those
-    of `_Rows` (None: none).
+    of `_Rows` (None: none).  `_after` maps each frontier the step has met
+    (as bytes) to the frontier after it.
     """
 
     op = mask = seam_bit = writes = None
@@ -209,6 +236,20 @@ class _Step:
     def cost(self, h: np.ndarray) -> np.ndarray:
         """The weight of each entry plus `h` of its new window."""
         return self.w + h[self.nw]
+
+    def after(self, frontier: np.ndarray) -> np.ndarray:
+        """The windows the rows of `frontier` reach, ascending; each window
+        of `frontier` must have a row.  Checked and computed once per
+        frontier the step meets."""
+        key = frontier.tobytes()
+        reached = self._after.get(key)
+        if reached is None:
+            rows = self.row_of[frontier]
+            if rows.min() < 0:
+                bad = int(frontier[rows.argmin()])
+                raise InternalError(f"dp met window {bad} off the frontier of its step")
+            reached = self._after[key] = _distinct(self.nw[rows], len(self.row_of))
+        return reached
 
 
 class _Rows(_Step):
@@ -236,6 +277,7 @@ class _Rows(_Step):
         self.wids = wids
         self.row_of = np.full(tables.windows, -1, tables.ids)
         self.row_of[wids] = np.arange(len(wids))
+        self._after: dict[bytes, np.ndarray] = {}
         self.nw, self.mask = tables._build(sig, reads, wids)
         self.w, self.rank = (grid[:len(wids)] for grid in tables.grids)
         if sig[0] < 2 * tables.k or sig[1] >= 0:
@@ -293,6 +335,7 @@ class _Tables:
         self.reduce = np.array(alg.reduce)
         self.rows: dict[tuple, _Rows] = {}
         self._transfer: _Transfer | None = None
+        self._suffix: _Suffix | None = None
 
     def transfer(self, middle: _Rows) -> _Transfer:
         """The transfer table of the middle columns, whose rows `middle`
@@ -300,6 +343,13 @@ class _Tables:
         if self._transfer is None:
             self._transfer = _Transfer(self, middle)
         return self._transfer
+
+    def suffix(self, closing: list[_Rows]) -> _Suffix:
+        """The bounds and entry costs of the steps that end every pass over
+        P(n, k) with n >= 3k, whose k closing steps are `closing`."""
+        if self._suffix is None:
+            self._suffix = _Suffix(self, closing)
+        return self._suffix
 
     def op_table(self, sig: tuple) -> np.ndarray:
         """op[code, lo * L + li]: the residual code that follows each code
@@ -493,6 +543,7 @@ class _Landing(_Step):
         col = power.rank[s, t]
         shape = (len(count), int(count.max()))
         self.wids, self.row_of = transfer.starts, transfer.start_of
+        self._after: dict[bytes, np.ndarray] = {}
         self.nw = np.full(shape, -1, transfer.tables.ids)
         self.nw[s, col] = transfer.starts[t]
         self.w = np.zeros(shape, np.int32)
@@ -546,66 +597,225 @@ _TRANSFER_LAYER = 2048
 @lru_cache(maxsize=None)
 def _tables(kind: str, k: int) -> _Tables:
     # bounded: one entry per (kind, k), each at most windows x signatures
-    # rows and one transfer table of log2(largest m) + 1 F x F powers
+    # rows, one transfer table of log2(largest m) + 1 F x F powers and one
+    # suffix of at most T + p bounds and entry costs, each with at most one
+    # set of opening columns
     return _Tables(KINDS[kind], k)
 
 
-def _plan(tables: _Tables, n: int) -> tuple[list[_Rows | _Landing], list[np.ndarray],
-                                           list[np.ndarray]]:
-    """The steps of a pass over P(n, k), the cost-to-go bound before each
-    step and after the last, and the entry costs of each step
-    (`_cost_to_go`).
+# What an illegal entry cost holds, per dtype: above every room `_step`
+# compares it with, at every limit.
+_ILLEGAL = {np.dtype(np.int16): 2**15 - 1, np.dtype(np.int32): _INF}
+
+
+def _entries(cost: np.ndarray) -> np.ndarray:
+    """Entry costs as a pass reads them: int16 where the finite ones fit,
+    int32 otherwise, an illegal entry (a cost of _INF or more) holding
+    `_ILLEGAL` of its dtype.  Every cost is a weight plus a bound that is
+    finite or exactly _INF, so with the _INF bit masked off an illegal
+    entry keeps only its weight, and the largest masked value bounds the
+    finite ones."""
+    narrow = np.dtype(np.int16 if (cost & (_INF - 1)).max() < 2**15 - 1 else np.int32)
+    return np.minimum(cost, _ILLEGAL[narrow]).astype(narrow)
+
+
+def _end(windows: int) -> np.ndarray:
+    """The bound after the last column: zero on every window, _INF in the
+    last slot, which an illegal pair (nw = -1) reads."""
+    end = np.zeros(windows + 1, np.int32)
+    end[-1] = _INF
+    return end
+
+
+def _back(step: _Step, h: np.ndarray, windows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One step of the backward walk from `h`, the bound after `step`: the
+    step's entry costs (weight plus the `h` of the new window, `_entries`),
+    the bound before it, less its least finite value so that it starts at
+    0, and that value, the shift between the two bounds' offsets."""
+    cost = step.cost(h)
+    best = cost.min(axis=1)
+    shift = int(best.min())
+    if shift >= _INF:
+        shift = 0
+    before = np.full(windows + 1, _INF, np.int32)
+    before[step.wids] = np.where(best < _INF, best - shift, _INF)
+    return _entries(cost), before, shift
+
+
+def _walk_back(steps: list, h: np.ndarray, windows: int) -> tuple[list, list, list[int]]:
+    """The bounds before `steps`, whose last step reads `h`, their entry
+    costs, and each bound's offset above that of `h`, in pass order."""
+    bounds, costs, offsets = [], [], []
+    offset = 0
+    for step in reversed(steps):
+        cost, h, shift = _back(step, h, windows)
+        offset += shift
+        bounds.append(h)
+        costs.append(cost)
+        offsets.append(offset)
+    return bounds[::-1], costs[::-1], offsets[::-1]
+
+
+class _Suffix:
+    """The bounds and entry costs of the steps that end every pass over
+    P(n, k) with n >= 3k: the k closing columns, and before them as many
+    middle columns as a pass takes, shared by every such n.
+
+    Index i counts steps from the end.  `bounds[i]` plus `offsets[i]` is
+    the bound before the last i steps (bounds[0]: zero on every window),
+    and `costs[i]` plus `offsets[i]` are the entry costs of the step before
+    it, which read that bound.  The lists grow by one middle column as a
+    pass needs it, until the new bound equals a stored middle bound, index
+    T, on every entry, so that the bound i = T + p steps from the end is
+    that of T plus one constant λ on every finite entry, with the same
+    _INF entries.  The middle map is (min,+)-linear, so from then on every
+    bound and entry cost repeats with period p, λ higher each period (the
+    cyclicity theorem; Heidergott, Olsder and van der Woude, *Max Plus at
+    Work*, 2006): `period` is (T, p, λ), and the lists stop at T + p.
+
+    `openings[j]` holds the bounds, entry costs and offsets (`_walk_back`)
+    of the 2k opening columns before the stored bound j, where a pass
+    whose middle and closing columns are j steps, or repeat them with the
+    period, starts its middle: at most T + p of them for every n.
+    """
+
+    def __init__(self, tables: _Tables, closing: list[_Rows]) -> None:
+        self.windows = tables.windows
+        self.k = len(closing)
+        self.bounds, self.offsets, self.costs = [_end(self.windows)], [0], []
+        self.period: tuple[int, int, int] | None = None
+        self.openings: dict[int, tuple[list, list, list[int]]] = {}
+        for step in reversed(closing):
+            self._grow(step)
+
+    def _grow(self, step: _Step) -> None:
+        cost, before, shift = _back(step, self.bounds[-1], self.windows)
+        self.costs.append(cost)
+        offset = self.offsets[-1] + shift
+        i = len(self.bounds)
+        for t in range(self.k, i):  # the bounds the middle map runs from
+            if np.array_equal(self.bounds[t], before):
+                self.period = (t, i - t, offset - self.offsets[t])
+                return
+        self.bounds.append(before)
+        self.offsets.append(offset)
+
+    def entry(self, i: int) -> tuple[int, int]:
+        """(stored index, offset) of the bound i steps from the end and of
+        the entry costs that read it."""
+        if i < len(self.bounds):
+            return i, self.offsets[i]
+        T, p, lam = self.period
+        periods, j = divmod(i - T, p)
+        return T + j, self.offsets[T + j] + periods * lam
+
+    def reach(self, count: int, middle: _Rows | None) -> None:
+        """Grow the lists by `middle`'s column until they hold the bound
+        `count` steps from the end or the period."""
+        while self.period is None and len(self.bounds) <= count:
+            self._grow(middle)
+
+    def read(self, count: int) -> tuple[list, list, list[int]]:
+        """The bounds before the last `count` steps and after the last one,
+        the entry costs of those steps and their offsets, in pass order
+        (`_Plan`), once the lists `reach` that far."""
+        bounds, costs, offsets = [], [], []
+        for i in range(count, -1, -1):
+            j, offset = self.entry(i)
+            bounds.append(self.bounds[j])
+            offsets.append(offset)
+            if i < count:
+                costs.append(self.costs[j])
+        return bounds, costs, offsets
+
+    def opening(self, count: int, steps: list[_Rows]) -> tuple[list, list, list[int]]:
+        """The bounds, entry costs and offsets of the opening columns
+        `steps` before the last `count` steps (read first), each offset
+        above that of the bound they read."""
+        j = self.entry(count)[0]
+        found = self.openings.get(j)
+        if found is None:
+            found = self.openings[j] = _walk_back(steps, self.bounds[j], self.windows)
+        return found
+
+
+class _Plan(NamedTuple):
+    """The steps of a pass over P(n, k) with their cost-to-go bounds and
+    entry costs, each array stored less an integer offset.
+
+    `bounds[i] + offsets[i]` is the bound before step i (`bounds[-1]`: after
+    the last, zero), the least weight of the columns of steps i.. from each
+    window under any seam, residuals ignored (a lower bound on every
+    completion); _INF off the windows of step i and in the last slot, which
+    an illegal pair (nw = -1) reads.  `costs[i] + offsets[i + 1]` are the
+    entry costs of step i, the weight of each entry plus the bound of its
+    new window, which every pass reads as they are (`_entries`: an illegal
+    entry holds `_ILLEGAL` of its dtype).  Where n >= 3k the arrays are the
+    family's `_Suffix` and its openings, shared by every n, but for the
+    entry costs of a landing step.
+    """
+
+    steps: list
+    bounds: list[np.ndarray]
+    costs: list[np.ndarray]
+    offsets: list[int]
+
+
+def _plan(tables: _Tables, n: int) -> _Plan:
+    """The plan of a pass over P(n, k).
 
     A step is one column, or, with two or more middle columns and F^2 at
     most _TRANSFER_LAYER for the F windows of the frontier at column 2k,
-    the middle columns 2k..n-k-1 at once.
+    the middle columns 2k..n-k-1 at once.  The forward walk asks each step
+    for the frontier after it; the middle columns map their frontier onto
+    itself, so where they are column steps the walk takes them all at once.
+    The backward walk reads the steps from the closing ones back to the
+    first middle column off the family's suffix, and the opening columns
+    before them off the suffix's openings; before a landing step, which
+    crosses the m middle columns of this n alone, it walks back over the
+    landing step and the opening columns for this n.
     """
     k = tables.k
     frontier = np.zeros(1, np.int64)  # the empty window
     steps = []
+    landing = False
     c = 0
     while c < n:
-        step = tables.rows_for(_column(c, n, k), frontier)
+        sig = _column(c, n, k)
+        step = tables.rows_for(sig, frontier)
+        run = 1
         if c == 2 * k and n - 3 * k >= 2 and len(frontier) ** 2 <= _TRANSFER_LAYER:
             step = _Landing(tables.transfer(step), n - 3 * k)
+            landing = True
             c = n - k
         else:
             c += 1
-        rows = step.row_of[frontier]
-        if rows.min() < 0:
-            bad = int(frontier[rows.argmin()])
-            raise InternalError(f"dp met window {bad} off the frontier of its step")
-        steps.append(step)
-        frontier = _distinct(step.nw[rows], tables.windows)
-    # a pass takes limits up to 2n, the weight of the all-ones labeling
-    return (steps, *_cost_to_go(tables, steps, 2 * n))
-
-
-def _cost_to_go(tables: _Tables, steps: list,
-                top: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """bound[i][w]: the least weight of the columns of steps i.. from
-    window w under any seam, residuals ignored (a lower bound on every
-    completion); _INF off the windows of step i and in the last slot, which
-    an illegal pair (nw = -1) reads.  The last bound is zero on every window.
-
-    costs[i]: the weight of each entry of step i plus the bound of its new
-    window, over all the step's rows, capped at top + 1, where `top` is the
-    largest limit a pass takes (so an illegal entry costs top + 1).  It
-    depends on the plan only, so every pass reads it as it is; int16 where
-    the cap allows, which halves what the plan holds.
-    """
-    h = np.zeros(tables.windows + 1, np.int32)
-    h[-1] = _INF
-    bound = [h]
-    costs = []
-    narrow = np.int16 if top < 2**15 - 1 else np.int32
-    for step in reversed(steps):
-        cost = step.cost(h)
-        costs.append(np.minimum(cost, top + 1).astype(narrow))
-        h = np.full(tables.windows + 1, _INF, np.int32)
-        h[step.wids] = np.minimum(cost.min(axis=1), _INF)
-        bound.append(h)
-    return bound[::-1], costs[::-1]
+        reached = step.after(frontier)
+        if sig == (2 * k, -1, False) and not landing and np.array_equal(reached, frontier):
+            run = n - k - c + 1  # every middle column meets this frontier
+            c = n - k
+        steps += [step] * run
+        frontier = reached
+    if n < 3 * k:  # no closing columns shared with other n
+        end = _end(tables.windows)
+        bounds, costs, offsets = _walk_back(steps, end, tables.windows)
+        return _Plan(steps, bounds + [end], costs, offsets + [0])
+    suffix = tables.suffix(steps[-k:])
+    tail = n - 2 * k  # the middle and closing columns
+    suffix.reach(tail, tables.rows.get((2 * k, -1, False)))
+    if landing:
+        # the bound before the landing step is that of the middle columns
+        # it crosses, read off the suffix; only its entry costs are this n's
+        bounds, costs, offsets = suffix.read(k)
+        j, offset = suffix.entry(tail)
+        costs.insert(0, _entries(steps[2 * k].cost(bounds[0])))
+        bounds.insert(0, suffix.bounds[j])
+        offsets.insert(0, offset)
+    else:
+        bounds, costs, offsets = suffix.read(tail)
+    head = suffix.opening(tail, steps[:2 * k])
+    return _Plan(steps, head[0] + bounds, head[1] + costs,
+                 [offset + offsets[0] for offset in head[2]] + offsets)
 
 
 # Group-min sort keys pack (key, weight, position) as bit fields of one
@@ -642,13 +852,20 @@ def _winners(ck: np.ndarray, cw: np.ndarray, span: int, key_bound: int) -> np.nd
     return win
 
 
-def _step(tables: _Tables, tab: _Step, cost: np.ndarray, key: np.ndarray,
+def _step(tables: _Tables, tab: _Step, cost: np.ndarray, offset: int, key: np.ndarray,
           w: np.ndarray, limit: int):
     """Advance the layer (`key`, `w`) by step `tab`, keeping the candidates
-    whose weight plus the `cost` of their entry is at most `limit`.
+    whose weight plus the `cost` of their entry plus `offset` is at most
+    `limit`: `cost <= limit - offset - weight`, where the room on the right
+    is capped one below what an illegal entry holds (`_ILLEGAL`).  The room
+    is never negative in a pass: a state kept there has its weight plus
+    the offset of the bound before the step at most the limit, and the
+    offset of the step's entry costs is at most that one.
     Returns the new layer's keys, weights and back-pointers; None when it
     is empty.
     """
+    top = _ILLEGAL[cost.dtype] - 1
+    capped = limit - offset > top
     R = tables.R
     WR = tables.windows * R
     width = tab.nw.shape[1]
@@ -662,9 +879,11 @@ def _step(tables: _Tables, tab: _Step, cost: np.ndarray, key: np.ndarray,
         if rows.min() < 0:
             bad = int(wid[rows.argmin()])
             raise InternalError(f"dp met window {bad} off the frontier of its step")
-        legal = cost.take(rows, axis=0)
+        room = limit - offset - wb
+        if capped:
+            np.minimum(room, top, out=room)
         # <= : a labeling of weight `limit` must keep all its prefixes
-        legal = np.less_equal(legal, (limit - wb).astype(cost.dtype)[:, None])
+        legal = np.less_equal(cost.take(rows, axis=0), room.astype(cost.dtype)[:, None])
         if tab.seam_bit is not None:  # closing window: legal under the state's seam
             legal &= (tab.mask.take(rows, axis=0) & tab.seam_bit[kb // WR][:, None]) != 0
         pos = np.flatnonzero(legal)
@@ -717,11 +936,11 @@ def _unwind(steps: list, back: list[np.ndarray], pos: int) -> bytes:
     return b"".join(reversed(labels))
 
 
-def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray],
-           prune: int) -> tuple[tuple[int, bytes] | None, int]:
+def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray], prune: int,
+           offsets: list[int] | None = None) -> tuple[tuple[int, bytes] | None, int]:
     """One pass over the steps that carries every seam, dropping each
-    candidate whose weight plus the entry cost of its step (`costs`, from
-    `_cost_to_go`) exceeds `prune`.
+    candidate whose weight plus the entry cost of its step (`costs[i]`
+    plus `offsets[i]`, from `_plan`; no offsets: zero) exceeds `prune`.
 
     Returns ((weight, witness) of the lexicographically smallest closing
     labeling of least weight, or None when no state closes; states kept).
@@ -730,8 +949,8 @@ def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray],
     w = np.zeros(1, np.int32)
     back: list[np.ndarray] = []  # per layer: parent position * span + rank
     explored = 0
-    for tab, cost in zip(steps, costs):
-        layer = _step(tables, tab, cost, key, w, prune)
+    for tab, cost, offset in zip(steps, costs, offsets or [0] * len(steps)):
+        layer = _step(tables, tab, cost, offset, key, w, prune)
         if layer is None:
             return None, explored
         key, w, b = layer
@@ -754,12 +973,13 @@ def solve_cycle(n: int, k: int, kind: str, first: int = 0) -> tuple[int, bytes, 
     kind_of(kind)  # rejects an unknown kind
     require_admissible(n, k)
     tables = _tables(kind, k)
-    steps, bound, costs = _plan(tables, n)
+    plan = _plan(tables, n)
     explored = 0
-    # bound[0][0] is a lower bound on the optimum, and the all-ones labeling
-    # is always valid at weight 2n
-    for prune in range(max(int(bound[0][0]), min(first, 2 * n)), 2 * n + 1):
-        found, kept = _sweep(tables, steps, costs, prune)
+    # the bound of the empty window is a lower bound on the optimum, and the
+    # all-ones labeling is always valid at weight 2n
+    start = int(plan.bounds[0][0]) + plan.offsets[0]
+    for prune in range(max(start, min(first, 2 * n)), 2 * n + 1):
+        found, kept = _sweep(tables, plan.steps, plan.costs, prune, plan.offsets[1:])
         explored += kept
         if found is not None:
             return (*found, explored)

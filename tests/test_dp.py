@@ -53,6 +53,8 @@ compared on every path of A^m, m = 2..70.
 """
 
 import hashlib
+import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -294,9 +296,9 @@ def test_the_first_limit_changes_only_the_work(kind, n, k, optimum, digest, monk
     passes = []
     sweep = dp._sweep
 
-    def counted(*args):
-        passes.append(args[-1])
-        return sweep(*args)
+    def counted(tables, steps, costs, prune, *offsets):
+        passes.append(prune)
+        return sweep(tables, steps, costs, prune, *offsets)
 
     monkeypatch.setattr(dp, "_sweep", counted)
     for first in (optimum - 1, optimum, optimum + 1, optimum + 2):
@@ -663,10 +665,12 @@ def test_the_transfer_step_is_gated_by_its_layer_size(kind, k, gated):
     assert gated == ((kind, k) in GATED)
     tables = dp._Tables(dp.KINDS[kind], k)
     n = 3 * k + 6
-    steps, bound, costs = dp._plan(tables, n)
+    plan = dp._plan(tables, n)
+    steps = plan.steps
     landings = [step for step in steps if isinstance(step, dp._Landing)]
-    assert len(steps) == (3 * k + 1 if gated else n) and len(bound) == len(steps) + 1
-    assert len(costs) == len(steps)
+    assert len(steps) == (3 * k + 1 if gated else n)
+    assert len(plan.bounds) == len(plan.offsets) == len(steps) + 1
+    assert len(plan.costs) == len(steps)
     assert len(landings) == gated
     for step in landings:  # it crosses the n - 3k middle columns
         assert len(step.labels(0)) == 2 * (n - 3 * k)
@@ -874,27 +878,247 @@ def test_residual_map_matches_the_per_pair_build(kind, k):
     dp._tables.cache_clear()
 
 
+def _illegal(cost):
+    """Where an entry cost is illegal: it holds `_ILLEGAL` of its dtype."""
+    return cost == dp._ILLEGAL[cost.dtype]
+
+
 @pytest.mark.parametrize("kind,n,k,optimum", [row[:4] for row in PINNED])
 def test_cost_to_go_bounds_the_optimum(kind, n, k, optimum):
     tables = dp._tables(kind, k)
-    steps, bound, costs = dp._plan(tables, n)
-    assert len(bound) == len(steps) + 1 and not bound[-1][:-1].any()
-    assert 0 <= bound[0][0] <= optimum
+    plan = dp._plan(tables, n)
+    assert len(plan.bounds) == len(plan.offsets) == len(plan.steps) + 1
+    assert not plan.bounds[-1][:-1].any() and plan.offsets[-1] == 0
+    assert 0 <= plan.bounds[0][0] + plan.offsets[0] <= optimum
     # the entry costs every pass reads are those of the bound after each
-    # step, capped above 2n, the largest limit of a pass
-    for i, (step, cost) in enumerate(zip(steps, costs)):
-        assert np.array_equal(cost, np.minimum(step.w + bound[i + 1][step.nw], 2 * n + 1)), i
+    # step, in that bound's offset: illegal exactly where it is _INF
+    for i, (step, cost) in enumerate(zip(plan.steps, plan.costs)):
+        want = step.w + plan.bounds[i + 1][step.nw]
+        illegal = want >= dp._INF
+        assert np.array_equal(_illegal(cost), illegal), i
+        assert np.array_equal(cost[~illegal], want[~illegal]), i
 
 
 @pytest.mark.parametrize("n,dtype", [(16383, np.int16), (16384, np.int32)])
 def test_entry_costs_hold_the_cap_of_the_largest_limit(n, dtype):
-    # a pass's limit goes up to 2n, so an entry caps at 2n + 1: int16 holds
-    # it up to n = 16383 (2n + 1 = 32767)
-    tables = dp._tables("domination", 1)
-    costs = dp._plan(tables, n)[2]
-    assert {cost.dtype for cost in costs} == {np.dtype(dtype)}
-    assert max(int(cost.max()) for cost in costs) == 2 * n + 1  # an illegal entry
-    assert dp.solve_cycle(n, 1, "domination")[0] == -(-n // 2)
+    # a pass's limit goes up to 2n, which `dtype` is the narrowest to hold
+    # (with 2n + 1 above it); int16 entry costs keep an illegal entry at
+    # 32767, so `_step` caps the room at 32766, and one step at limit 2n
+    # from every window of its frontier at weight 0 keeps no illegal entry
+    assert np.iinfo(dtype).max >= 2 * n + 1 and (dtype is np.int16 or 2 * n + 1 > 2**15 - 1)
+    cases = [("domination", 1, -(-n // 2))]
+    if dtype is np.int32:
+        cases.append(("italian", 2, 13108))  # 4n/5 rounded up, the paper's P(n,2) value
+    for kind, k, optimum in cases:
+        tables = dp._tables(kind, k)
+        plan = dp._plan(tables, n)
+        assert any(cost.dtype == np.int16 and _illegal(cost).any() for cost in plan.costs)
+        # the room is widest at the least offset a step's arrays take
+        least = {}
+        for i, (step, cost) in enumerate(zip(plan.steps, plan.costs)):
+            key = (id(step), id(cost))
+            if key not in least or plan.offsets[i + 1] < least[key][2]:
+                least[key] = (step, cost, plan.offsets[i + 1])
+        for step, cost, offset in least.values():
+            key = step.wids.astype(tables.keys) * tables.R  # seam code 0, no residual
+            layer = dp._step(tables, step, cost, offset, key, np.zeros(len(key), np.int32), 2 * n)
+            if layer is not None:
+                par, rank = np.divmod(layer[2], step.span)
+                rows = step.row_of[step.wids[par]]
+                entry = rank if isinstance(step, dp._Rows) else rank - step.offset[rows]
+                assert not _illegal(cost[rows, entry]).any()
+                assert (step.nw[rows, entry] >= 0).all()
+        assert dp.solve_cycle(n, k, kind)[0] == optimum
+
+
+# The per-n backward walk that the family plan replaced, kept as its
+# reference: run over all the steps of one n, it holds one bound vector and
+# one entry-cost array per step.
+def _cost_to_go(tables, steps, top):
+    """bound[i][w]: the least weight of the columns of steps i.. from
+    window w under any seam, residuals ignored (a lower bound on every
+    completion); _INF off the windows of step i and in the last slot, which
+    an illegal pair (nw = -1) reads.  The last bound is zero on every window.
+
+    costs[i]: the weight of each entry of step i plus the bound of its new
+    window, over all the step's rows, capped at top + 1, where `top` is the
+    largest limit a pass takes (so an illegal entry costs top + 1).  It
+    depends on the plan only, so every pass reads it as it is; int16 where
+    the cap allows, which halves what the plan holds.
+    """
+    h = np.zeros(tables.windows + 1, np.int32)
+    h[-1] = dp._INF
+    bound = [h]
+    costs = []
+    narrow = np.int16 if top < 2**15 - 1 else np.int32
+    for step in reversed(steps):
+        cost = step.cost(h)
+        costs.append(np.minimum(cost, top + 1).astype(narrow))
+        h = np.full(tables.windows + 1, dp._INF, np.int32)
+        h[step.wids] = np.minimum(cost.min(axis=1), dp._INF)
+        bound.append(h)
+    return bound[::-1], costs[::-1]
+
+
+def _check_family_plan(tables, n):
+    """The plan of P(n, k) read off the family's shared arrays equals the
+    per-n walk: every bound and entry cost plus its offset, _INF (the
+    reference's cap at top = _INF - 1) at the same entries."""
+    plan = dp._plan(tables, n)
+    bound, costs = _cost_to_go(tables, plan.steps, dp._INF - 1)
+    for i, (h, offset) in enumerate(zip(plan.bounds, plan.offsets)):
+        got = np.where(h >= dp._INF, dp._INF, h.astype(np.int64) + offset)
+        assert np.array_equal(got, bound[i]), (n, i)
+    for i, cost in enumerate(plan.costs):
+        got = np.where(_illegal(cost), dp._INF, cost.astype(np.int64) + plan.offsets[i + 1])
+        assert np.array_equal(got, costs[i]), (n, i)
+
+
+# Per (kind, k): the last n of the reference grid and sha256[:16] of the
+# lines "n optimum digest explored" of n = 2k+1.. ascending, as the engine
+# solved them with one plan per n, before the family plan.
+FAMILY_GRID = {
+    ("italian", 1): (89, "7bf76a227f4d8c0e"), ("italian", 2): (89, "c4a31bbe37f23851"),
+    ("italian", 3): (89, "79e0dfde4679cd40"), ("domination", 1): (89, "1b1cb96603ca0be1"),
+    ("domination", 2): (89, "5e9bc4051c2dd38b"), ("domination", 3): (89, "3ec6d467da16bceb"),
+    ("rainbow2", 1): (89, "8afef9f67078743c"), ("rainbow2", 2): (89, "15d913cff3595ed3"),
+    ("rainbow2", 3): (25, "35aacc02bf05e0dc"),
+}
+
+
+@pytest.mark.parametrize("kind,k", list(FAMILY_GRID))
+def test_the_family_plan_matches_the_per_n_walk(kind, k):
+    # every n of the grid in a shuffled order on one table, so each plan
+    # reads a suffix grown by other n, past its period where n is large
+    top, want = FAMILY_GRID[kind, k]
+    ns = list(range(2 * k + 1, top + 1))
+    random.Random(f"{kind}-{k}").shuffle(ns)
+    dp._tables.cache_clear()
+    tables = dp._tables(kind, k)
+    lines = {}
+    for n in ns:
+        lines[n] = "{} {} {} {}\n".format(n, *_digest(dp.solve_cycle(n, k, kind)))
+        _check_family_plan(tables, n)
+    dp._tables.cache_clear()
+    text = "".join(lines[n] for n in sorted(lines))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
+
+
+# (T, p, λ) of the suffix of each (kind, k): the bound T steps from the end
+# is the first that recurs, p steps later and λ higher
+PERIODS = {
+    ("italian", 1): (5, 1, 1), ("italian", 2): (8, 5, 4), ("italian", 3): (28, 5, 4),
+    ("domination", 1): (4, 2, 1), ("domination", 2): (3, 5, 3), ("domination", 3): (16, 2, 1),
+    ("rainbow2", 1): (5, 1, 1), ("rainbow2", 2): (9, 5, 4), ("rainbow2", 3): (13, 8, 7),
+}
+
+
+@pytest.mark.parametrize("kind,k", list(PERIODS))
+def test_every_column_family_finds_its_period(kind, k):
+    T, p, lam = PERIODS[kind, k]
+    tables = dp._Tables(dp.KINDS[kind], k)
+    dp._plan(tables, 3 * k + 1)  # builds the middle rows and the suffix
+    suffix = tables._suffix
+    suffix.reach(T + 3 * p, tables.rows[2 * k, -1, False])
+    bounds, costs, offsets = suffix.read(T + 3 * p)
+    assert suffix.period == (T, p, lam)
+    assert len(suffix.bounds) == len(suffix.costs) == T + p  # it grows no further
+    # read off the stored ones: the same arrays every p steps, λ higher
+    ends = len(offsets) - 1  # offsets[ends - i]: i steps from the end
+    for i in range(T, T + 2 * p):
+        assert bounds[ends - i - p] is bounds[ends - i]
+        assert costs[ends - i - p - 1] is costs[ends - i - 1]
+        assert offsets[ends - i - p] == offsets[ends - i] + lam
+    assert suffix.entry(10**9)[0] < T + p
+
+
+def _memo_arrays(tables):
+    """The arrays a family holds past its rows: each step's frontiers after
+    it, the suffix's bounds and entry costs, and its openings'."""
+    suffix = tables._suffix
+    return (sum(len(tab._after) for tab in tables.rows.values())
+            + len(suffix.bounds) + len(suffix.costs)
+            + sum(len(bounds) + len(costs) for bounds, costs, _ in suffix.openings.values()))
+
+
+def test_the_family_memo_is_bounded():
+    # Italian k = 3 finds its period (T + p = 33) before n = 200, and the
+    # plans of n = 200..204 read every stored entry the openings repeat
+    # with; n = 2000..2004 read them and store nothing more
+    dp._tables.cache_clear()
+    tables = dp._tables("italian", 3)
+    assert dp.solve_cycle(200, 3, "italian")[0] == 160
+    for n in range(201, 205):
+        dp._plan(tables, n)
+    held = _memo_arrays(tables)
+    assert tables._suffix.period is not None and len(tables._suffix.openings) == 5
+    assert dp.solve_cycle(2000, 3, "italian")[0] == 1600
+    for n in range(2001, 2005):
+        dp._plan(tables, n)
+    assert _memo_arrays(tables) == held
+    dp._tables.cache_clear()
+
+
+def test_a_long_cycle_plans_in_bounded_memory():
+    # the per-n plan held a bound and entry costs per column: 25.8 MB here
+    dp._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        assert dp.solve_cycle(2000, 3, "italian")[0] == 1600
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        dp._tables.cache_clear()
+    assert peak < 8 * 2**20, peak
+
+
+def _final_entry(tables, plan, limit):
+    """(row, entry) of the last step that the witness of a pass at `limit`
+    ends with: its weight plus that entry's cost is the limit exactly."""
+    layers = []
+    step = dp._step
+
+    def record(*args):
+        layer = step(*args)
+        layers.append(layer)
+        return layer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "_step", record)
+        dp._sweep(tables, plan.steps, plan.costs, limit, plan.offsets[1:])
+    key, w, back = layers[-1]
+    closed = np.flatnonzero(key % tables.R == 0)
+    pos = int(closed[np.argmin(w[closed])])
+    par, j = divmod(int(back[pos]), plan.steps[-1].span)
+    wid = int(layers[-2][0][par]) % (tables.windows * tables.R) // tables.R
+    return int(plan.steps[-1].row_of[wid]), j
+
+
+@pytest.mark.parametrize("fault", ["period", "entry"])
+def test_a_wrong_suffix_fails_the_reference_and_the_pinned_row(fault):
+    # negative controls: λ one higher, or the entry cost that the witness of
+    # Italian P(40,3) ends with one higher in the family's arrays (the last
+    # step's entry costs, shared by every n); P(40,3) reads past the period
+    kind, n, k, optimum, digest, explored = LONG_PINNED[1]
+    dp._tables.cache_clear()
+    try:
+        tables = dp._tables(kind, k)
+        plan = dp._plan(tables, n)
+        suffix = tables._suffix
+        assert suffix.period is not None and len(plan.steps) - 2 * k > len(suffix.bounds) - 1
+        if fault == "period":
+            T, p, lam = suffix.period
+            suffix.period = (T, p, lam + 1)
+        else:
+            row, j = _final_entry(tables, plan, optimum)
+            assert suffix.costs[0][row, j] + plan.offsets[-1] == plan.steps[-1].w[row, j]
+            suffix.costs[0][row, j] += 1
+        with pytest.raises(AssertionError):
+            _check_family_plan(tables, n)
+        with pytest.raises(AssertionError):
+            test_pinned_long(kind, n, k, optimum, digest, explored)
+    finally:
+        dp._tables.cache_clear()
 
 
 def test_a_window_off_the_frontier_is_an_internal_error(monkeypatch):
@@ -916,11 +1140,11 @@ def test_a_landing_state_off_the_table_is_an_internal_error():
     # a state whose window is not a start of the transfer table
     dp._tables.cache_clear()
     tables = dp._tables("domination", 1)
-    steps, _, costs = dp._plan(tables, 10)
-    landing = next(step for step in steps if isinstance(step, dp._Landing))
+    plan = dp._plan(tables, 10)
+    landing = next(step for step in plan.steps if isinstance(step, dp._Landing))
     landing.row_of = np.full_like(landing.row_of, -1)
     with pytest.raises(InternalError, match="off the frontier"):
-        dp._sweep(tables, steps, costs, 2 * 10)
+        dp._sweep(tables, plan.steps, plan.costs, 2 * 10, plan.offsets[1:])
     dp._tables.cache_clear()
 
 
@@ -961,9 +1185,9 @@ def test_a_layer_holds_exactly_its_states(kind, optimum, monkeypatch):
 
     monkeypatch.setattr(dp, "_step", record)
     tables = dp._tables(kind, 2)
-    steps, _, costs = dp._plan(tables, 9)
-    (weight, _), explored = dp._sweep(tables, steps, costs, optimum)
-    assert weight == optimum and len(layers) == len(steps)
+    plan = dp._plan(tables, 9)
+    (weight, _), explored = dp._sweep(tables, plan.steps, plan.costs, optimum, plan.offsets[1:])
+    assert weight == optimum and len(layers) == len(plan.steps)
     for key, w, back in layers:
         assert len(key) == len(w) == len(back)
     assert explored == sum(len(back) for _, _, back in layers)

@@ -147,9 +147,9 @@ def test_solve_dp_starts_at_the_degree_floor(kind, n, k, seeded, unseeded, monke
     passes = []
     sweep = dp._sweep
 
-    def counted(*args):
-        passes.append(args[-1])
-        return sweep(*args)
+    def counted(tables, steps, costs, prune, *offsets):
+        passes.append(prune)
+        return sweep(tables, steps, costs, prune, *offsets)
 
     monkeypatch.setattr(dp, "_sweep", counted)
     assert formulas.VALUES[kind](n, k).kind != "exact"
