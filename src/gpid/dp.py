@@ -66,7 +66,7 @@ halves (`_Power`).  With two or more middle columns a pass then takes
 middle by joining each state with its window's row of A^m, and the k
 closing columns.  The landing step is taken only where A is small: it
 holds F x F (start, window) pairs, and `_plan` takes the step where F^2
-is at most _TRANSFER_LAYER = 2,048.  That is the case for domination k = 1
+is at most _UNPRUNED_LAYER = 2,048.  That is the case for domination k = 1
 and 2, Italian k = 1 and 2-rainbow k = 1 (F = 7, 19, 19 and 35), not for
 domination k = 3 (F^2 = 2,704) or Italian k = 2 (7,225), where the pruned
 column steps are as fast or faster; those cases advance one middle
@@ -115,22 +115,38 @@ bound of the empty window, a lower bound on the optimum, or at the
 caller's `first` where that is higher (solver.solve_dp passes the
 closed-form value where one is exact and the degree floor,
 `solver.kind_floor`, otherwise), and adds one after each pass over the
-steps that closes no state.  A pass
-advances each layer by one layer step, `_step` (the transfer table takes
-none: its powers are matrix products), which works in blocks of parent
-states: it gathers the rows of a block into a (block, L * L) grid of
-candidates (a landing step: a (block, row length) grid of the windows
-A^m reaches), keeps those whose weight plus the bound of their new
-window is at most `prune` (and, in the closing window, that are legal
-under their seam), and then takes a group-min over the new state
-integers of the whole layer with one sort of packed int64 keys.  The
-candidates of one state share a window and so a bound: pruning removes
-whole groups and never changes a group's winner.  Only a weight plus bound strictly above
+steps that closes no state.  A pass reads its first layers off the
+family's opening block (below) and advances each later layer by one
+layer step, `_step` (the transfer table takes none: its powers are
+matrix products), which works in blocks of parent states: it gathers the
+rows of a block into a (block, L * L) grid of candidates (a landing
+step: a (block, row length) grid of the windows A^m reaches), keeps
+those whose weight plus the bound of their new window is at most
+`prune` (and, in the closing window, that are legal under their seam),
+and then takes a group-min over the new state integers of the whole
+layer with one sort of packed int64 keys.  The candidates of one state
+share a window and so a bound: pruning removes whole groups and never
+changes a group's winner.  Only a weight plus bound strictly above
 `prune` is dropped, so every prefix of a labeling of weight `prune`
 survives, and the first pass that closes a state has `prune` equal to
 the optimum.  A pass at any limit at or above the optimum returns the
 same optimum and witness (pruning never changes a winner), and one below
 it closes nothing, so `first` changes the passes made and nothing else.
+
+Opening block.  Every pass over P(n, k) starts from the empty window
+with the columns of signature (c, -1, False), c = 0, 1, .., as many as
+min(2k, n - k), so for each (kind, k) `_step` makes their layers once,
+unpruned (`_open`), up to column 2k - 1 or to the first layer of more
+than _UNPRUNED_LAYER states, the cap of the landing table too:
+domination k = 3 keeps 4, 16, 51, 153, 370 and 836 states, Italian k = 2
+9, 81, 468 and 1,804, Italian k = 3 its first three layers and 2-rainbow
+its first two (256 states in the second).  Of each block layer a pass
+keeps the states whose winning entry passes `_step`'s test at its limit.
+These are the states `_step` would keep, in the same order and with the
+same winners: the bound is consistent (a kept state's winning parent
+passes too) and pruning never changes a winner.  The block's
+back-pointers point into its unpruned layers, and so do those of the
+first step after it, so the unwinder reads them as they are.
 
 Ties.  States keep backpointers (parent position, rank) instead of label
 prefixes, where the rank of a column's entry is its pair lo * L + li and
@@ -151,7 +167,8 @@ weight in the last layer ends the lexicographically smallest optimal
 labeling over all seams, with or without the transfer step.
 `explored` counts the states of the layers a pass materialises (opening
 columns, landing step, closing columns, or every column where no landing
-step is taken), summed over passes.
+step is taken), summed over passes; an opening column of the block counts
+the states of its unpruned layer that the pass keeps.
 """
 
 from __future__ import annotations
@@ -336,6 +353,7 @@ class _Tables:
         self.rows: dict[tuple, _Rows] = {}
         self._transfer: _Transfer | None = None
         self._suffix: _Suffix | None = None
+        self._opening: tuple[_Layer, ...] | None = None
 
     def transfer(self, middle: _Rows) -> _Transfer:
         """The transfer table of the middle columns, whose rows `middle`
@@ -350,6 +368,13 @@ class _Tables:
         if self._suffix is None:
             self._suffix = _Suffix(self, closing)
         return self._suffix
+
+    def opening(self) -> tuple[_Layer, ...]:
+        """The unpruned layers of the leading opening columns, which every
+        pass over P(n, k) with n > 2k starts with (`_open`)."""
+        if self._opening is None:
+            self._opening = _open(self)
+        return self._opening
 
     def op_table(self, sig: tuple) -> np.ndarray:
         """op[code, lo * L + li]: the residual code that follows each code
@@ -589,17 +614,22 @@ class _Landing(_Step):
         return self.powers[0].pair[way[..., :-1], way[..., 1:]]
 
 
-# The largest transfer matrix, in (start, window) pairs, for which the
-# middle columns are crossed in one landing step (module docstring).
-_TRANSFER_LAYER = 2048
+# The largest layer a family keeps unpruned (module docstring): the
+# states of each layer of the opening block, and the F x F (start, window)
+# pairs of a transfer matrix that crosses the middle columns in one landing
+# step, which is the size the unpruned middle layer saturates at (49, 361,
+# 2,704, 361, 7,225 and 1,225 states for domination k = 1, 2, 3, Italian
+# k = 1, 2 and 2-rainbow k = 1).
+_UNPRUNED_LAYER = 2048
 
 
 @lru_cache(maxsize=None)
 def _tables(kind: str, k: int) -> _Tables:
     # bounded: one entry per (kind, k), each at most windows x signatures
-    # rows, one transfer table of log2(largest m) + 1 F x F powers and one
+    # rows, one transfer table of log2(largest m) + 1 F x F powers, one
     # suffix of at most T + p bounds and entry costs, each with at most one
-    # set of opening columns
+    # set of opening columns, and one opening block of at most 2k layers of
+    # _UNPRUNED_LAYER states
     return _Tables(KINDS[kind], k)
 
 
@@ -765,7 +795,7 @@ def _plan(tables: _Tables, n: int) -> _Plan:
     """The plan of a pass over P(n, k).
 
     A step is one column, or, with two or more middle columns and F^2 at
-    most _TRANSFER_LAYER for the F windows of the frontier at column 2k,
+    most _UNPRUNED_LAYER for the F windows of the frontier at column 2k,
     the middle columns 2k..n-k-1 at once.  The forward walk asks each step
     for the frontier after it; the middle columns map their frontier onto
     itself, so where they are column steps the walk takes them all at once.
@@ -784,7 +814,7 @@ def _plan(tables: _Tables, n: int) -> _Plan:
         sig = _column(c, n, k)
         step = tables.rows_for(sig, frontier)
         run = 1
-        if c == 2 * k and n - 3 * k >= 2 and len(frontier) ** 2 <= _TRANSFER_LAYER:
+        if c == 2 * k and n - 3 * k >= 2 and len(frontier) ** 2 <= _UNPRUNED_LAYER:
             step = _Landing(tables.transfer(step), n - 3 * k)
             landing = True
             c = n - k
@@ -917,13 +947,69 @@ def _step(tables: _Tables, tab: _Step, cost: np.ndarray, offset: int, key: np.nd
     if len(ck) == 0:
         return None
     win = _winners(ck, cw, limit + 1, tables.key_bound)
-    m = len(win)
-    if m > DP_STATE_CAP:
-        raise BudgetExceeded(f"dp state count {m} exceeds cap {DP_STATE_CAP}")
     narrow = len(key) * tab.span <= 2**31  # column steps: always
     back = np.multiply(par.take(win), tab.span, dtype=np.int32 if narrow else np.int64)
     back += rank.take(win)
     return ck.take(win), cw.take(win), back
+
+
+class _Layer(NamedTuple):
+    """One layer of a family's opening block: every state that step `tab`
+    makes from the block's layer before it (the empty window for the first),
+    unpruned, in prefix order, as `_step` makes them.
+
+    `key`, `w` and `back` are the states' keys, weights and back-pointers
+    (parent position * span + rank).  `parent` is the position of each
+    state's winning parent, `cell` its winning entry in the step's rows
+    (parent's row * span + rank) and `pw` the parent's weight, which is
+    what a pass compares with its limit to know whether it keeps the state.
+    """
+
+    tab: _Rows
+    key: np.ndarray
+    w: np.ndarray
+    back: np.ndarray
+    parent: np.ndarray
+    cell: np.ndarray
+    pw: np.ndarray
+
+
+def _open(tables: _Tables) -> tuple[_Layer, ...]:
+    """The opening block of one (kind, k): the unpruned layers of columns
+    0, 1, .. of signature (c, -1, False), made by `_step` at a limit that
+    no path of c + 1 columns exceeds.  It stops before column 2k, or at the
+    first layer larger than _UNPRUNED_LAYER or whose sort keys `_winners`
+    cannot pack."""
+    end = _end(tables.windows)
+    WR = tables.windows * tables.R
+    frontier = np.zeros(1, np.int64)  # the empty window
+    key = np.zeros(1, tables.keys)
+    w = np.zeros(1, np.int32)
+    layers = []
+    for c in range(2 * tables.k):
+        tab = tables.rows_for((c, -1, False), frontier)
+        try:
+            made = _step(tables, tab, tab.cost(end), 0, key, w, int(tables.dw.max()) * (c + 1))
+        except BudgetExceeded:
+            break
+        if len(made[0]) > _UNPRUNED_LAYER:
+            break
+        parent, rank = np.divmod(made[2], tab.span)
+        rows = tab.row_of.take(key.take(parent) % WR // tables.R)
+        layers.append(_Layer(tab, *made, parent, rows * tab.span + rank, w.take(parent)))
+        key, w = made[:2]
+        frontier = tab.after(frontier)
+    return tuple(layers)
+
+
+def _leading(block: tuple[_Layer, ...], steps: list) -> int:
+    """How many layers of `block` a pass over `steps` starts with: one per
+    leading step that is the block's own, by identity, so never a closing
+    column (n < 3k) or a landing step."""
+    i = 0
+    while i < min(len(block), len(steps)) and steps[i] is block[i].tab:
+        i += 1
+    return i
 
 
 def _unwind(steps: list, back: list[np.ndarray], pos: int) -> bytes:
@@ -936,26 +1022,65 @@ def _unwind(steps: list, back: list[np.ndarray], pos: int) -> bytes:
     return b"".join(reversed(labels))
 
 
+def _admit(count: int) -> int:
+    """The size of a layer a pass keeps, refused above DP_STATE_CAP."""
+    if count > DP_STATE_CAP:
+        raise BudgetExceeded(f"dp state count {count} exceeds cap {DP_STATE_CAP}")
+    return count
+
+
 def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray], prune: int,
            offsets: list[int] | None = None) -> tuple[tuple[int, bytes] | None, int]:
     """One pass over the steps that carries every seam, dropping each
     candidate whose weight plus the entry cost of its step (`costs[i]`
     plus `offsets[i]`, from `_plan`; no offsets: zero) exceeds `prune`.
 
+    The layers of the leading steps that are the family's opening block
+    (`_Tables.opening`) are read off it: the pass keeps the states whose
+    winning entry passes `_step`'s test, the ones `_step` would keep (module
+    docstring), and maps the back-pointers of the first step after the
+    block into the block's unpruned layer, as the block's own do.
+
     Returns ((weight, witness) of the lexicographically smallest closing
     labeling of least weight, or None when no state closes; states kept).
     """
+    offsets = offsets or [0] * len(steps)
+    block = tables.opening()
+    used = _leading(block, steps)
     key = np.zeros(1, tables.keys)  # no seam label yet, the empty window
     w = np.zeros(1, np.int32)
     back: list[np.ndarray] = []  # per layer: parent position * span + rank
     explored = 0
-    for tab, cost, offset in zip(steps, costs, offsets or [0] * len(steps)):
+    kept = np.ones(1, bool)
+    into = None  # the positions of the kept states in the block's last layer
+    for opened, cost, offset in zip(block[:used], costs, offsets):
+        room = prune - offset - opened.pw  # as in `_step`
+        top = _ILLEGAL[cost.dtype] - 1
+        if prune - offset > top:
+            np.minimum(room, top, out=room)
+        parents = kept.take(opened.parent)
+        kept = cost.take(opened.cell) <= room
+        if (kept > parents).any():
+            raise InternalError("dp kept an opening state whose parent it dropped")
+        count = int(np.count_nonzero(kept))
+        if count == 0:
+            return None, explored
+        back.append(opened.back)
+        explored += _admit(count)
+    if used:
+        into = np.flatnonzero(kept)
+        key, w = opened.key.take(into), opened.w.take(into)
+    for tab, cost, offset in zip(steps[used:], costs[used:], offsets[used:]):
         layer = _step(tables, tab, cost, offset, key, w, prune)
         if layer is None:
             return None, explored
         key, w, b = layer
+        if into is not None:
+            par, rank = np.divmod(b, tab.span)
+            b = into.take(par) * tab.span + rank
+            into = None
         back.append(b)
-        explored += len(b)
+        explored += _admit(len(b))
     closed = np.flatnonzero(key % tables.R == 0)  # every wrap residual met
     if len(closed) == 0:
         return None, explored

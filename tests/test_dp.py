@@ -49,12 +49,16 @@ compares their optima and witnesses on every instance with n <= 10.
 with the engine on every kind, k = 1, 2 and n <= 40, and on n = 97, 200
 and 500 where the transfer step runs.  `_recursive_pairs` is the
 expansion of a landing path that `_Landing.path` replaced; they are
-compared on every path of A^m, m = 2..70.
+compared on every path of A^m, m = 2..70.  Every pass reads its leading
+opening columns off the family's unpruned opening block;
+`test_the_opening_block_changes_no_pass` compares such passes with the
+same passes stepping every column, the block emptied.
 """
 
 import hashlib
 import random
 import tracemalloc
+from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
@@ -659,7 +663,7 @@ def test_growing_a_transfer_table_builds_no_row(kind, k, monkeypatch):
 
 # the matrix holds F x F (start, window) pairs: 1,225 for 2-rainbow k = 1
 # is crossed in one step, 2,704 for domination k = 3 is not
-@pytest.mark.parametrize("kind,k,gated", [(kind, k, F * F <= 2048)
+@pytest.mark.parametrize("kind,k,gated", [(kind, k, F * F <= dp._UNPRUNED_LAYER)
                                           for (kind, k), F in FRONTIER_2K.items()])
 def test_the_transfer_step_is_gated_by_its_layer_size(kind, k, gated):
     assert gated == ((kind, k) in GATED)
@@ -1173,8 +1177,14 @@ def test_the_opening_rows_carry_the_seam_digits_they_write(kind, k):
 
 @pytest.mark.parametrize("kind,optimum", [("italian", 8), ("domination", 6), ("rainbow2", 8)])
 def test_a_layer_holds_exactly_its_states(kind, optimum, monkeypatch):
-    # one pass at the optimum over P(9,2): each layer's keys and weights are
-    # as long as its back-pointers, one per state kept
+    # one pass at the optimum over P(9,2): each layer `_step` makes has keys
+    # and weights as long as its back-pointers, one per state kept; the
+    # steps of the opening block make none, and with the block emptied the
+    # pass steps every column and counts the same states
+    tables = dp._Tables(dp.KINDS[kind], 2)
+    plan = dp._plan(tables, 9)
+    used = dp._leading(tables.opening(), plan.steps)
+    assert used == len(tables.opening()) > 0
     layers = []
     step = dp._step
 
@@ -1183,11 +1193,193 @@ def test_a_layer_holds_exactly_its_states(kind, optimum, monkeypatch):
         layers.append(layer)
         return layer
 
+    def one_pass():
+        layers.clear()
+        (weight, _), explored = dp._sweep(tables, plan.steps, plan.costs, optimum,
+                                          plan.offsets[1:])
+        assert weight == optimum
+        for key, w, back in layers:
+            assert len(key) == len(w) == len(back)
+        return explored
+
     monkeypatch.setattr(dp, "_step", record)
-    tables = dp._tables(kind, 2)
-    plan = dp._plan(tables, 9)
-    (weight, _), explored = dp._sweep(tables, plan.steps, plan.costs, optimum, plan.offsets[1:])
-    assert weight == optimum and len(layers) == len(plan.steps)
-    for key, w, back in layers:
-        assert len(key) == len(w) == len(back)
+    explored = one_pass()
+    assert len(layers) == len(plan.steps) - used
+    monkeypatch.setattr(dp._Tables, "opening", lambda self: ())
+    assert one_pass() == explored
+    assert len(layers) == len(plan.steps)
     assert explored == sum(len(back) for _, _, back in layers)
+
+
+# Per (kind, k): the states of each layer of the family's opening block, the
+# unpruned layers of its leading opening columns (`dp._open`)
+OPENING_BLOCK = {
+    ("domination", 1): (4, 16), ("domination", 2): (4, 16, 51, 126),
+    ("domination", 3): (4, 16, 51, 153, 370, 836),
+    ("italian", 1): (9, 81), ("italian", 2): (9, 81, 468, 1804), ("italian", 3): (9, 81, 468),
+    ("rainbow2", 1): (16, 256), ("rainbow2", 2): (16, 256), ("rainbow2", 3): (16, 256),
+}
+
+
+def _block_ns(k):
+    """The cycles the opening block is checked on: n = 2k+1 .. 3k+6, whose
+    closing columns start inside the block where n < 3k, and one longer,
+    which the landing families cross in one landing step."""
+    return [*range(2 * k + 1, 3 * k + 7), 3 * k + 20]
+
+
+@contextmanager
+def _without_block():
+    """A context in which every pass steps every column."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp._Tables, "opening", lambda self: ())
+        yield
+
+
+def _block_mismatches(kind, k, ns, free, above=2):
+    """(n, costs, limit) of each pass over P(n, k) whose (found, explored)
+    differ with the opening block and with it emptied, at the limits from
+    one below the optimum to `above` above it, with the plan's entry costs
+    or, where `free`, with the bound set to zero (`_no_bound`)."""
+    tables = dp._tables(kind, k)
+    out = []
+    for n in ns:
+        plan = dp._plan(tables, n)
+        with _without_block():
+            optimum = dp.solve_cycle(n, k, kind)[0]
+        if free:
+            costs, offsets = _no_bound(tables, plan.steps), None
+        else:
+            costs, offsets = plan.costs, plan.offsets[1:]
+        for limit in range(optimum - 1, optimum + above + 1):
+            got = dp._sweep(tables, plan.steps, costs, limit, offsets)
+            with _without_block():
+                want = dp._sweep(tables, plan.steps, costs, limit, offsets)
+            if got != want:
+                out.append((n, "free" if free else "plan", limit))
+    return out
+
+
+@pytest.mark.parametrize("kind,k", list(OPENING_BLOCK))
+def test_the_opening_block_changes_no_pass(kind, k):
+    # optimum, witness and states kept of every pass, above and below the
+    # optimum, are those of stepping every column: with the plan's entry
+    # costs on every n of _block_ns, without the bound where n < 3k + 3.
+    # The passes of 2-rainbow k = 3 above the optimum keep millions of
+    # states (2.3M at P(12,3), optimum + 1), and more without the bound:
+    # there they run on the three shortest cycles, and without the bound
+    # on the shortest
+    ns = _block_ns(k)
+    dp._tables.cache_clear()
+    try:
+        if (kind, k) == ("rainbow2", 3):
+            assert _block_mismatches(kind, k, ns[:3], free=False) == []
+            assert _block_mismatches(kind, k, ns[3:], free=False, above=0) == []
+            assert _block_mismatches(kind, k, ns[:1], free=True) == []
+        else:
+            assert _block_mismatches(kind, k, ns, free=False) == []
+            assert _block_mismatches(kind, k, ns[:k + 2], free=True) == []
+    finally:
+        dp._tables.cache_clear()
+
+
+def _witness_positions(tables, plan, limit):
+    """The position of the witness of a pass at `limit` in each layer the
+    pass makes, first layer first, read off the back-pointers it unwinds."""
+    chain = []
+    unwind = dp._unwind
+
+    def record(steps, back, pos):
+        chain.append(pos)
+        for tab, b in zip(reversed(steps), reversed(back)):
+            chain.append(int(b[chain[-1]]) // tab.span)
+        return unwind(steps, back, pos)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "_unwind", record)
+        assert dp._sweep(tables, plan.steps, plan.costs, limit, plan.offsets[1:])[0]
+    return chain[-2::-1]
+
+
+@pytest.mark.parametrize("fault", ["weight", "back"])
+def test_a_wrong_opening_block_fails_the_equivalence_and_the_pinned_row(fault):
+    # negative controls on domination P(12,3), which reads all six block
+    # layers: the stored weight of the witness's state in the last block
+    # layer one higher, or that state's back-pointer swapped with another's
+    row = next(row for row in PINNED if row[:3] == ("domination", 12, 3))
+    kind, n, k, optimum = row[:4]
+    dp._tables.cache_clear()
+    try:
+        tables = dp._tables(kind, k)
+        plan = dp._plan(tables, n)
+        block = tables.opening()
+        assert dp._leading(block, plan.steps) == len(block) == 6
+        pos = _witness_positions(tables, plan, optimum)[len(block) - 1]
+        layer = block[-1]
+        if fault == "weight":
+            layer.w[pos] += 1
+        else:
+            other = pos - 1 if pos else 1
+            layer.back[[pos, other]] = layer.back[[other, pos]]
+        assert _block_mismatches(kind, k, [n], free=False)
+        assert _block_mismatches(kind, k, [n], free=True)
+        with pytest.raises(AssertionError):
+            test_pinned(*row)
+    finally:
+        dp._tables.cache_clear()
+
+
+def test_an_opening_state_whose_parent_was_dropped_is_an_internal_error():
+    # the first block layer's state that a second-layer state comes from,
+    # stored far heavier: the pass drops it but keeps its child
+    tables = dp._Tables(dp.KINDS["italian"], 2)
+    plan = dp._plan(tables, 9)
+    first, second = tables.opening()[:2]
+    first.pw[second.parent[0]] += 100
+    with pytest.raises(InternalError, match="whose parent it dropped"):
+        dp._sweep(tables, plan.steps, plan.costs, 8, plan.offsets[1:])
+
+
+@pytest.mark.parametrize("kind,k", list(OPENING_BLOCK))
+def test_the_opening_block_is_unpruned_and_bounded(kind, k):
+    # each layer holds every state of its column, at most _UNPRUNED_LAYER;
+    # the block stops before column 2k or before the first larger layer,
+    # and holds at most 64 KiB of arrays (Italian k = 2: 55 KiB)
+    tables = dp._Tables(dp.KINDS[kind], k)
+    tracemalloc.start()
+    try:
+        block = tables.opening()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = tuple(len(layer.key) for layer in block)
+    assert sizes == OPENING_BLOCK[kind, k]
+    assert max(sizes) <= dp._UNPRUNED_LAYER
+    for c, layer in enumerate(block):
+        assert layer.tab is tables.rows[c, -1, False]
+        assert len({len(a) for a in layer[1:]}) == 1
+    assert sum(a.nbytes for layer in block for a in layer[1:]) < 64 * 2**10
+    assert peak < 2**20, peak
+    last = block[-1]
+    if len(block) < 2 * k:
+        tab = tables.rows_for((len(block), -1, False), last.tab.after(last.tab.wids))
+        cost = tab.cost(dp._end(tables.windows))
+        key = dp._step(tables, tab, cost, 0, last.key, last.w, 4 * (len(block) + 1))[0]
+        assert len(key) > dp._UNPRUNED_LAYER
+
+
+@pytest.mark.parametrize("kind,k", list(OPENING_BLOCK))
+def test_a_pass_reads_the_block_up_to_its_first_closing_column(kind, k):
+    # a pass over P(n, k) reads min(block layers, n - k) of them, its own
+    # opening columns by identity: never a closing column or a landing step
+    tables = dp._Tables(dp.KINDS[kind], k)
+    block = tables.opening()
+    for n in _block_ns(k):
+        steps = dp._plan(tables, n).steps
+        used = dp._leading(block, steps)
+        assert used == min(len(block), n - k), n
+        for c, step in enumerate(steps[:used]):
+            assert dp._column(c, n, k) == (c, -1, False)
+            assert step is tables.rows[c, -1, False]
+        assert any(isinstance(step, dp._Landing) for step in steps) == (
+            (kind, k) in GATED and n >= 3 * k + 2)
