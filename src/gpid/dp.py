@@ -77,18 +77,27 @@ Before the search, two walks over the steps prepare it, and what they
 give is kept per (kind, k) wherever other n would give it again.  The
 forward walk follows the frontier: the windows that some seam can reach
 from the empty window.  When it first meets a signature it builds the
-signature's rows for the whole frontier in one numpy pass over (window,
-lo, li, seam labeling), and each step computes and checks that its rows
-cover a frontier, and the frontier after it, once per frontier it meets
-(`_Step.after`); a landing step's frontier is the windows its table row
-reaches.  The middle columns map their frontier onto itself, so the walk
-takes them all at once.  The backward walk computes the cost-to-go bound
-before each step, the least weight of the columns of steps i.. from each
-window under any seam, residuals ignored, and each step's entry costs,
-the weight of every entry plus the bound of its new window, which every
-pass reads as they are.  Each bound is stored less its least finite
-value, an integer offset that `_step` subtracts from the limit, so the
-entry costs stay small (int16 where they fit).
+signature's rows for the whole frontier (`_Tables._build`).  A row reads
+two digits of its window, the inner pair of column c-k and the outer
+pair of column c-1, and shifts the others one digit down, so the
+signature's tests run once, over the P^2 pairs of those two digits (16,
+36 and 64 for domination, Italian and 2-rainbow), each test of a seam
+label a uint16 bitmask of the seam labelings that pass it; a window's
+row is one gather from that digit table plus its shifted digits.  The 68
+signatures of the `dp-sweep` benchmark list build in 5.8 ms per process,
+against 13.2 ms for one broadcast over (window, lo, li, seam labeling),
+whose largest array was 2-rainbow k = 3's (581, 4, 4, 16).  Each step
+computes and checks that its rows cover a frontier, and the frontier
+after it, once per frontier it meets (`_Step.after`); a landing step's
+frontier is the windows its table row reaches.  The middle columns map
+their frontier onto itself, so the walk takes them all at once.  The
+backward walk computes the cost-to-go bound before each step, the least
+weight of the columns of steps i.. from each window under any seam,
+residuals ignored, and each step's entry costs, the weight of every
+entry plus the bound of its new window, which every pass reads as they
+are.  Each bound is stored less its least finite value, an integer
+offset that `_step` subtracts from the limit, so the entry costs stay
+small (int16 where they fit).
 
 Every pass over P(n, k) with n >= 3k ends with the same k closing
 columns, and where it takes column steps the middle columns before them
@@ -174,7 +183,6 @@ the states of its unpruned layer that the pass keeps.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -271,7 +279,8 @@ class _Step:
 
 class _Rows(_Step):
     """Transition rows of one signature for the windows of `wids`, the
-    frontier at its columns, which is the same for every n.
+    frontier at its columns, which is the same for every n, gathered from
+    the signature's digit table (`_Tables._build`).
 
     Entry `[row, lo * L + li]` of `nw` is the id of the new window, or -1
     when the pair is illegal under every seam, and bit v of the same entry
@@ -314,7 +323,10 @@ class _Rows(_Step):
 
 
 class _Tables:
-    """The transition tables of one (kind, k), shared by every n and seam."""
+    """The transition tables of one (kind, k), shared by every n and seam:
+    the rows of each signature (`rows`, built from a table over the pairs of
+    window digits a row reads), the transfer table, the suffix and the
+    opening block."""
 
     def __init__(self, alg: Kind, k: int) -> None:
         self.alg = alg
@@ -399,58 +411,79 @@ class _Tables:
         return tab
 
     def _build(self, sig: tuple, reads: tuple[int, ...], wids: np.ndarray):
-        """The nw and mask rows of `sig` for windows `wids`, over the axes
-        (window, lo, li, seam labeling of `reads`).  Exact for windows
-        some seam reaches at a column of this signature."""
+        """The nw and mask rows of `sig` for windows `wids`.  A row reads two
+        digits of its window, the last two: q = inner * P + outer, for the
+        inner pair of column c-k and the outer pair of column c-1.  It drops
+        them and shifts the rest one digit down, so a window's row is the
+        row of q in the digit table (`_digit_rows`) plus the shifted digits,
+        wid // P^2 * P, on its legal entries: one gather, computed wide and
+        narrowed to `ids`.  Exact for windows some seam reaches at a column
+        of this signature.  The digit table has P^2 rows whatever the
+        frontier: the 68 signatures of the `dp-sweep` benchmark list build
+        in 5.8 ms, not the 13.2 ms of one broadcast over every (window, lo,
+        li, seam labeling), and Italian k = 5, whose frontiers reach 9,456
+        windows, in 2.6 ms, not 25 ms."""
+        P = len(self.pair_label)
+        new, mask = self._digit_rows(sig, reads)
+        q = wids % (P * P)
+        nw = new.take(q, axis=0)
+        nw = np.where(nw < 0, -1, nw + (wids // (P * P) * P)[:, None]).astype(self.ids)
+        return nw, None if mask is None else mask.take(q, axis=0)
+
+    def _digit_rows(self, sig: tuple, reads: tuple[int, ...]):
+        """The rows of `sig` for each pair of read digits q = inner * P +
+        outer, over the axes (q, lo, li): `new`, the digits the pair writes
+        (its new inner pair times P^k plus its new outer pair; -1 where it
+        is illegal under every seam), and `mask`, bit v set where it is legal
+        under the v-th labeling of the seam positions `reads` (None: it reads
+        none).  A test of a seam label is a uint16 bitmask of the labelings
+        that pass it, looked up by the label or demand it compares."""
         cc, late, last = sig
         k = self.k
         red = self.reduce
         need = self.alg.need
         L = len(self.alg.labels)
         P = len(self.pair_label)
-        lo = np.arange(L)[None, :, None, None]
-        li = np.arange(L)[None, None, :, None]
-        combos = np.array(list(product(range(L), repeat=len(reads))), int)  # (V, reads)
-
-        def seam(pos):  # the label at seam position pos, per seam labeling
-            return combos[:, reads.index(pos)][None, None, None, :]
-
-        def per_window(a):
-            return a[:, None, None, None]
-
-        inner = (wids // P) % P  # column c-k's inner pair
-        outer = wids % P  # column c-1's outer pair
-        legal = np.ones((len(wids), L, L, len(combos)), bool)
+        inner, outer = (a[:, None, None] for a in np.divmod(np.arange(P * P), P))
+        lo = np.arange(L)[:, None]
+        li = np.arange(L)
+        # labeling v holds digit i of v (base L, the first read most
+        # significant) at position reads[i]: is_label[pos][l] has the bits of
+        # the labelings with label l there, meets[pos][d] of those under
+        # which demand d is met by it
+        v = np.arange(L ** len(reads))
+        is_label, meets = {}, {}
+        for i, pos in enumerate(reads):
+            at = v // L ** (len(reads) - 1 - i) % L == li[:, None]  # (label, v)
+            is_label[pos] = (at @ (1 << v)).astype(np.uint16)
+            meets[pos] = ((red == 0) @ is_label[pos]).astype(np.uint16)
+        full = (1 << len(v)) - 1
+        mask = np.full((P * P, L, L), full, np.uint16)
         if cc == 0:
-            legal &= lo == seam(0)
+            mask &= is_label[0][lo]
         if cc < k:
-            legal &= li == seam(1 + cc)
+            mask &= is_label[1 + cc][li]
         if cc == 2 * k:  # column c-k's inner vertex sees its last neighbor
-            legal &= red[per_window(self.pair_demand[inner]), li] == 0
+            mask *= red[self.pair_demand[inner], li] == 0
         if cc >= 2:  # column c-1's outer vertex sees its last neighbor
-            legal &= red[per_window(self.pair_demand[outer]), lo] == 0
+            mask *= red[self.pair_demand[outer], lo] == 0
         # demand of a new 0-labeled vertex: checked at once where its last
         # neighbor is known (closing window, last column), kept in the wrap
         # residuals where a wrap neighbor is still open (columns 0..k-1 and
         # column 0), and carried in the window otherwise
-        d = red[need, self.pair_label[inner]] if cc >= k else np.full(len(wids), need)
-        d = red[per_window(d), lo]
+        d = red[need, self.pair_label[inner]] if cc >= k else need
+        d = red[d, lo]
         if late >= 0:
-            legal &= (li != 0) | (red[d, seam(1 + late)] == 0)
+            mask &= np.where(li != 0, full, meets[1 + late][d])
         inner_pair = np.where(li != 0, li, L if late >= 0 or cc < k else L + d)
         d = red[need, li]
         if cc >= 1:
-            d = red[d, per_window(self.pair_label[outer])]
+            d = red[d, self.pair_label[outer]]
         if last:
-            legal &= (lo != 0) | (red[d, seam(0)] == 0)
+            mask &= np.where(lo != 0, full, meets[0][d])
         outer_pair = np.where(lo != 0, lo, L if last or cc == 0 else L + d)
-        nw = inner_pair * P**k + per_window(wids // (P * P) * P) + outer_pair
-        nw = np.broadcast_to(nw[..., 0], legal.shape[:3])
-        nw = np.where(legal.any(axis=3), nw, -1).reshape(len(wids), -1).astype(self.ids)
-        if not reads:
-            return nw, None
-        bits = legal * (1 << np.arange(len(combos)))
-        return nw, bits.sum(axis=3).reshape(len(wids), -1).astype(np.uint16)
+        new = np.where(mask != 0, inner_pair * P**k + outer_pair, -1).reshape(P * P, -1)
+        return new, mask.reshape(P * P, -1) if reads else None
 
 
 def _distinct(wids: np.ndarray, windows: int) -> np.ndarray:

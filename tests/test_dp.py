@@ -827,6 +827,161 @@ def test_table_rows_match_the_scalar_rule(kind, k, n_max):
     dp._tables.cache_clear()
 
 
+# The row build that the digit table replaced, kept as its reference: one
+# numpy pass over the axes (window, lo, li, seam labeling of `reads`).
+def _broadcast_rows(tables, sig, reads, wids):
+    """The nw and mask rows of `sig` for windows `wids`."""
+    cc, late, last = sig
+    k = tables.k
+    red = tables.reduce
+    need = tables.alg.need
+    L = len(tables.alg.labels)
+    P = len(tables.pair_label)
+    lo = np.arange(L)[None, :, None, None]
+    li = np.arange(L)[None, None, :, None]
+    combos = np.array(list(product(range(L), repeat=len(reads))), int)  # (V, reads)
+
+    def seam(pos):  # the label at seam position pos, per seam labeling
+        return combos[:, reads.index(pos)][None, None, None, :]
+
+    def per_window(a):
+        return a[:, None, None, None]
+
+    inner = (wids // P) % P  # column c-k's inner pair
+    outer = wids % P  # column c-1's outer pair
+    legal = np.ones((len(wids), L, L, len(combos)), bool)
+    if cc == 0:
+        legal &= lo == seam(0)
+    if cc < k:
+        legal &= li == seam(1 + cc)
+    if cc == 2 * k:
+        legal &= red[per_window(tables.pair_demand[inner]), li] == 0
+    if cc >= 2:
+        legal &= red[per_window(tables.pair_demand[outer]), lo] == 0
+    d = red[need, tables.pair_label[inner]] if cc >= k else np.full(len(wids), need)
+    d = red[per_window(d), lo]
+    if late >= 0:
+        legal &= (li != 0) | (red[d, seam(1 + late)] == 0)
+    inner_pair = np.where(li != 0, li, L if late >= 0 or cc < k else L + d)
+    d = red[need, li]
+    if cc >= 1:
+        d = red[d, per_window(tables.pair_label[outer])]
+    if last:
+        legal &= (lo != 0) | (red[d, seam(0)] == 0)
+    outer_pair = np.where(lo != 0, lo, L if last or cc == 0 else L + d)
+    nw = inner_pair * P**k + per_window(wids // (P * P) * P) + outer_pair
+    nw = np.broadcast_to(nw[..., 0], legal.shape[:3])
+    nw = np.where(legal.any(axis=3), nw, -1).reshape(len(wids), -1).astype(tables.ids)
+    if not reads:
+        return nw, None
+    bits = legal * (1 << np.arange(len(combos)))
+    return nw, bits.sum(axis=3).reshape(len(wids), -1).astype(np.uint16)
+
+
+def _check_rows_match_the_broadcast(tables):
+    """Every signature's nw and mask equal the broadcast build's on its
+    frontier, in value and dtype."""
+    assert tables.rows
+    for sig, tab in tables.rows.items():
+        nw, mask = _broadcast_rows(tables, sig, dp._reads(sig, tables.k), tab.wids)
+        assert tab.nw.dtype == nw.dtype and np.array_equal(tab.nw, nw), sig
+        if mask is None:
+            assert tab.mask is None, sig
+        else:
+            assert tab.mask.dtype == mask.dtype and np.array_equal(tab.mask, mask), sig
+
+
+# (kind, k): the n whose forward walks meet the signatures the reference
+# test checks; n = 2k+1..3k+1 meets every signature of the family
+DIGIT_ROW_GRID = {
+    **{(kind, k): range(2 * k + 1, 3 * k + 7)
+       for kind in ("italian", "domination", "rainbow2") for k in (1, 2, 3)},
+    **{(kind, k): range(2 * k + 1, 3 * k + 2)
+       for kind, k in (("domination", 4), ("domination", 5), ("italian", 4),
+                       ("italian", 5), ("rainbow2", 4))},
+}
+
+
+@pytest.mark.parametrize("kind,k", list(DIGIT_ROW_GRID))
+def test_the_digit_table_rows_match_the_broadcast_build(kind, k):
+    # 2-rainbow k = 4 and Italian k = 5 have 32,768 and 46,656 windows, so
+    # int32 window ids
+    tables = dp._Tables(dp.KINDS[kind], k)
+    for n in DIGIT_ROW_GRID[kind, k]:
+        dp._plan(tables, n)
+    wide = (kind, k) in (("rainbow2", 4), ("italian", 5))
+    assert tables.ids == (np.int32 if wide else np.int16)
+    _check_rows_match_the_broadcast(tables)
+
+
+@pytest.mark.parametrize("kind,k,pairs,widest", [
+    ("italian", 5, 36, 9456), ("rainbow2", 4, 64, 9556), ("domination", 3, 16, 52),
+])
+def test_a_signature_builds_one_table_row_per_digit_pair(kind, k, pairs, widest, monkeypatch):
+    # whatever its frontier, a signature broadcasts its tests over the P^2
+    # pairs of digits a row reads, once
+    shapes = {}
+    digit_rows = dp._Tables._digit_rows
+
+    def record(self, sig, reads):
+        new, mask = digit_rows(self, sig, reads)
+        assert sig not in shapes
+        shapes[sig] = new.shape
+        assert mask is None or mask.shape == new.shape
+        return new, mask
+
+    monkeypatch.setattr(dp._Tables, "_digit_rows", record)
+    tables = dp._Tables(dp.KINDS[kind], k)
+    dp._plan(tables, 3 * k + 1)
+    L = len(tables.alg.labels)
+    assert len(tables.pair_label) ** 2 == pairs
+    assert set(shapes) == set(tables.rows)
+    assert set(shapes.values()) == {(pairs, L * L)}
+    assert max(len(tab.wids) for tab in tables.rows.values()) == widest
+
+
+@pytest.mark.parametrize("fault", ["seam", "window"])
+def test_a_wrong_digit_table_fails_the_reference_and_the_pinned_row(fault, monkeypatch):
+    # negative controls on domination P(12,3): the digit table entry of its
+    # last column that its witness ends with loses the bit of the witness's
+    # seam, or its new window id (-1: illegal under every seam)
+    row = next(row for row in PINNED if row[:3] == ("domination", 12, 3))
+    kind, n, k, optimum = row[:4]
+    dp._tables.cache_clear()
+    try:
+        tables = dp._tables(kind, k)
+        plan = dp._plan(tables, n)
+        last = plan.steps[-1]
+        r, j = _final_entry(tables, plan, optimum)
+        seq = dp.solve_cycle(n, k, kind)[1]
+        code = 0
+        for label in (seq[0], *seq[1:2 * k:2]):  # a0, bs[0], .., bs[k-1]
+            code = code * len(tables.alg.labels) + label
+        bit = int(last.seam_bit[code])
+        q = int(last.wids[r]) % len(tables.pair_label) ** 2
+        digit_rows = dp._Tables._digit_rows
+
+        def faulty(self, sig, reads):
+            new, mask = digit_rows(self, sig, reads)
+            if sig == dp._column(n - 1, n, k):
+                assert new[q, j] >= 0 and mask[q, j] & bit
+                if fault == "seam":
+                    mask[q, j] ^= bit
+                else:
+                    new[q, j] = -1
+            return new, mask
+
+        monkeypatch.setattr(dp._Tables, "_digit_rows", faulty)
+        dp._tables.cache_clear()
+        dp._plan(dp._tables(kind, k), n)
+        with pytest.raises(AssertionError):
+            _check_rows_match_the_broadcast(dp._tables(kind, k))
+        with pytest.raises(AssertionError):
+            test_pinned(*row)
+    finally:
+        dp._tables.cache_clear()
+
+
 def _scalar_residual_ops(sig, k, alg, lo, li):
     """The residual update of pair (lo, li) under `sig`, as (slot, new
     demand indexed by old demand) steps, as the engine stated it per pair."""
