@@ -84,20 +84,21 @@ signature's tests run once, over the P^2 pairs of those two digits (16,
 36 and 64 for domination, Italian and 2-rainbow), each test of a seam
 label a uint16 bitmask of the seam labelings that pass it; a window's
 row is one gather from that digit table plus its shifted digits.  The 68
-signatures of the `dp-sweep` benchmark list build in 5.8 ms per process,
-against 13.2 ms for one broadcast over (window, lo, li, seam labeling),
-whose largest array was 2-rainbow k = 3's (581, 4, 4, 16).  Each step
-computes and checks that its rows cover a frontier, and the frontier
-after it, once per frontier it meets (`_Step.after`); a landing step's
-frontier is the windows its table row reaches.  The middle columns map
-their frontier onto itself, so the walk takes them all at once.  The
-backward walk computes the cost-to-go bound before each step, the least
-weight of the columns of steps i.. from each window under any seam,
-residuals ignored, and each step's entry costs, the weight of every
-entry plus the bound of its new window, which every pass reads as they
-are.  Each bound is stored less its least finite value, an integer
-offset that `_step` subtracts from the limit, so the entry costs stay
-small (int16 where they fit).
+signatures of the `dp-sweep` benchmark list build in 6.3 ms per cold
+process, against 13.2 ms for one broadcast over (window, lo, li, seam
+labeling), whose largest array was 2-rainbow k = 3's (581, 4, 4, 16)
+(medians of 9, BENCH_digit_rows.json).  Each step computes and checks
+that its rows cover a frontier, and the frontier after it, once per
+frontier it meets (`_Step.after`); a landing step's frontier is the
+windows its table row reaches.  The middle columns map their frontier
+onto itself, so the walk takes them all at once.  The backward walk
+computes the cost-to-go bound before each step, the least weight of the
+columns of steps i.. from each window under any seam, residuals ignored,
+and each step's entry costs, the weight of every entry plus the bound of
+its new window, which every pass reads as they are.  Each bound is
+stored less its least finite value, an integer offset that `_step`
+subtracts from the limit, so the entry costs stay small (int16 where
+they fit).
 
 Every pass over P(n, k) with n >= 3k ends with the same k closing
 columns, and where it takes column steps the middle columns before them
@@ -420,9 +421,9 @@ class _Tables:
         narrowed to `ids`.  Exact for windows some seam reaches at a column
         of this signature.  The digit table has P^2 rows whatever the
         frontier: the 68 signatures of the `dp-sweep` benchmark list build
-        in 5.8 ms, not the 13.2 ms of one broadcast over every (window, lo,
-        li, seam labeling), and Italian k = 5, whose frontiers reach 9,456
-        windows, in 2.6 ms, not 25 ms."""
+        in 6.3 ms per cold process, not the 13.2 ms of one broadcast over
+        every (window, lo, li, seam labeling), and Italian k = 5, whose
+        frontiers reach 9,456 windows, in 2.6 ms, not 25 ms."""
         P = len(self.pair_label)
         new, mask = self._digit_rows(sig, reads)
         q = wids % (P * P)
