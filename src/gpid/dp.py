@@ -83,22 +83,24 @@ pair of column c-1, and shifts the others one digit down, so the
 signature's tests run once, over the P^2 pairs of those two digits (16,
 36 and 64 for domination, Italian and 2-rainbow), each test of a seam
 label a uint16 bitmask of the seam labelings that pass it; a window's
-row is one gather from that digit table plus its shifted digits.  The 68
-signatures of the `dp-sweep` benchmark list build in 6.3 ms per cold
-process, against 13.2 ms for one broadcast over (window, lo, li, seam
-labeling), whose largest array was 2-rainbow k = 3's (581, 4, 4, 16)
-(medians of 9, BENCH_digit_rows.json).  Each step computes and checks
-that its rows cover a frontier, and the frontier after it, once per
-frontier it meets (`_Step.after`); a landing step's frontier is the
-windows its table row reaches.  The middle columns map their frontier
-onto itself, so the walk takes them all at once.  The backward walk
+row is one gather from that digit table plus its shifted digits, so the
+tests run P^2 times, not once per window and seam labeling.  Each step
+computes and checks that its rows cover a frontier, and the frontier
+after it, once per frontier it meets (`_Step.after`); a landing step's
+frontier is the windows its table row reaches.  The middle columns map
+their frontier onto itself, so the walk takes them all at once.  The backward walk
 computes the cost-to-go bound before each step, the least weight of the
 columns of steps i.. from each window under any seam, residuals ignored,
 and each step's entry costs, the weight of every entry plus the bound of
-its new window, which every pass reads as they are.  Each bound is
-stored less its least finite value, an integer offset that `_step`
-subtracts from the limit, so the entry costs stay small (int16 where
-they fit).
+its new window, which every pass reads as they are: int32, an illegal
+entry (a pair with nw = -1, or a new window with no way to the last
+column) costing _INF or more.  Each bound is stored less its least
+finite value, an integer offset that `_step` subtracts from the limit:
+stored so, the bounds of the middle columns repeat with the period
+below, λ apart, and one stored array serves every n.  `solve_cycle`
+refuses an n whose heaviest labeling, n times the largest pair weight,
+reaches _INF, so every room a pass compares is at most 2n < _INF and
+every cost, _INF plus a weight included, fits int32.
 
 Every pass over P(n, k) with n >= 3k ends with the same k closing
 columns, and where it takes column steps the middle columns before them
@@ -420,10 +422,7 @@ class _Tables:
         wid // P^2 * P, on its legal entries: one gather, computed wide and
         narrowed to `ids`.  Exact for windows some seam reaches at a column
         of this signature.  The digit table has P^2 rows whatever the
-        frontier: the 68 signatures of the `dp-sweep` benchmark list build
-        in 6.3 ms per cold process, not the 13.2 ms of one broadcast over
-        every (window, lo, li, seam labeling), and Italian k = 5, whose
-        frontiers reach 9,456 windows, in 2.6 ms, not 25 ms."""
+        frontier, so the signature's tests do not grow with it."""
         P = len(self.pair_label)
         new, mask = self._digit_rows(sig, reads)
         q = wids % (P * P)
@@ -667,22 +666,6 @@ def _tables(kind: str, k: int) -> _Tables:
     return _Tables(KINDS[kind], k)
 
 
-# What an illegal entry cost holds, per dtype: above every room `_step`
-# compares it with, at every limit.
-_ILLEGAL = {np.dtype(np.int16): 2**15 - 1, np.dtype(np.int32): _INF}
-
-
-def _entries(cost: np.ndarray) -> np.ndarray:
-    """Entry costs as a pass reads them: int16 where the finite ones fit,
-    int32 otherwise, an illegal entry (a cost of _INF or more) holding
-    `_ILLEGAL` of its dtype.  Every cost is a weight plus a bound that is
-    finite or exactly _INF, so with the _INF bit masked off an illegal
-    entry keeps only its weight, and the largest masked value bounds the
-    finite ones."""
-    narrow = np.dtype(np.int16 if (cost & (_INF - 1)).max() < 2**15 - 1 else np.int32)
-    return np.minimum(cost, _ILLEGAL[narrow]).astype(narrow)
-
-
 def _end(windows: int) -> np.ndarray:
     """The bound after the last column: zero on every window, _INF in the
     last slot, which an illegal pair (nw = -1) reads."""
@@ -691,29 +674,21 @@ def _end(windows: int) -> np.ndarray:
     return end
 
 
-def _back(step: _Step, h: np.ndarray, windows: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """One step of the backward walk from `h`, the bound after `step`: the
-    step's entry costs (weight plus the `h` of the new window, `_entries`),
-    the bound before it, less its least finite value so that it starts at
-    0, and that value, the shift between the two bounds' offsets."""
-    cost = step.cost(h)
-    best = cost.min(axis=1)
-    shift = int(best.min())
-    if shift >= _INF:
-        shift = 0
-    before = np.full(windows + 1, _INF, np.int32)
-    before[step.wids] = np.where(best < _INF, best - shift, _INF)
-    return _entries(cost), before, shift
-
-
-def _walk_back(steps: list, h: np.ndarray, windows: int) -> tuple[list, list, list[int]]:
+def _walk_back(steps: list, h: np.ndarray) -> tuple[list, list, list[int]]:
     """The bounds before `steps`, whose last step reads `h`, their entry
-    costs, and each bound's offset above that of `h`, in pass order."""
+    costs (weight plus the bound of the new window) and each bound's offset
+    above that of `h`, in pass order.  A step's bound is stored less its
+    least value, so that it starts at 0; that value is finite, since every
+    frontier holds the window of the all-ones labeling."""
     bounds, costs, offsets = [], [], []
     offset = 0
     for step in reversed(steps):
-        cost, h, shift = _back(step, h, windows)
+        cost = step.cost(h)
+        best = cost.min(axis=1)
+        shift = int(best.min())
         offset += shift
+        h = np.full_like(h, _INF)
+        h[step.wids] = np.where(best < _INF, best - shift, _INF)
         bounds.append(h)
         costs.append(cost)
         offsets.append(offset)
@@ -744,16 +719,15 @@ class _Suffix:
     """
 
     def __init__(self, tables: _Tables, closing: list[_Rows]) -> None:
-        self.windows = tables.windows
         self.k = len(closing)
-        self.bounds, self.offsets, self.costs = [_end(self.windows)], [0], []
+        self.bounds, self.offsets, self.costs = [_end(tables.windows)], [0], []
         self.period: tuple[int, int, int] | None = None
         self.openings: dict[int, tuple[list, list, list[int]]] = {}
         for step in reversed(closing):
             self._grow(step)
 
     def _grow(self, step: _Step) -> None:
-        cost, before, shift = _back(step, self.bounds[-1], self.windows)
+        (before,), (cost,), (shift,) = _walk_back([step], self.bounds[-1])
         self.costs.append(cost)
         offset = self.offsets[-1] + shift
         i = len(self.bounds)
@@ -799,7 +773,7 @@ class _Suffix:
         j = self.entry(count)[0]
         found = self.openings.get(j)
         if found is None:
-            found = self.openings[j] = _walk_back(steps, self.bounds[j], self.windows)
+            found = self.openings[j] = _walk_back(steps, self.bounds[j])
         return found
 
 
@@ -813,8 +787,8 @@ class _Plan(NamedTuple):
     completion); _INF off the windows of step i and in the last slot, which
     an illegal pair (nw = -1) reads.  `costs[i] + offsets[i + 1]` are the
     entry costs of step i, the weight of each entry plus the bound of its
-    new window, which every pass reads as they are (`_entries`: an illegal
-    entry holds `_ILLEGAL` of its dtype).  Where n >= 3k the arrays are the
+    new window, which every pass reads as they are (int32; an illegal
+    entry costs _INF or more).  Where n >= 3k the arrays are the
     family's `_Suffix` and its openings, shared by every n, but for the
     entry costs of a landing step.
     """
@@ -862,7 +836,7 @@ def _plan(tables: _Tables, n: int) -> _Plan:
         frontier = reached
     if n < 3 * k:  # no closing columns shared with other n
         end = _end(tables.windows)
-        bounds, costs, offsets = _walk_back(steps, end, tables.windows)
+        bounds, costs, offsets = _walk_back(steps, end)
         return _Plan(steps, bounds + [end], costs, offsets + [0])
     suffix = tables.suffix(steps[-k:])
     tail = n - 2 * k  # the middle and closing columns
@@ -872,7 +846,7 @@ def _plan(tables: _Tables, n: int) -> _Plan:
         # it crosses, read off the suffix; only its entry costs are this n's
         bounds, costs, offsets = suffix.read(k)
         j, offset = suffix.entry(tail)
-        costs.insert(0, _entries(steps[2 * k].cost(bounds[0])))
+        costs.insert(0, steps[2 * k].cost(bounds[0]))
         bounds.insert(0, suffix.bounds[j])
         offsets.insert(0, offset)
     else:
@@ -920,16 +894,14 @@ def _step(tables: _Tables, tab: _Step, cost: np.ndarray, offset: int, key: np.nd
           w: np.ndarray, limit: int):
     """Advance the layer (`key`, `w`) by step `tab`, keeping the candidates
     whose weight plus the `cost` of their entry plus `offset` is at most
-    `limit`: `cost <= limit - offset - weight`, where the room on the right
-    is capped one below what an illegal entry holds (`_ILLEGAL`).  The room
-    is never negative in a pass: a state kept there has its weight plus
+    `limit`: `cost <= limit - offset - weight`.  The room on the right is at
+    most the limit, below _INF (`require_fits`), so no illegal entry passes.
+    It is never negative in a pass: a state kept there has its weight plus
     the offset of the bound before the step at most the limit, and the
     offset of the step's entry costs is at most that one.
     Returns the new layer's keys, weights and back-pointers; None when it
     is empty.
     """
-    top = _ILLEGAL[cost.dtype] - 1
-    capped = limit - offset > top
     R = tables.R
     WR = tables.windows * R
     width = tab.nw.shape[1]
@@ -943,11 +915,8 @@ def _step(tables: _Tables, tab: _Step, cost: np.ndarray, offset: int, key: np.nd
         if rows.min() < 0:
             bad = int(wid[rows.argmin()])
             raise InternalError(f"dp met window {bad} off the frontier of its step")
-        room = limit - offset - wb
-        if capped:
-            np.minimum(room, top, out=room)
         # <= : a labeling of weight `limit` must keep all its prefixes
-        legal = np.less_equal(cost.take(rows, axis=0), room.astype(cost.dtype)[:, None])
+        legal = cost.take(rows, axis=0) <= (limit - offset - wb)[:, None]
         if tab.seam_bit is not None:  # closing window: legal under the state's seam
             legal &= (tab.mask.take(rows, axis=0) & tab.seam_bit[kb // WR][:, None]) != 0
         pos = np.flatnonzero(legal)
@@ -1064,10 +1033,10 @@ def _admit(count: int) -> int:
 
 
 def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray], prune: int,
-           offsets: list[int] | None = None) -> tuple[tuple[int, bytes] | None, int]:
+           offsets: list[int]) -> tuple[tuple[int, bytes] | None, int]:
     """One pass over the steps that carries every seam, dropping each
     candidate whose weight plus the entry cost of its step (`costs[i]`
-    plus `offsets[i]`, from `_plan`; no offsets: zero) exceeds `prune`.
+    plus `offsets[i]`, from `_plan`) exceeds `prune`.
 
     The layers of the leading steps that are the family's opening block
     (`_Tables.opening`) are read off it: the pass keeps the states whose
@@ -1078,7 +1047,6 @@ def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray], prune: int,
     Returns ((weight, witness) of the lexicographically smallest closing
     labeling of least weight, or None when no state closes; states kept).
     """
-    offsets = offsets or [0] * len(steps)
     block = tables.opening()
     used = _leading(block, steps)
     key = np.zeros(1, tables.keys)  # no seam label yet, the empty window
@@ -1088,12 +1056,8 @@ def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray], prune: int,
     kept = np.ones(1, bool)
     into = None  # the positions of the kept states in the block's last layer
     for opened, cost, offset in zip(block[:used], costs, offsets):
-        room = prune - offset - opened.pw  # as in `_step`
-        top = _ILLEGAL[cost.dtype] - 1
-        if prune - offset > top:
-            np.minimum(room, top, out=room)
         parents = kept.take(opened.parent)
-        kept = cost.take(opened.cell) <= room
+        kept = cost.take(opened.cell) <= prune - offset - opened.pw  # as in `_step`
         if (kept > parents).any():
             raise InternalError("dp kept an opening state whose parent it dropped")
         count = int(np.count_nonzero(kept))
@@ -1122,6 +1086,15 @@ def _sweep(tables: _Tables, steps: list, costs: list[np.ndarray], prune: int,
     return (int(w[pos]), _unwind(steps, back, pos)), explored
 
 
+def require_fits(n: int, kind: str) -> None:
+    """Raise BudgetExceeded unless n times the largest pair weight of
+    `kind` is below _INF, which keeps every cost of a pass in int32, and
+    InvalidParameters for an unknown kind."""
+    pair = 2 * max(kind_of(kind).weight)
+    if n * pair >= _INF:
+        raise BudgetExceeded(f"dp supports n < {-(-_INF // pair)} for {kind}, got n={n}")
+
+
 def solve_cycle(n: int, k: int, kind: str, first: int = 0) -> tuple[int, bytes, int]:
     """Minimum weight over the cyclic column structure of P(n, k).
 
@@ -1129,7 +1102,7 @@ def solve_cycle(n: int, k: int, kind: str, first: int = 0) -> tuple[int, bytes, 
     bound (at most 2n); it changes only the work done, never the result.
     Returns (optimum, witness label bytes in vertex order, states explored).
     """
-    kind_of(kind)  # rejects an unknown kind
+    require_fits(n, kind)
     require_admissible(n, k)
     tables = _tables(kind, k)
     plan = _plan(tables, n)

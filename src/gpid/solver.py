@@ -145,6 +145,7 @@ def solve_dp(n: int, k: int, kind: str) -> SolveResult:
     kd = kind_of(kind)
     if k > 3:
         raise InvalidParameters(f"dp solver supports k <= 3, got k={k}")
+    dp.require_fits(n, kind)  # before the O(n) graph
     g = build_petersen(n, k)
     f = formulas.VALUES[kind](n, k)
     first = f.value if f.kind == "exact" else kind_floor(g, kind)

@@ -136,6 +136,20 @@ def test_solve_bnb_bounds(capsys):
     assert payload["lo"] <= payload["hi"]
 
 
+def test_solve_dp_refuses_an_n_its_costs_cannot_hold_at_once(capsys, monkeypatch):
+    # 2^28 times Italian's largest pair weight, 4, is the DP's illegal-entry
+    # cost 2^30: refused before the graph, so before any O(n) array
+    from gpid import solver
+
+    def unreachable(*args):
+        raise AssertionError("built the graph of a refused n")
+
+    monkeypatch.setattr(solver, "build_petersen", unreachable)
+    code, out, err = run_cli(capsys, "solve", "--n", "268435456", "--k", "1", "--method", "dp")
+    assert (code, out) == (2, "")
+    assert err == "error: dp supports n < 268435456 for italian, got n=268435456\n"
+
+
 def test_budget_is_read_by_bnb_only(capsys):
     # refused as a flag exhaustive never reads, before its value is checked
     code, out, err = run_cli(capsys, "solve", "--n", "7", "--k", "2",

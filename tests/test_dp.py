@@ -275,9 +275,9 @@ def test_pinned(kind, n, k, optimum, digest, unbounded, explored):
     tables = dp._tables(kind, k)
     steps = dp._plan(tables, n)[0]
     free = _no_bound(tables, steps)
-    (weight, seq), _ = dp._sweep(tables, steps, free, optimum)
+    (weight, seq), _ = dp._sweep(tables, steps, free, optimum, [0] * len(steps))
     assert (weight, hashlib.sha256(seq).hexdigest()[:16]) == (optimum, digest)
-    found, _ = dp._sweep(tables, steps, free, optimum - 1)
+    found, _ = dp._sweep(tables, steps, free, optimum - 1, [0] * len(steps))
     assert found is None
 
 
@@ -738,6 +738,30 @@ def test_sort_key_overflow_is_refused(monkeypatch):
     _refused_at_a_landing_step(monkeypatch, 20, 1, "rainbow2", "int64 sort keys")
 
 
+def test_an_n_whose_costs_leave_int32_is_refused_at_once(monkeypatch):
+    # n times the largest pair weight (4 for Italian and 2-rainbow, 2 for
+    # domination) must stay below _INF, an illegal entry's cost; a refused
+    # n is refused before any table, plan or O(n) array
+    def unreachable(*args):
+        raise AssertionError("reached the tables")
+
+    monkeypatch.setattr(dp, "_tables", unreachable)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="n < 268435456 for italian"):
+            dp.solve_cycle(2**28, 1, "italian")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+    for kind, bound in [("italian", 2**28), ("rainbow2", 2**28), ("domination", 2**29)]:
+        dp.require_fits(bound - 1, kind)
+        with pytest.raises(BudgetExceeded, match=f"n < {bound} for {kind}"):
+            dp.require_fits(bound, kind)
+    with pytest.raises(AssertionError, match="reached the tables"):  # admitted
+        dp.solve_cycle(2**29 - 1, 1, "domination")
+
+
 def test_public_shape():
     # perfbench/layers.py reads the 3-tuple and ALGEBRAS[kind].labels
     opt, seq, explored = dp.solve_cycle(7, 2, "rainbow2")
@@ -1038,8 +1062,8 @@ def test_residual_map_matches_the_per_pair_build(kind, k):
 
 
 def _illegal(cost):
-    """Where an entry cost is illegal: it holds `_ILLEGAL` of its dtype."""
-    return cost == dp._ILLEGAL[cost.dtype]
+    """Where an entry cost is illegal: a weight plus the _INF bound."""
+    return cost >= dp._INF
 
 
 @pytest.mark.parametrize("kind,n,k,optimum", [row[:4] for row in PINNED])
@@ -1058,20 +1082,20 @@ def test_cost_to_go_bounds_the_optimum(kind, n, k, optimum):
         assert np.array_equal(cost[~illegal], want[~illegal]), i
 
 
-@pytest.mark.parametrize("n,dtype", [(16383, np.int16), (16384, np.int32)])
-def test_entry_costs_hold_the_cap_of_the_largest_limit(n, dtype):
-    # a pass's limit goes up to 2n, which `dtype` is the narrowest to hold
-    # (with 2n + 1 above it); int16 entry costs keep an illegal entry at
-    # 32767, so `_step` caps the room at 32766, and one step at limit 2n
-    # from every window of its frontier at weight 0 keeps no illegal entry
-    assert np.iinfo(dtype).max >= 2 * n + 1 and (dtype is np.int16 or 2 * n + 1 > 2**15 - 1)
+@pytest.mark.parametrize("n", [16383, 16384])
+def test_entry_costs_hold_the_cap_of_the_largest_limit(n):
+    # a pass's limit goes up to 2n (2n + 1 reaches 2^15 from n = 16384 on);
+    # every entry cost is int32 and an illegal one costs _INF or more, above
+    # every room `_step` compares, so one step at limit 2n from every window
+    # of its frontier at weight 0 keeps no illegal entry
     cases = [("domination", 1, -(-n // 2))]
-    if dtype is np.int32:
+    if n == 16384:
         cases.append(("italian", 2, 13108))  # 4n/5 rounded up, the paper's P(n,2) value
     for kind, k, optimum in cases:
         tables = dp._tables(kind, k)
         plan = dp._plan(tables, n)
-        assert any(cost.dtype == np.int16 and _illegal(cost).any() for cost in plan.costs)
+        assert all(cost.dtype == np.int32 for cost in plan.costs)
+        assert any(_illegal(cost).any() for cost in plan.costs)
         # the room is widest at the least offset a step's arrays take
         least = {}
         for i, (step, cost) in enumerate(zip(plan.steps, plan.costs)):
@@ -1102,17 +1126,15 @@ def _cost_to_go(tables, steps, top):
     costs[i]: the weight of each entry of step i plus the bound of its new
     window, over all the step's rows, capped at top + 1, where `top` is the
     largest limit a pass takes (so an illegal entry costs top + 1).  It
-    depends on the plan only, so every pass reads it as it is; int16 where
-    the cap allows, which halves what the plan holds.
+    depends on the plan only, so every pass reads it as it is.
     """
     h = np.zeros(tables.windows + 1, np.int32)
     h[-1] = dp._INF
     bound = [h]
     costs = []
-    narrow = np.int16 if top < 2**15 - 1 else np.int32
     for step in reversed(steps):
         cost = step.cost(h)
-        costs.append(np.minimum(cost, top + 1).astype(narrow))
+        costs.append(np.minimum(cost, top + 1))
         h = np.full(tables.windows + 1, dp._INF, np.int32)
         h[step.wids] = np.minimum(cost.min(axis=1), dp._INF)
         bound.append(h)
@@ -1403,7 +1425,7 @@ def _block_mismatches(kind, k, ns, free, above=2):
         with _without_block():
             optimum = dp.solve_cycle(n, k, kind)[0]
         if free:
-            costs, offsets = _no_bound(tables, plan.steps), None
+            costs, offsets = _no_bound(tables, plan.steps), [0] * len(plan.steps)
         else:
             costs, offsets = plan.costs, plan.offsets[1:]
         for limit in range(optimum - 1, optimum + above + 1):
